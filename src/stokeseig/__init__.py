@@ -6,7 +6,7 @@ from .eigsolve import EigConfig, SpectralSolution, eigen_residuals, solve_eig
 from .estimator import LocalIndicators, compute_indicators, effectivity
 from .fields import (DiscreteField, pressure_from_stress, theta_postprocess,
                      vorticity_from_stress)
-from .mesh import (Mesh, Patch, build_circle_mesh, build_lshape_mesh,
+from .mesh import (Mesh, build_circle_mesh, build_lshape_mesh,
                    build_square_mesh, patches, read_mesh, refine, write_mesh)
 from .quadrature import QuadratureRule, quadrature
 from .refbasis import ReferenceBasis, ned_basis, pk_basis

@@ -9,7 +9,7 @@ dropped.  Reported eigenvectors are scaled so the velocity has unit L2 norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -51,7 +51,6 @@ class SpectralSolution:
     multiplier: np.ndarray
     residuals: np.ndarray
     vectors: np.ndarray
-    unit_velocity: list = field(default_factory=list)
     converged: bool = True
 
 
@@ -188,8 +187,7 @@ def _extract(pencil, cfg, nu, vecs):
     mult = np.zeros((m, layout.n_c))
     for i in range(m):
         sigma[i], u[i], mult[i] = layout.split(vec_mat[:, i])
-    return SpectralSolution(lams, sigma, u, mult, residuals, vec_mat,
-                            unit_velocity=[True] * m)
+    return SpectralSolution(lams, sigma, u, mult, residuals, vec_mat)
 
 
 def eigen_residuals(pencil, solution):

@@ -142,9 +142,9 @@ class DiscreteField:
         if self.kind == STRESS:
             dofmap = self._d["dofmap"]
             jhat = dofmap.ned.eval_jacobian(ref_points)            # (nd, q, 2, 2)
-            local = self._d["local"][tris]
-            raw = np.einsum("erd,dqab->erqab", local, jhat)
-            return np.einsum("eca,erqab,ebd->eqrcd", BinvT[tris], raw, Binv[tris])
+            # optimize=True picks a pairwise order; the fused default loop is ~3x slower
+            return np.einsum("erd,dqab,eca,ebf->eqrcf", self._d["local"][tris], jhat,
+                             BinvT[tris], Binv[tris], optimize=True)
         if self.kind == VELOCITY:
             ghat = self._d["pk"].eval_jacobian(ref_points)         # (np, q, 2)
             local = self._d["local"][tris]
@@ -190,19 +190,14 @@ def element_integrals(u):
     return np.einsum("eqc,q->ec", vals, rule.weights) * det[:, None]
 
 
-def theta_postprocess(u, mesh_patches):
+def theta_postprocess(u, incidence):
     """Patch-averaging recovery: continuous P1 field with nodal values
-    sum_T int_T u / |patch| over the triangles touching each vertex."""
-    mesh = u.mesh
-    ints = element_integrals(u)
-    values = np.zeros((mesh.num_vertices, 2))
-    measures = np.empty(mesh.num_vertices)
-    for v in range(mesh.num_vertices):
-        patch = mesh_patches[("vertex", v)]
-        measures[v] = patch.measure
-        values[v] = ints[list(patch.triangles)].sum(axis=0)
-    values /= measures[:, None]
-    return DiscreteField.nodal_p1(mesh, values)
+    sum_T int_T u / |patch| over the triangles touching each vertex.
+
+    ``incidence`` is the vertex-triangle matrix returned by :func:`stokeseig.mesh.patches`.
+    """
+    values = (incidence @ element_integrals(u)) / (incidence @ u.mesh.tri_areas)[:, None]
+    return DiscreteField.nodal_p1(u.mesh, values)
 
 
 def stress_from_solution(mesh, descriptor, solution, index, dofmap=None):

@@ -9,10 +9,10 @@ newest-vertex refinement needs no extra bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, IOFailureError, MeshError
 
@@ -25,14 +25,6 @@ BI_UNIT_SQUARE = "bi_unit_square"
 
 # local edge j joins local vertices j and (j+1) % 3; edge 0 is the bisection edge
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-
-
-@dataclass(frozen=True)
-class Patch:
-    """Triangles sharing one mesh entity, with their total measure."""
-    center: tuple
-    triangles: tuple
-    measure: float
 
 
 class Mesh:
@@ -57,7 +49,7 @@ class Mesh:
     """
 
     def __init__(self, vertices, tri_vertices, tri_edges, tri_parents,
-                 edges, edge_tris, edge_tags, validate=True):
+                 edges, edge_tris, edge_tags):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.tri_vertices = np.ascontiguousarray(tri_vertices, dtype=np.int64)
         self.tri_edges = np.ascontiguousarray(tri_edges, dtype=np.int64)
@@ -68,36 +60,22 @@ class Mesh:
         for arr in (self.vertices, self.tri_vertices, self.tri_edges,
                     self.tri_parents, self.edges, self.edge_tris, self.edge_tags):
             arr.flags.writeable = False
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_triangles(cls, vertices, tri_vertices, tri_parents=None,
-                       boundary_tags=None, validate=True):
+    def from_triangles(cls, vertices, tri_vertices, tri_parents=None):
         """Build a mesh from vertex coordinates and triangle connectivity.
 
-        ``boundary_tags`` maps ascending boundary vertex pairs to a tag;
-        missing boundary edges default to DIRICHLET.
+        Every boundary edge is tagged DIRICHLET.
         """
-        vertices = np.asarray(vertices, dtype=float)
         tri_vertices = np.asarray(tri_vertices, dtype=np.int64)
-        nt = tri_vertices.shape[0]
         if tri_parents is None:
-            tri_parents = np.full(nt, -1, dtype=np.int64)
-
+            tri_parents = np.full(tri_vertices.shape[0], -1, dtype=np.int64)
         edges, tri_edges, edge_tris = _build_edges(tri_vertices)
-        tags = np.zeros(len(edges), dtype=np.int64)
-        on_boundary = edge_tris[:, 1] < 0
-        if boundary_tags is None:
-            tags[on_boundary] = DIRICHLET
-        else:
-            for e in np.nonzero(on_boundary)[0]:
-                key = (int(edges[e, 0]), int(edges[e, 1]))
-                tags[e] = boundary_tags.get(key, DIRICHLET)
-        return cls(vertices, tri_vertices, tri_edges, tri_parents,
-                   edges, edge_tris, tags, validate=validate)
+        tags = np.where(edge_tris[:, 1] < 0, DIRICHLET, INTERIOR)
+        return cls(vertices, tri_vertices, tri_edges, tri_parents, edges, edge_tris, tags)
 
     # -- counts ------------------------------------------------------------
 
@@ -159,14 +137,7 @@ class Mesh:
     @cached_property
     def edge_sides(self):
         """(ne, 2, 2) array of (triangle, local slot) pairs per edge, -1 padded."""
-        sides = np.full((self.num_edges, 2, 2), -1, dtype=np.int64)
-        count = np.zeros(self.num_edges, dtype=np.int64)
-        for t in range(self.num_triangles):
-            for j in range(3):
-                e = self.tri_edges[t, j]
-                sides[e, count[e]] = (t, j)
-                count[e] += 1
-        return sides
+        return _edge_sides(self.tri_edges, self.num_edges)
 
     @cached_property
     def boundary_vertices(self):
@@ -195,6 +166,9 @@ class Mesh:
     # -- invariants -----------------------------------------------------------
 
     def _validate(self):
+        unknown = ~np.isin(self.edge_tags, (INTERIOR, DIRICHLET, NEUMANN))
+        if unknown.any():
+            raise MeshError(f"unknown edge tag {self.edge_tags[unknown][0]}")
         if np.any(self.tri_areas <= 0.0):
             bad = int(np.argmin(self.tri_areas))
             raise MeshError(f"triangle {bad} is not counter-clockwise (area {self.tri_areas[bad]:g})")
@@ -223,17 +197,24 @@ def _build_edges(tri_vertices):
         raw[j * nt:(j + 1) * nt] = np.sort(tri_vertices[:, [a, b]], axis=1)
     edges, inverse = np.unique(raw, axis=0, return_inverse=True)
     tri_edges = inverse.reshape(3, nt).T.copy()
-    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    count = np.zeros(len(edges), dtype=np.int64)
-    # per-triangle fill keeps side order deterministic
-    for t in range(nt):
-        for j in range(3):
-            e = tri_edges[t, j]
-            if count[e] > 1:
-                raise MeshError(f"edge {e} is shared by more than two triangles")
-            edge_tris[e, count[e]] = t
-            count[e] += 1
-    return edges, tri_edges, edge_tris
+    return edges, tri_edges, _edge_sides(tri_edges, len(edges))[:, :, 0]
+
+
+def _edge_sides(tri_edges, num_edges):
+    """(ne, 2, 2) table: slot s of edge e holds (triangle, local edge), -1 padded.
+
+    Slots are filled in ascending (triangle, local edge) order, so slot 0 is
+    the lower-numbered neighbour; the estimator's jump signs rely on this.
+    """
+    flat = tri_edges.ravel()
+    counts = np.bincount(flat, minlength=num_edges)
+    if np.any(counts > 2):
+        raise MeshError(f"edge {int(np.argmax(counts > 2))} is shared by more than two triangles")
+    order = np.argsort(flat, kind="stable")
+    slot = np.arange(flat.size) - (np.cumsum(counts) - counts)[flat[order]]
+    sides = np.full((num_edges, 2, 2), -1, dtype=np.int64)
+    sides[flat[order], slot] = np.column_stack(np.divmod(order, 3))
+    return sides
 
 
 def _orient_ccw(vertices, tri):
@@ -406,7 +387,7 @@ def refine(mesh, marked):
     propagate until no hanging vertex remains.  Boundary tags are inherited
     by the halves of split boundary edges.
     """
-    marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
+    marked = np.fromiter(marked, dtype=np.int64)
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.num_triangles):
         raise MeshError("marked set contains an invalid triangle id")
     if marked.size == 0:
@@ -423,96 +404,62 @@ def refine(mesh, marked):
             break
         edge_marked[ref_edge[need]] = True
 
-    vertices = [tuple(p) for p in mesh.vertices]
-    midpoint = {}
-    for e in np.nonzero(edge_marked)[0]:
-        a, b = mesh.edges[e]
-        midpoint[e] = len(vertices)
-        vertices.append(tuple((mesh.vertices[a] + mesh.vertices[b]) / 2.0))
+    cut = np.nonzero(edge_marked)[0]
+    mid = np.full(mesh.num_edges, -1, dtype=np.int64)
+    mid[cut] = mesh.num_vertices + np.arange(cut.size)
+    a, b = mesh.edges[cut].T
+    vertices = np.vstack([mesh.vertices, (mesh.vertices[a] + mesh.vertices[b]) / 2.0])
 
-    # tag inheritance for boundary edges (possibly cut in half)
-    tag_map = {}
-    for e in np.nonzero(mesh.edge_tags != INTERIOR)[0]:
-        a, b = (int(v) for v in mesh.edges[e])
-        tag = int(mesh.edge_tags[e])
-        if edge_marked[e]:
-            m = midpoint[e]
-            tag_map[_key(a, m)] = tag
-            tag_map[_key(m, b)] = tag
-        else:
-            tag_map[_key(a, b)] = tag
+    # a triangle (v0, v1, v2) with bisection edge (v0, v1) cut at m has up to
+    # four children in slots 0-3; each child keeps its newest vertex last so
+    # that its own bisection edge comes first
+    v0, v1, v2 = mesh.tri_vertices.T
+    tri_mid = mid[mesh.tri_edges]
+    m, m12, m20 = tri_mid.T
+    cut01, cut12, cut20 = (tri_mid >= 0).T
 
-    new_tris = []
-    new_parents = []
+    def tri(p, q, r):
+        return np.column_stack([p, q, r])
 
-    def emit(tri, parent):
-        new_tris.append(tri)
-        new_parents.append(parent)
+    kids = np.stack([
+        np.where(cut20[:, None], tri(m, v2, m20), tri(v2, v0, m)),
+        tri(v0, m, m20),
+        np.where(cut12[:, None], tri(m, v1, m12), tri(v1, v2, m)),
+        tri(v2, m, m12)], axis=1)
+    kids[~cut01, 0] = mesh.tri_vertices[~cut01]
+    keep = np.column_stack([np.ones_like(cut01), cut01 & cut20, cut01, cut01 & cut12])
+    tri_vertices = kids[keep]
+    tri_parents = np.nonzero(keep)[0]
 
-    def bisect(tri, edge_ids, parent):
-        # tri = (v0, v1, v2) CCW with bisection edge (v0, v1); children keep
-        # the new vertex last so their own bisection edge comes first
-        v0, v1, v2 = tri
-        e01, e12, e20 = edge_ids
-        m = midpoint[e01]
-        left = (v2, v0, m)
-        right = (v1, v2, m)
-        if e20 is not None and edge_marked[e20]:
-            m2 = midpoint[e20]
-            emit((m, v2, m2), parent)
-            emit((v0, m, m2), parent)
-        else:
-            emit(left, parent)
-        if e12 is not None and edge_marked[e12]:
-            m2 = midpoint[e12]
-            emit((m, v1, m2), parent)
-            emit((v2, m, m2), parent)
-        else:
-            emit(right, parent)
-
-    for t in range(mesh.num_triangles):
-        tri = tuple(int(v) for v in mesh.tri_vertices[t])
-        eids = tuple(int(e) for e in mesh.tri_edges[t])
-        if edge_marked[eids[0]]:
-            bisect(tri, eids, t)
-        else:
-            emit(tri, t)
-
-    new_vertices = np.array(vertices)
-    new_tris = np.array(new_tris, dtype=np.int64)
-    return Mesh.from_triangles(new_vertices, new_tris,
-                               tri_parents=np.array(new_parents, dtype=np.int64),
-                               boundary_tags=tag_map)
-
-
-def _key(a, b):
-    return (a, b) if a < b else (b, a)
-
-
-def uniform_refine(mesh):
-    """Bisect every triangle (marks the whole mesh)."""
-    return refine(mesh, range(mesh.num_triangles))
+    # boundary tags: an uncut edge keeps its pair, a cut one passes its tag to
+    # (a, m) and (b, m); the new edges are sorted, so their pair keys are too
+    edges, tri_edges, edge_tris = _build_edges(tri_vertices)
+    bnd = np.nonzero(mesh.edge_tags != INTERIOR)[0]
+    a, b = mesh.edges[bnd].T
+    mb = mid[bnd]
+    split = mb >= 0
+    lo = np.concatenate([a, b[split]])
+    hi = np.concatenate([np.where(split, mb, b), mb[split]])
+    n = vertices.shape[0]
+    tags = np.zeros(len(edges), dtype=np.int64)
+    at = np.searchsorted(edges[:, 0] * n + edges[:, 1], lo * n + hi)
+    tags[at] = np.concatenate([mesh.edge_tags[bnd], mesh.edge_tags[bnd][split]])
+    return Mesh(vertices, tri_vertices, tri_edges, tri_parents, edges, edge_tris, tags)
 
 
 # -- patches -------------------------------------------------------------------
 
 
 def patches(mesh):
-    """Map every vertex and edge to its patch of adjacent triangles."""
-    areas = mesh.tri_areas
-    vertex_members = [[] for _ in range(mesh.num_vertices)]
-    for t in range(mesh.num_triangles):
-        for v in mesh.tri_vertices[t]:
-            vertex_members[v].append(t)
-    out = {}
-    for v, members in enumerate(vertex_members):
-        out[("vertex", v)] = Patch(("vertex", v), tuple(members),
-                                   float(areas[list(members)].sum()))
-    for e in range(mesh.num_edges):
-        members = tuple(int(t) for t in mesh.edge_tris[e] if t >= 0)
-        out[("edge", e)] = Patch(("edge", e), members,
-                                 float(areas[list(members)].sum()))
-    return out
+    """Sparse (nv, nt) vertex-triangle incidence: entry (v, t) is 1 when v is a vertex of t.
+
+    Row v lists the patch of v in ascending triangle order; ``P @ mesh.tri_areas``
+    is the patch measure.
+    """
+    nt = mesh.num_triangles
+    cols = np.repeat(np.arange(nt), 3)
+    return sp.csr_matrix((np.ones(3 * nt), (mesh.tri_vertices.ravel(), cols)),
+                         shape=(mesh.num_vertices, nt))
 
 
 # -- text format ----------------------------------------------------------------
@@ -540,23 +487,29 @@ def read_mesh(path):
             tokens = fp.read().split()
     except OSError as exc:
         raise IOFailureError(f"cannot read mesh from {path}: {exc}") from exc
-    it = iter(tokens)
     try:
-        nv, ne, nt = (int(next(it)) for _ in range(3))
-        vertices = np.array([[float(next(it)) for _ in range(2)] for _ in range(nv)])
-        edata = np.array([[int(next(it)) for _ in range(3)] for _ in range(ne)], dtype=np.int64)
-        tdata = np.array([[int(next(it)) for _ in range(6)] for _ in range(nt)], dtype=np.int64)
-    except (StopIteration, ValueError) as exc:
-        raise IOFailureError(f"malformed mesh file {path}") from exc
-    edges = edata[:, :2]
-    tags = edata[:, 2]
-    tri_vertices = tdata[:, :3]
-    tri_edges = tdata[:, 3:]
-    edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-    count = np.zeros(ne, dtype=np.int64)
-    for t in range(nt):
-        for e in tri_edges[t]:
-            edge_tris[e, count[e]] = t
-            count[e] += 1
+        nv, ne, nt = (int(tok) for tok in tokens[:3])
+    except ValueError as exc:
+        raise IOFailureError(f"malformed mesh file {path}: bad header") from exc
+    if min(nv, ne, nt) < 0:
+        raise IOFailureError(f"malformed mesh file {path}: negative count in header")
+    v_end = 3 + 2 * nv
+    e_end = v_end + 3 * ne
+    t_end = e_end + 6 * nt
+    if len(tokens) < t_end:
+        raise IOFailureError(f"malformed mesh file {path}: fewer entities than counted")
+    try:
+        vertices = np.array(tokens[3:v_end], dtype=float).reshape(nv, 2)
+        edata = np.array(tokens[v_end:e_end], dtype=np.int64).reshape(ne, 3)
+        tdata = np.array(tokens[e_end:t_end], dtype=np.int64).reshape(nt, 6)
+    except (ValueError, OverflowError) as exc:
+        raise IOFailureError(f"malformed mesh file {path}: {exc}") from exc
+    edges, tags = edata[:, :2], edata[:, 2]
+    tri_vertices, tri_edges = tdata[:, :3], tdata[:, 3:]
+    for what, ids, n in (("vertex", edges, nv), ("vertex", tri_vertices, nv),
+                         ("edge", tri_edges, ne)):
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise MeshError(f"{what} id out of range [0, {n}) in {path}")
+    edge_tris = _edge_sides(tri_edges, ne)[:, :, 0]
     return Mesh(vertices, tri_vertices, tri_edges, np.full(nt, -1, dtype=np.int64),
                 edges, edge_tris, tags)

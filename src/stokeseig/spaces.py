@@ -113,13 +113,6 @@ class DofMap:
     def has_mean_constraint(self):
         return self.bc == ALL_DIRICHLET
 
-    def stress_dof(self, row, vec_dof):
-        return row * self.n_vec + vec_dof
-
-    def velocity_dof(self, tri, comp, local):
-        np_loc = self.pk.dim
-        return tri * 2 * np_loc + comp * np_loc + local
-
     def stress_local_coeffs(self, coeffs):
         """Per-element local stress coefficients, shape (nt, 2, ned.dim)."""
         coeffs = np.asarray(coeffs)
@@ -127,10 +120,6 @@ class DofMap:
         for row in range(2):
             out[:, row] = self.vec_signs * coeffs[row * self.n_vec + self.vec_gmap]
         return out
-
-    def velocity_local_coeffs(self, coeffs):
-        """Per-element local velocity coefficients, shape (nt, 2, pk.dim)."""
-        return np.asarray(coeffs).reshape(self.mesh.num_triangles, 2, self.pk.dim)
 
 
 def build_dofmap(mesh, descriptor, bc=ALL_DIRICHLET):

@@ -73,9 +73,6 @@ class SparseMatrix:
     def max_abs(self):
         return float(abs(self.sp).max()) if self.nnz else 0.0
 
-    def transpose(self):
-        return SparseMatrix(self.sp.T)
-
 
 class Factorization:
     """Reusable LU factors of a square sparse matrix."""
@@ -83,8 +80,6 @@ class Factorization:
     def __init__(self, lu, pivot_tol):
         self._lu = lu
         self.pivot_tol = pivot_tol
-        self.perm_r = lu.perm_r
-        self.perm_c = lu.perm_c
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)

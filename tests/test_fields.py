@@ -10,7 +10,7 @@ from stokeseig.fields import (DiscreteField, element_integrals,
                               vorticity_from_stress)
 from stokeseig.mesh import build_square_mesh, patches
 from stokeseig.quadrature import quadrature
-from stokeseig.spaces import SpaceDescriptor, interpolate_ned, l2_project_velocity
+from stokeseig.spaces import DofMap, SpaceDescriptor, interpolate_ned, l2_project_velocity
 from stokeseig.vtkio import export_vtk, read_vtk
 
 
@@ -140,6 +140,30 @@ def test_theta_error_decay_on_smooth_field():
         hs.append(1.0 / N)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= 1.8
+
+
+@pytest.mark.parametrize("ell, k", [(1, 1), (2, 2)])
+def test_jacobians_match_central_differences(ell, k):
+    base = build_square_mesh(2, mm.UNIT_SQUARE)
+    shear = np.array([[1.0, 0.4], [0.15, 0.9]])
+    mesh = mm.Mesh.from_triangles(base.vertices @ shear.T, base.tri_vertices)
+    desc = SpaceDescriptor(ell, k)
+    dm = DofMap(mesh, desc)
+    rng = np.random.default_rng(5)
+    sigma = DiscreteField.stress(mesh, desc, rng.standard_normal(dm.n_sigma), dofmap=dm)
+    u = DiscreteField.velocity(mesh, k, rng.standard_normal(dm.n_u))
+    ref = np.array([[0.2, 0.3], [0.5, 0.25], [0.1, 0.7]])
+    B, origin, _ = mesh.affine_maps
+    h = 1e-5
+    for field in (sigma, u):
+        jac = field.jacobian_at(ref)                    # derivative on the last axis
+        scale = np.abs(jac).max()
+        for t in range(mesh.num_triangles):
+            x = origin[t] + ref @ B[t].T
+            for d in range(2):
+                step = h * np.eye(2)[d]
+                fd = (field.eval_at(t, x + step) - field.eval_at(t, x - step)) / (2 * h)
+                assert np.abs(jac[t, ..., d] - fd).max() < 1e-8 * scale
 
 
 def test_element_integrals_match_means():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stokeseig.mesh as mm
-from stokeseig.errors import ConfigurationError, MeshError
+from stokeseig.errors import ConfigurationError, IOFailureError, MeshError
 from stokeseig.mesh import (build_circle_mesh, build_lshape_mesh, build_square_mesh,
                             patches, read_mesh, refine, retag_boundary,
                             tag_bottom_fixed, write_mesh)
@@ -151,32 +151,43 @@ def test_boundary_tag_inheritance_mixed():
 def test_patches_measures_and_membership():
     mesh = build_square_mesh(4, mm.UNIT_SQUARE)
     pat = patches(mesh)
+    measures = pat @ mesh.tri_areas
     # brute-force enumeration is the oracle for membership
     for v in range(mesh.num_vertices):
         members = {t for t in range(mesh.num_triangles) if v in mesh.tri_vertices[t]}
-        p = pat[("vertex", v)]
-        assert set(p.triangles) == members
-        assert abs(p.measure - mesh.tri_areas[list(members)].sum()) < 1e-14
-    total = sum(pat[("vertex", v)].measure for v in range(mesh.num_vertices))
+        assert set(pat[v].indices) == members
+        assert abs(measures[v] - mesh.tri_areas[list(members)].sum()) < 1e-14
+    total = measures.sum()
     assert abs(total - 3.0 * mesh.tri_areas.sum()) < 1e-12
 
 
 def test_corner_patches_single_split_square():
     mesh = build_square_mesh(1, mm.UNIT_SQUARE)
     pat = patches(mesh)
-    sizes = sorted(len(pat[("vertex", v)].triangles) for v in range(4))
+    sizes = sorted(len(pat[v].indices) for v in range(4))
     assert sizes == [1, 1, 2, 2]
+    measures = pat @ mesh.tri_areas
     for v in range(4):
-        p = pat[("vertex", v)]
-        assert abs(p.measure - 0.5 * len(p.triangles)) < 1e-15
+        assert abs(measures[v] - 0.5 * len(pat[v].indices)) < 1e-15
 
 
-def test_edge_patches():
-    mesh = build_square_mesh(2, mm.UNIT_SQUARE)
-    pat = patches(mesh)
-    for e in range(mesh.num_edges):
-        expected = 1 if mesh.edge_tags[e] != mm.INTERIOR else 2
-        assert len(pat[("edge", e)].triangles) == expected
+def test_edge_incidence_order_after_adaptive_refinement():
+    mesh = tag_bottom_fixed(build_square_mesh(2, mm.UNIT_SQUARE))
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        k = max(1, mesh.num_triangles // 5)
+        mesh = refine(mesh, set(rng.choice(mesh.num_triangles, size=k, replace=False).tolist()))
+    assert len(set(mesh.edge_tags.tolist())) == 3
+    # oracle: visit triangles in ascending id and local edges in slot order
+    want = np.full((mesh.num_edges, 2, 2), -1)
+    for t in range(mesh.num_triangles):
+        for j in range(3):
+            e = mesh.tri_edges[t, j]
+            want[e, int(want[e, 0, 0] >= 0)] = (t, j)
+    assert np.array_equal(mesh.edge_sides, want)
+    assert np.array_equal(mesh.edge_tris, want[:, :, 0])
+    sides = (mesh.edge_tris >= 0).sum(axis=1)
+    assert np.array_equal(sides, np.where(mesh.edge_tags == mm.INTERIOR, 2, 1))
 
 
 def test_text_roundtrip_exact(tmp_path):
@@ -189,6 +200,24 @@ def test_text_roundtrip_exact(tmp_path):
     assert np.array_equal(back.tri_edges, mesh.tri_edges)
     assert np.array_equal(back.edges, mesh.edges)
     assert np.array_equal(back.edge_tags, mesh.edge_tags)
+
+
+@pytest.mark.parametrize("line, token, value, error", [
+    (-1, 5, "99", MeshError),            # edge id out of range
+    (-1, 0, "99", MeshError),            # vertex id out of range
+    (0, 2, "-1", IOFailureError),        # negative triangle count
+    (5, 2, "7", MeshError),              # unknown boundary tag
+], ids=["edge-id", "vertex-id", "negative-count", "unknown-tag"])
+def test_read_mesh_rejects_malformed_values(tmp_path, line, token, value, error):
+    mesh = build_square_mesh(1, mm.UNIT_SQUARE)
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    lines = [ln.split() for ln in path.read_text().splitlines()]
+    assert lines[5][2] == str(mm.DIRICHLET)
+    lines[line][token] = value
+    path.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
+    with pytest.raises(error):
+        read_mesh(path)
 
 
 def test_retag_rejects_bad_tag():
