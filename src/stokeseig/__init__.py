@@ -11,8 +11,7 @@ from .mesh import (Mesh, build_circle_mesh, build_lshape_mesh,
 from .quadrature import QuadratureRule, quadrature
 from .refbasis import ReferenceBasis, ned_basis, pk_basis
 from .sparselin import Factorization, SparseMatrix, factorize, matvec
-from .spaces import (DofMap, SpaceDescriptor, build_dofmap, interpolate_ned,
-                     l2_project_velocity)
+from .spaces import DofMap, SpaceDescriptor, interpolate_ned, l2_project_velocity
 from .study import ConvergenceReport, ExperimentConfig, extrapolate, fit_order, run_adapt, run_study
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, IOFailureError
 from .quadrature import quadrature
-from .sparselin import SparseMatrix, factorize
+from .sparselin import SparseMatrix
 from .spaces import DofMap
 from .refbasis import pk_reference_mass
 
@@ -78,20 +78,6 @@ class Pencil:
     N: SparseMatrix
     layout: PencilLayout
     dofmap: DofMap
-
-    def check_nonsingular(self):
-        """Factorize K and verify a random system has a unique solution."""
-        try:
-            fact = factorize(self.K)
-        except Exception as exc:
-            raise AssemblyError(f"saddle-point matrix is singular: {exc}") from exc
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(self.layout.size)
-        x = fact.solve(b)
-        resid = np.linalg.norm(self.K @ x - b) / np.linalg.norm(b)
-        if not np.isfinite(resid) or resid > 1e-8:
-            raise AssemblyError(f"saddle-point solve residual {resid:.3e} too large")
-        return fact
 
 
 def _quad_degree(dofmap):
@@ -186,14 +172,14 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     return Forms(A, Bm, M, jvec, mu, dofmap)
 
 
-def build_pencil(forms, dofmap=None, validate=False):
+def build_pencil(forms):
     """Combine assembled forms into the pencil (K, N), applying constraints.
 
     With all-Dirichlet boundary conditions a single Lagrange multiplier
     enforces the zero mean of sigma : J; with mixed conditions the Neumann
     tangential-trace dofs are eliminated instead and no multiplier is needed.
     """
-    dofmap = dofmap or forms.dofmap
+    dofmap = forms.dofmap
     n_sigma, n_u = dofmap.n_sigma, dofmap.n_u
     A, B, M = forms.A.sp, forms.B.sp, forms.M.sp
 
@@ -235,10 +221,7 @@ def build_pencil(forms, dofmap=None, validate=False):
                       shape=(size, size)).tocsr()
 
     layout = PencilLayout(n_sigma, keep, len(keep), n_u, n_c)
-    pencil = Pencil(SparseMatrix(K), SparseMatrix(N), layout, dofmap)
-    if validate:
-        pencil.check_nonsingular()
-    return pencil
+    return Pencil(SparseMatrix(K), SparseMatrix(N), layout, dofmap)
 
 
 def export_matrix(matrix, path):

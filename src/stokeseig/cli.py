@@ -50,7 +50,10 @@ def _build_config(args, **extra):
     if args.scheme:
         overrides["ell"], overrides["k"] = _parse_scheme(args.scheme)
     if args.N:
-        overrides["N"] = tuple(int(v) for v in args.N.split(","))
+        try:
+            overrides["N"] = tuple(int(v) for v in args.N.split(","))
+        except ValueError as exc:
+            raise ConfigurationError(f"N must be comma-separated integers, got {args.N!r}") from exc
     for key in ("nev", "mu", "bc", "out", "seed"):
         val = getattr(args, key, None)
         if val is not None:

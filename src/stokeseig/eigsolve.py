@@ -15,27 +15,28 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ShiftAtEigenvalueError, SingularMatrixError, UnconvergedError
-from .sparselin import factorize
+from .sparselin import SparseMatrix, factorize
+
+# ARPACK settings (mode 3, largest |nu|): Ritz pairs beyond nev absorb the
+# nu ~ 0 directions of infinite eigenvalues that _extract drops
+_EXTRA_RITZ = 10
+_MIN_KRYLOV_DIM = 40
+_TOL = 1e-10
+_MAXITER = 500
+# Ritz values below this fraction of the largest |nu| are infinite eigenvalues
+_DROP_TOL = 1e-8
 
 
 @dataclass
 class EigConfig:
-    """Solver knobs; defaults favor the lowest few eigenvalues at shift 0."""
+    """The ``nev`` eigenvalues nearest ``shift``, from a start vector seeded by ``seed``."""
     nev: int = 5
     shift: float = 0.0
-    krylov_dim: int = 0        # 0 -> max(40, 4 nev)
-    tol: float = 1e-10
-    max_restarts: int = 50
     seed: int = 20240901
-    drop_tol: float = 1e-8
 
     def __post_init__(self):
         if self.nev < 1:
             raise ValueError("nev must be at least 1")
-        if self.krylov_dim == 0:
-            self.krylov_dim = max(40, 4 * self.nev)
-        if self.krylov_dim <= self.nev + 5:
-            raise ValueError("krylov dimension must exceed nev + 5")
 
 
 @dataclass
@@ -51,24 +52,15 @@ class SpectralSolution:
     multiplier: np.ndarray
     residuals: np.ndarray
     vectors: np.ndarray
-    converged: bool = True
-
-
-def _lcg_vector(seed, n):
-    # 64-bit linear congruential generator (MMIX constants), mapped to (-1, 1)
-    a = 6364136223846793005
-    c = 1442695040888963407
-    mask = (1 << 64) - 1
-    state = (seed ^ 0x9E3779B97F4A7C15) & mask
-    out = np.empty(n)
-    for i in range(n):
-        state = (a * state + c) & mask
-        out[i] = (state >> 11) / float(1 << 53) * 2.0 - 1.0
-    return out
 
 
 def solve_eig(pencil, cfg):
-    """Compute the ``cfg.nev`` lowest finite eigenvalues of the pencil."""
+    """Compute the ``cfg.nev`` lowest finite eigenvalues of the pencil.
+
+    One shift-invert Arnoldi run; every failure to deliver ``cfg.nev`` pairs
+    with small residuals raises :class:`UnconvergedError`, whose ``partial``
+    holds the pairs that could be extracted.
+    """
     K, N = pencil.K, pencil.N
     n = K.n
     try:
@@ -77,38 +69,23 @@ def solve_eig(pencil, cfg):
         raise ShiftAtEigenvalueError(
             f"shift {cfg.shift} is (numerically) an eigenvalue: {exc}") from exc
 
+    k = min(cfg.nev + _EXTRA_RITZ, n - 2)
+    if k < 1:
+        raise UnconvergedError(f"pencil of size {n} is too small for Arnoldi")
     op = spla.LinearOperator((n, n), matvec=lambda x: fact.solve(N @ x), dtype=float)
-    v0 = _lcg_vector(cfg.seed, n)
+    v0 = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, n)
+    ncv = min(n, max(_MIN_KRYLOV_DIM, 4 * cfg.nev, 2 * k + 2))
+    try:
+        nu, vecs = spla.eigs(op, k=k, which="LM", v0=v0, ncv=ncv, tol=_TOL, maxiter=_MAXITER)
+    except spla.ArpackNoConvergence as exc:
+        partial = None
+        if exc.eigenvalues is not None and len(exc.eigenvalues):
+            partial = _extract(pencil, cfg, exc.eigenvalues, exc.eigenvectors)
+        raise UnconvergedError(f"Arnoldi did not converge: {exc}", partial=partial) from exc
+    except spla.ArpackError as exc:
+        raise UnconvergedError(f"Arnoldi failed: {exc}") from exc
 
-    ladder = sorted({min(cfg.nev + 5, n - 2), min(cfg.nev + 10, n - 2),
-                     min(cfg.nev + 2, n - 2), min(cfg.nev, n - 2)}, reverse=True)
-    last_exc = None
-    sol = None
-    for k in ladder:
-        if k < 1:
-            continue
-        ncv = min(n, max(cfg.krylov_dim, 2 * k + 2))
-        converged = True
-        try:
-            nu, vecs = spla.eigs(op, k=k, which="LM", v0=v0, ncv=ncv,
-                                 tol=cfg.tol, maxiter=max(cfg.max_restarts, 10) * 10)
-        except spla.ArpackNoConvergence as exc:
-            if exc.eigenvalues is None or len(exc.eigenvalues) < cfg.nev:
-                last_exc = exc
-                continue
-            nu, vecs = exc.eigenvalues, exc.eigenvectors
-            converged = False
-        except spla.ArpackError as exc:
-            last_exc = exc
-            continue
-        candidate = _extract(pencil, cfg, nu, vecs)
-        candidate.converged = converged
-        if sol is None or len(candidate.eigenvalues) > len(sol.eigenvalues):
-            sol = candidate
-        if len(candidate.eigenvalues) >= cfg.nev:
-            break
-    if sol is None:
-        raise UnconvergedError(f"Arnoldi failed to converge: {last_exc}")
+    sol = _extract(pencil, cfg, nu, vecs)
     if len(sol.eigenvalues) < cfg.nev:
         raise UnconvergedError(
             f"only {len(sol.eigenvalues)} of {cfg.nev} eigenpairs usable", partial=sol)
@@ -123,14 +100,13 @@ def solve_eig(pencil, cfg):
 def _shifted(K, N, shift):
     if shift == 0.0:
         return K
-    from .sparselin import SparseMatrix
     return SparseMatrix(K.sp - shift * N.sp)
 
 
 def _extract(pencil, cfg, nu, vecs):
     K, N, layout = pencil.K, pencil.N, pencil.layout
     nu = np.asarray(nu)
-    keep = np.abs(nu) > cfg.drop_tol * max(np.abs(nu).max(), 1e-300)
+    keep = np.abs(nu) > _DROP_TOL * max(np.abs(nu).max(), 1e-300)
     nu, vecs = nu[keep], vecs[:, keep]
 
     # Rayleigh-Ritz on the real span of the returned vectors: degenerate pairs
@@ -179,9 +155,7 @@ def _extract(pencil, cfg, nu, vecs):
     m = len(pairs)
     vec_mat = np.array([p[1] for p in pairs]).T if m else np.zeros((layout.size, 0))
     lams = np.array([p[0] for p in pairs])
-    residuals = np.array([
-        np.linalg.norm(K @ vec_mat[:, i] - lams[i] * (N @ vec_mat[:, i]))
-        / np.linalg.norm(vec_mat[:, i]) for i in range(m)])
+    residuals = _residuals(pencil, lams, vec_mat)
     sigma = np.zeros((m, layout.n_sigma_full))
     u = np.zeros((m, layout.n_u))
     mult = np.zeros((m, layout.n_c))
@@ -190,16 +164,19 @@ def _extract(pencil, cfg, nu, vecs):
     return SpectralSolution(lams, sigma, u, mult, residuals, vec_mat)
 
 
+def _residuals(pencil, lams, vectors):
+    """|K x - lambda N x| / |x| for every column x of ``vectors``."""
+    K, N = pencil.K.sp, pencil.N.sp
+    return (np.linalg.norm(K @ vectors - (N @ vectors) * lams, axis=0)
+            / np.linalg.norm(vectors, axis=0))
+
+
 def eigen_residuals(pencil, solution):
     """Recompute |K x - lambda N x| / |x| for every stored eigenpair."""
-    K, N = pencil.K, pencil.N
-    out = []
-    for i, lam in enumerate(solution.eigenvalues):
-        x = solution.vectors[:, i]
-        if x.shape[0] != K.n:
-            raise ValueError(f"eigenvector {i} has wrong dimension {x.shape[0]}")
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            raise ValueError(f"eigenvector {i} is identically zero")
-        out.append(float(np.linalg.norm(K @ x - lam * (N @ x)) / nx))
-    return out
+    x = solution.vectors
+    if x.shape[0] != pencil.K.n:
+        raise ValueError(f"eigenvectors have wrong dimension {x.shape[0]}")
+    zero = np.flatnonzero(~np.any(x, axis=0))
+    if zero.size:
+        raise ValueError(f"eigenvector {zero[0]} is identically zero")
+    return _residuals(pencil, solution.eigenvalues, x).tolist()

@@ -55,7 +55,10 @@ class ShiftAtEigenvalueError(StokesEigError):
 
 
 class UnconvergedError(StokesEigError):
-    """Eigensolver ran out of restarts.  ``partial`` holds converged pairs."""
+    """Arnoldi gave fewer than the requested accurate pairs.
+
+    ``partial`` holds the pairs that could be extracted, or ``None``.
+    """
     category = "solver"
 
     def __init__(self, message, partial=None):

@@ -166,6 +166,8 @@ class Mesh:
     # -- invariants -----------------------------------------------------------
 
     def _validate(self):
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshError("vertex coordinates must be finite")
         unknown = ~np.isin(self.edge_tags, (INTERIOR, DIRICHLET, NEUMANN))
         if unknown.any():
             raise MeshError(f"unknown edge tag {self.edge_tags[unknown][0]}")

@@ -122,10 +122,6 @@ class DofMap:
         return out
 
 
-def build_dofmap(mesh, descriptor, bc=ALL_DIRICHLET):
-    return DofMap(mesh, descriptor, bc)
-
-
 def _pullback_row(tau, row, B, origin):
     """Covariant pull-back of one row of an analytic tensor field."""
 

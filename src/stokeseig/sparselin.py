@@ -13,7 +13,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError
 
-DEFAULT_PIVOT_TOL = 1e-12
+# a pivot at or below this fraction of the largest entry counts as zero
+_PIVOT_TOL = 1e-12
 
 
 class SparseMatrix:
@@ -77,21 +78,20 @@ class SparseMatrix:
 class Factorization:
     """Reusable LU factors of a square sparse matrix."""
 
-    def __init__(self, lu, pivot_tol):
+    def __init__(self, lu):
         self._lu = lu
-        self.pivot_tol = pivot_tol
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         return self._lu.solve(b)
 
 
-def factorize(A, pivot_tol=DEFAULT_PIVOT_TOL):
+def factorize(A):
     """LU-factorize a square :class:`SparseMatrix`.
 
     Raises :class:`SingularMatrixError` for structurally singular inputs
-    (empty row or column) and when a pivot falls below ``pivot_tol`` relative
-    to the largest matrix entry.
+    (empty row or column) and when a pivot falls to 1e-12 of the largest
+    matrix entry or below.
     """
     if A.shape[0] != A.shape[1]:
         raise SingularMatrixError(f"matrix is not square: {A.shape}", kind="structural")
@@ -112,13 +112,13 @@ def factorize(A, pivot_tol=DEFAULT_PIVOT_TOL):
         raise SingularMatrixError(f"factorization failed: {exc}", kind="numerical") from exc
 
     diag = np.abs(lu.U.diagonal())
-    floor = pivot_tol * max(A.max_abs(), 1e-300)
+    floor = _PIVOT_TOL * max(A.max_abs(), 1e-300)
     bad = np.nonzero(diag <= floor)[0]
     if bad.size:
         raise SingularMatrixError(
             f"pivot {diag[bad[0]]:.3e} at index {int(bad[0])} below tolerance {floor:.3e}",
             kind="numerical", pivot_index=int(bad[0]))
-    return Factorization(lu, pivot_tol)
+    return Factorization(lu)
 
 
 def matvec(A, x):

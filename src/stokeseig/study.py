@@ -10,6 +10,8 @@ output metadata.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -23,10 +25,26 @@ from .errors import ConfigurationError, IOFailureError
 from .spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
 
 DOMAINS = ("unit_square", "bi_unit_square", "circle", "lshape")
+# integer fields of ExperimentConfig and their least allowed values
+_INT_FIELDS = (("ell", 1), ("k", 0), ("nev", 1), ("seed", 0), ("max_iterations", 0),
+               ("dof_cap", 1), ("target_index", 0), ("initial_N", 1))
 
 
 def _fmt(x):
     return f"{x:.17g}"
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass
@@ -52,16 +70,29 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise ConfigurationError(f"unknown domain {self.domain!r}; pick one of {DOMAINS}")
+        for name, low in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+        N = tuple(self.N) if np.iterable(self.N) and not isinstance(self.N, str) else (self.N,)
+        if not N or not all(_is_int(n) and n >= 1 for n in N):
+            raise ConfigurationError(f"mesh resolutions must be positive integers, got {self.N!r}")
+        self.N = tuple(int(n) for n in N)
+        if not (_is_finite(self.mu) and self.mu > 0):
+            raise ConfigurationError(f"mu must be a finite positive number, got {self.mu!r}")
+        if self.lambda_ref is not None and not (_is_finite(self.lambda_ref)
+                                                and self.lambda_ref > 0):
+            raise ConfigurationError(
+                f"lambda_ref must be a finite positive number, got {self.lambda_ref!r}")
+        if not (_is_finite(self.mark_fraction) and 0 <= self.mark_fraction <= 1):
+            raise ConfigurationError(f"mark_fraction must be in [0, 1], got {self.mark_fraction!r}")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigurationError(f"out must be a directory path, got {self.out!r}")
         self.descriptor = SpaceDescriptor(self.ell, self.k)
         if self.bc not in (ALL_DIRICHLET, MIXED_BOTTOM_FIXED):
             raise ConfigurationError(f"unknown boundary mode {self.bc!r}")
         if self.bc == MIXED_BOTTOM_FIXED and self.domain not in ("unit_square", "bi_unit_square"):
             raise ConfigurationError("mixed boundary conditions are defined on the square domains")
-        if self.nev < 1:
-            raise ConfigurationError("nev must be at least 1")
-        self.N = tuple(int(n) for n in (self.N if np.iterable(self.N) else [self.N]))
-        if any(n < 1 for n in self.N):
-            raise ConfigurationError("mesh resolutions must be positive")
 
     @classmethod
     def from_json(cls, path, **overrides):
@@ -70,14 +101,19 @@ class ExperimentConfig:
                 data = json.load(fp)
         except OSError as exc:
             raise IOFailureError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"config {path} must hold a JSON object")
         scheme = data.pop("scheme", None)
         if scheme is not None:
-            data["ell"] = scheme["ell"]
-            data["k"] = scheme["k"]
+            if not isinstance(scheme, dict) or set(scheme) != {"ell", "k"}:
+                raise ConfigurationError(f'"scheme" must be {{"ell": .., "k": ..}}, got {scheme!r}')
+            data.update(scheme)
         adaptive = data.pop("adaptive", None)
         if adaptive is not None:
+            if not isinstance(adaptive, dict):
+                raise ConfigurationError(f'"adaptive" must be a JSON object, got {adaptive!r}')
             data.update(adaptive)
         data.update({k: v for k, v in overrides.items() if v is not None})
         known = {f for f in cls.__dataclass_fields__}

@@ -86,7 +86,7 @@ def test_block_definiteness():
 def test_kernel_exclusion_unique_solve():
     mesh = build_square_mesh(3, mm.UNIT_SQUARE)
     dm = DofMap(mesh, SpaceDescriptor(1, 0))
-    pencil = build_pencil(assemble_forms(mesh, dm), validate=True)
+    pencil = build_pencil(assemble_forms(mesh, dm))
     fact = factorize(pencil.K)
     assert np.abs(fact.solve(np.zeros(pencil.layout.size))).max() == 0.0
     rng = np.random.default_rng(5)

@@ -10,10 +10,6 @@ from stokeseig.mesh import build_square_mesh
 def test_config_validation():
     with pytest.raises(ValueError):
         EigConfig(nev=0)
-    cfg = EigConfig(nev=5)
-    assert cfg.krylov_dim == 40
-    with pytest.raises(ValueError):
-        EigConfig(nev=5, krylov_dim=8)
 
 
 def test_tiny_pencil_matches_dense_oracle():
@@ -118,3 +114,35 @@ def test_deterministic_given_seed():
     sol2, _, _ = solve_problem(mesh, 1, 0, nev=3, seed=7)
     assert np.array_equal(sol1.eigenvalues, sol2.eigenvalues)
     assert np.array_equal(sol1.vectors, sol2.vectors)
+
+
+@pytest.fixture
+def arpack_gives_up(monkeypatch):
+    """Make every Arnoldi run report non-convergence, carrying the pairs it found."""
+    import scipy.sparse.linalg as spla
+    real_eigs = spla.eigs
+
+    def eigs(*args, **kwargs):
+        nu, vecs = real_eigs(*args, **kwargs)
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", nu, vecs)
+
+    monkeypatch.setattr(spla, "eigs", eigs)
+
+
+def test_unconverged_arnoldi_raises_with_partial(arpack_gives_up):
+    from stokeseig.errors import UnconvergedError
+    mesh = build_square_mesh(6, mm.BI_UNIT_SQUARE)
+    with pytest.raises(UnconvergedError) as info:
+        solve_problem(mesh, 1, 0, nev=3)
+    partial = info.value.partial
+    assert partial is not None and len(partial.eigenvalues) == 3
+
+
+def test_unconverged_arnoldi_exits_with_solver_code(arpack_gives_up, capsys):
+    import json
+
+    from stokeseig import cli
+    code = cli.main(["solve", "--domain", "bi_unit_square", "--scheme", "1,0",
+                     "--N", "6", "--nev", "3"])
+    assert code == 5
+    assert json.loads(capsys.readouterr().err)["category"] == "solver"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stokeseig.mesh as mm
 from stokeseig.errors import ConfigurationError, IOFailureError, MeshError
@@ -207,7 +209,10 @@ def test_text_roundtrip_exact(tmp_path):
     (-1, 0, "99", MeshError),            # vertex id out of range
     (0, 2, "-1", IOFailureError),        # negative triangle count
     (5, 2, "7", MeshError),              # unknown boundary tag
-], ids=["edge-id", "vertex-id", "negative-count", "unknown-tag"])
+    (1, 0, "nan", MeshError),            # non-finite vertex coordinate
+    (1, 1, "1e400", MeshError),          # coordinate overflowing to inf
+], ids=["edge-id", "vertex-id", "negative-count", "unknown-tag", "nan-vertex",
+        "inf-vertex"])
 def test_read_mesh_rejects_malformed_values(tmp_path, line, token, value, error):
     mesh = build_square_mesh(1, mm.UNIT_SQUARE)
     path = tmp_path / "mesh.txt"
@@ -218,6 +223,36 @@ def test_read_mesh_rejects_malformed_values(tmp_path, line, token, value, error)
     path.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
     with pytest.raises(error):
         read_mesh(path)
+
+
+# replacement tokens: non-finite and overflowing numbers, ids in and out of
+# range, tags, fractions and non-numbers
+_FUZZ_TOKENS = ["nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-1", "0", "1", "2",
+                "3", "4", "7", "99", "0.5", "-0.5", "abc", "1.0", "99999999999999999999"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["replace", "delete", "duplicate"]),
+                                st.integers(0, 10 ** 6), st.sampled_from(_FUZZ_TOKENS)),
+                      min_size=1, max_size=4))
+def test_read_mesh_fuzz_finite_mesh_or_categorized_error(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzz.mesh"
+    write_mesh(build_square_mesh(2, mm.UNIT_SQUARE), path)
+    tokens = path.read_text().split()
+    for kind, pos, token in edits:
+        pos %= len(tokens)
+        if kind == "replace":
+            tokens[pos] = token
+        elif kind == "delete":
+            del tokens[pos]
+        else:
+            tokens.insert(pos, tokens[pos])
+    path.write_text(" ".join(tokens) + "\n")
+    try:
+        mesh = read_mesh(path)
+    except (IOFailureError, MeshError):
+        return
+    assert np.all(np.isfinite(mesh.vertices))
 
 
 def test_retag_rejects_bad_tag():

@@ -7,9 +7,8 @@ from stokeseig.errors import ConfigurationError
 from stokeseig.fields import DiscreteField
 from stokeseig.mesh import build_square_mesh, tag_bottom_fixed
 from stokeseig.quadrature import quadrature
-from stokeseig.spaces import (MIXED_BOTTOM_FIXED, SpaceDescriptor,
-                              build_dofmap, interpolate_ned,
-                              l2_project_velocity)
+from stokeseig.spaces import (MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor,
+                              interpolate_ned, l2_project_velocity)
 
 ALL_SCHEMES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
@@ -26,11 +25,11 @@ def test_descriptor_pairs_family_and_order():
 
 def test_counts_two_triangle_square():
     mesh = build_square_mesh(1, mm.UNIT_SQUARE)
-    dm = build_dofmap(mesh, SpaceDescriptor(1, 0))
+    dm = DofMap(mesh, SpaceDescriptor(1, 0))
     assert dm.n_vec == 5
     assert dm.n_sigma == 10
     assert dm.n_u == 4
-    dm2 = build_dofmap(mesh, SpaceDescriptor(2, 1))
+    dm2 = DofMap(mesh, SpaceDescriptor(2, 1))
     # second kind order 2: 3 dofs per edge, 3 interior per vector copy
     assert dm2.n_vec == 3 * mesh.num_edges + 3 * mesh.num_triangles
     assert dm2.n_sigma == 2 * dm2.n_vec
@@ -39,9 +38,9 @@ def test_counts_two_triangle_square():
 def test_mixed_bc_requires_tags():
     mesh = build_square_mesh(2, mm.UNIT_SQUARE)
     with pytest.raises(ConfigurationError):
-        build_dofmap(mesh, SpaceDescriptor(1, 0), MIXED_BOTTOM_FIXED)
+        DofMap(mesh, SpaceDescriptor(1, 0), MIXED_BOTTOM_FIXED)
     tagged = tag_bottom_fixed(mesh)
-    dm = build_dofmap(tagged, SpaceDescriptor(1, 0), MIXED_BOTTOM_FIXED)
+    dm = DofMap(tagged, SpaceDescriptor(1, 0), MIXED_BOTTOM_FIXED)
     n_neumann = int(np.sum(tagged.edge_tags == mm.NEUMANN))
     assert dm.constrained.size == 2 * n_neumann
     assert not dm.has_mean_constraint
@@ -51,7 +50,7 @@ def test_mixed_bc_requires_tags():
 def test_tangential_trace_continuity(ell, k):
     mesh = build_square_mesh(2, mm.UNIT_SQUARE)
     desc = SpaceDescriptor(ell, k)
-    dm = build_dofmap(mesh, desc)
+    dm = DofMap(mesh, desc)
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(dm.n_sigma)
     field = DiscreteField.stress(mesh, desc, coeffs, dofmap=dm)

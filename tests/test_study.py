@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeseig.cli import main
 from stokeseig.errors import ConfigurationError
@@ -94,6 +96,39 @@ def test_config_validation_and_json(tmp_path):
         ExperimentConfig.from_json(bad)
 
 
+@pytest.mark.parametrize("data", [
+    [1, 2], {"scheme": 5}, {"scheme": {"ell": 1}}, {"adaptive": 3}, {"nev": "5"},
+    {"N": "abc"}, {"N": [2.5]}, {"nev": 2.5}, {"mu": "x"}, {"seed": "x"},
+    {"dof_cap": "x"}, {"nev": True}, {"mu": -1.0}, {"mu": float("inf")}, {"seed": -1},
+], ids=repr)
+def test_config_json_rejects_bad_values(tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_json(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_KEYS = sorted(ExperimentConfig.__dataclass_fields__) + ["scheme", "adaptive"]
+_SMALL = st.integers(-2, 60) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.dictionaries(st.sampled_from(_KEYS), _SMALL | _JSON | st.dictionaries(
+    st.sampled_from(_KEYS + ["ell", "k"]), _SMALL | _JSON, max_size=3), max_size=5))
+def test_config_json_gives_config_or_configuration_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_cfg.json"
+    path.write_text(json.dumps(data))
+    try:
+        ExperimentConfig.from_json(path)
+    except ConfigurationError:
+        pass
+
+
 def test_adaptive_mode_forces_lowest_order():
     cfg = ExperimentConfig(domain="lshape", ell=1, k=1, N=(2, 3, 4))
     with pytest.raises(ConfigurationError):
@@ -172,6 +207,14 @@ def test_cli_error_is_machine_readable(capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["category"] == "config"
+
+
+def test_cli_bad_resolutions_and_deep_config_exit_with_config_code(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["solve", "--N", "abc"], ["solve", "--config", str(deep)]):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["category"] == "config"
 
 
 def test_square_first_order_scheme_table_row():
