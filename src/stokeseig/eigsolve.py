@@ -1,30 +1,41 @@
-"""Shift-invert Arnoldi for the saddle-point pencil K x = lambda N x.
+"""Shift-invert Lanczos on the velocity space for the pencil K x = lambda N x.
 
-The Arnoldi iteration runs on S = (K - theta N)^{-1} N, whose dominant Ritz
-values nu map back to the pencil eigenvalues nearest the shift via
-lambda = theta + 1 / nu.  N is singular (only the velocity block is nonzero),
-so directions belonging to infinite eigenvalues show up as nu ~ 0 and are
-dropped.  Reported eigenvectors are scaled so the velocity has unit L2 norm.
+N = diag(0, -M, 0) sees only the velocity.  With F = K - theta N and E the
+embedding of a velocity into the pencil, G w = -[F^{-1} E w]_u is symmetric
+and the eigenpairs satisfy G M u = nu u, nu = 1 / (lambda - theta): G M is the
+discrete solution operator, self-adjoint in the M inner product.  Symmetric
+Lanczos runs on S = L^T G L (M = L L^T element by element, w = L^T u); each
+u lifts to x = F^{-1} N E u / nu, and Rayleigh-Ritz on (K, N) over the lifted
+vectors gives the eigenvalues with M-orthonormal velocities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh
 
-from .errors import ShiftAtEigenvalueError, SingularMatrixError, UnconvergedError
+from .errors import (ConfigurationError, ShiftAtEigenvalueError, SingularMatrixError,
+                     UnconvergedError)
 from .sparselin import SparseMatrix, factorize
 
-# ARPACK settings (mode 3, largest |nu|): Ritz pairs beyond nev absorb the
-# nu ~ 0 directions of infinite eigenvalues that _extract drops
-_EXTRA_RITZ = 10
-_MIN_KRYLOV_DIM = 40
+# ARPACK settings (symmetric mode, largest |nu|).  A single Lanczos vector sees
+# each eigenspace through one direction: the second copy of a double
+# eigenvalue (symmetric meshes) only surfaces from rounding, so two spare
+# Ritz pairs keep the iteration going until it has.  Velocity spaces no larger
+# than the Krylov dimension are solved densely.
+_SPARE_RITZ = 2
+_KRYLOV_DIM = 20
 _TOL = 1e-10
 _MAXITER = 500
-# Ritz values below this fraction of the largest |nu| are infinite eigenvalues
-_DROP_TOL = 1e-8
+# nu below this fraction of max |nu| are rounding noise from the null space of G,
+# the infinite eigenvalues: in every scheme but (1,0), the curls grad(phi) of
+# skew stresses phi J that A does not see
+_NULL_TOL = 1e-8
 
 
 @dataclass
@@ -35,8 +46,13 @@ class EigConfig:
     seed: int = 20240901
 
     def __post_init__(self):
-        if self.nev < 1:
-            raise ValueError("nev must be at least 1")
+        for name, low in (("nev", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+        if (isinstance(self.shift, bool) or not isinstance(self.shift, Real)
+                or not math.isfinite(self.shift)):
+            raise ConfigurationError(f"shift must be a finite number, got {self.shift!r}")
 
 
 @dataclass
@@ -55,37 +71,38 @@ class SpectralSolution:
 
 
 def solve_eig(pencil, cfg):
-    """Compute the ``cfg.nev`` lowest finite eigenvalues of the pencil.
+    """Compute the ``cfg.nev`` finite eigenvalues of the pencil nearest ``cfg.shift``.
 
-    One shift-invert Arnoldi run; every failure to deliver ``cfg.nev`` pairs
+    One shift-invert Lanczos run; every failure to deliver ``cfg.nev`` pairs
     with small residuals raises :class:`UnconvergedError`, whose ``partial``
     holds the pairs that could be extracted.
     """
-    K, N = pencil.K, pencil.N
-    n = K.n
+    K, N, n_u = pencil.K, pencil.N, pencil.layout.n_u
     try:
         fact = factorize(_shifted(K, N, cfg.shift))
     except SingularMatrixError as exc:
         raise ShiftAtEigenvalueError(
             f"shift {cfg.shift} is (numerically) an eigenvalue: {exc}") from exc
+    op = _VelocityOperator(pencil, fact)
 
-    k = min(cfg.nev + _EXTRA_RITZ, n - 2)
-    if k < 1:
-        raise UnconvergedError(f"pencil of size {n} is too small for Arnoldi")
-    op = spla.LinearOperator((n, n), matvec=lambda x: fact.solve(N @ x), dtype=float)
-    v0 = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, n)
-    ncv = min(n, max(_MIN_KRYLOV_DIM, 4 * cfg.nev, 2 * k + 2))
-    try:
-        nu, vecs = spla.eigs(op, k=k, which="LM", v0=v0, ncv=ncv, tol=_TOL, maxiter=_MAXITER)
-    except spla.ArpackNoConvergence as exc:
-        partial = None
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            partial = _extract(pencil, cfg, exc.eigenvalues, exc.eigenvectors)
-        raise UnconvergedError(f"Arnoldi did not converge: {exc}", partial=partial) from exc
-    except spla.ArpackError as exc:
-        raise UnconvergedError(f"Arnoldi failed: {exc}") from exc
+    k = cfg.nev + _SPARE_RITZ
+    ncv = max(_KRYLOV_DIM, 2 * k + 1)
+    if n_u <= ncv:
+        S = op.apply(np.eye(n_u))
+        nu, W = np.linalg.eigh((S + S.T) / 2.0)
+    else:
+        lin = spla.LinearOperator((n_u, n_u), matvec=op.apply, dtype=float)
+        v0 = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, n_u)
+        try:
+            nu, W = spla.eigsh(lin, k=k, which="LM", v0=v0, ncv=ncv, tol=_TOL, maxiter=_MAXITER)
+        except spla.ArpackNoConvergence as exc:
+            partial = (op.extract(*_dominant(exc.eigenvalues, exc.eigenvectors, cfg.nev))
+                       if exc.eigenvalues is not None and len(exc.eigenvalues) else None)
+            raise UnconvergedError(f"Lanczos did not converge: {exc}", partial=partial) from exc
+        except spla.ArpackError as exc:
+            raise UnconvergedError(f"Lanczos failed: {exc}") from exc
 
-    sol = _extract(pencil, cfg, nu, vecs)
+    sol = op.extract(*_dominant(nu, W, cfg.nev))
     if len(sol.eigenvalues) < cfg.nev:
         raise UnconvergedError(
             f"only {len(sol.eigenvalues)} of {cfg.nev} eigenpairs usable", partial=sol)
@@ -103,65 +120,50 @@ def _shifted(K, N, shift):
     return SparseMatrix(K.sp - shift * N.sp)
 
 
-def _extract(pencil, cfg, nu, vecs):
-    K, N, layout = pencil.K, pencil.N, pencil.layout
-    nu = np.asarray(nu)
-    keep = np.abs(nu) > _DROP_TOL * max(np.abs(nu).max(), 1e-300)
-    nu, vecs = nu[keep], vecs[:, keep]
+def _dominant(nu, W, count):
+    """The ``count`` pairs of largest |nu|, without the null space of G."""
+    keep = np.argsort(-np.abs(nu))[:count]
+    keep = keep[np.abs(nu[keep]) > _NULL_TOL * np.abs(nu).max()]
+    return nu[keep], W[:, keep]
 
-    # Rayleigh-Ritz on the real span of the returned vectors: degenerate pairs
-    # may surface as conjugate complex artifacts, whose real and imaginary
-    # parts span the true two-dimensional eigenspace
-    cols = []
-    for i in range(len(nu)):
-        if nu[i].imag < 0.0:
-            continue  # conjugate partner carries the same information
-        x = vecs[:, i]
-        cols.append(np.ascontiguousarray(x.real))
-        if np.abs(x.imag).max() > 1e-13 * max(np.abs(x.real).max(), 1e-300):
-            cols.append(np.ascontiguousarray(x.imag))
-    if not cols:
-        return SpectralSolution(np.empty(0), np.empty((0, layout.n_sigma_full)),
-                                np.empty((0, layout.n_u)), np.empty((0, layout.n_c)),
-                                np.empty(0), np.zeros((layout.size, 0)))
-    basis = np.column_stack(cols)
-    U, s, _ = np.linalg.svd(basis, full_matrices=False)
-    Q = U[:, s > 1e-12 * s[0]]
-    Kr = Q.T @ (K.sp @ Q)
-    Nr = Q.T @ (N.sp @ Q)
-    Kr = (Kr + Kr.T) / 2.0
-    Nr = (Nr + Nr.T) / 2.0
-    from scipy.linalg import eig as dense_eig
-    w, y = dense_eig(Kr, Nr, homogeneous_eigvals=True)
-    alphas, betas = w[0], w[1]
 
-    pairs = []
-    scale = np.abs(alphas).max() + 1e-300
-    for i in range(len(alphas)):
-        if abs(betas[i]) <= 1e-12 * scale:
-            continue
-        lam_i = alphas[i] / betas[i]
-        if abs(lam_i.imag) > 1e-10 * abs(lam_i) or lam_i.real <= 0.0:
-            continue
-        x = Q @ np.ascontiguousarray(y[:, i].real)
-        # velocity L2 norm squared equals -x^T N x
-        unorm2 = -float(x @ (N @ x))
-        if unorm2 <= (1e-8 * np.linalg.norm(x)) ** 2:
-            continue
-        pairs.append((float(lam_i.real), x / np.sqrt(unorm2)))
-    pairs.sort(key=lambda p: p[0])
-    pairs = pairs[:cfg.nev]
+class _VelocityOperator:
+    """S = L^T G L on velocity vectors, through the LU factors of F = K - theta N."""
 
-    m = len(pairs)
-    vec_mat = np.array([p[1] for p in pairs]).T if m else np.zeros((layout.size, 0))
-    lams = np.array([p[0] for p in pairs])
-    residuals = _residuals(pencil, lams, vec_mat)
-    sigma = np.zeros((m, layout.n_sigma_full))
-    u = np.zeros((m, layout.n_u))
-    mult = np.zeros((m, layout.n_c))
-    for i in range(m):
-        sigma[i], u[i], mult[i] = layout.split(vec_mat[:, i])
-    return SpectralSolution(lams, sigma, u, mult, residuals, vec_mat)
+    def __init__(self, pencil, fact):
+        self.pencil, self.fact = pencil, fact
+        layout = pencil.layout
+        self.vel = slice(layout.n_sigma_active, layout.n_sigma_active + layout.n_u)
+        # M = -N_uu has one dense pk.dim^2 block per (triangle, component)
+        p = pencil.dofmap.pk.dim
+        Muu = (-pencil.N.sp[self.vel, self.vel]).tocoo()
+        blocks = np.zeros((layout.n_u // p, p, p))
+        blocks[Muu.row // p, Muu.row % p, Muu.col % p] = Muu.data
+        self.L = np.linalg.cholesky(blocks)
+
+    def _mul_L(self, W, transpose=False):
+        L = self.L.transpose(0, 2, 1) if transpose else self.L
+        return (L @ W.reshape(len(L), L.shape[1], -1)).reshape(W.shape)
+
+    def _solve_lifted(self, W):
+        """F^{-1} E L W: one LU solve per column of W."""
+        rhs = np.zeros((self.pencil.layout.size,) + W.shape[1:])
+        rhs[self.vel] = self._mul_L(W)
+        return self.fact.solve(rhs)
+
+    def apply(self, W):
+        return -self._mul_L(self._solve_lifted(W)[self.vel], transpose=True)
+
+    def extract(self, nu, W):
+        """Rayleigh-Ritz on (-K, -N), -N positive definite, over the lifted vectors."""
+        X = -self._solve_lifted(W) / nu      # N E u = -E M u = -E L w
+        Kr = -(X.T @ (self.pencil.K.sp @ X))
+        Nr = -(X.T @ (self.pencil.N.sp @ X))
+        lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
+        vectors = X @ Y
+        sigma, u, mult = map(np.array, zip(*(self.pencil.layout.split(x) for x in vectors.T)))
+        return SpectralSolution(lams, sigma, u, mult, _residuals(self.pencil, lams, vectors),
+                                vectors)
 
 
 def _residuals(pencil, lams, vectors):

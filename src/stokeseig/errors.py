@@ -55,7 +55,7 @@ class ShiftAtEigenvalueError(StokesEigError):
 
 
 class UnconvergedError(StokesEigError):
-    """Arnoldi gave fewer than the requested accurate pairs.
+    """Lanczos gave fewer than the requested accurate pairs.
 
     ``partial`` holds the pairs that could be extracted, or ``None``.
     """

@@ -4,12 +4,22 @@ import pytest
 import stokeseig.mesh as mm
 from helpers import dense_pencil_eigenvalues, solve_problem
 from stokeseig.eigsolve import EigConfig, SpectralSolution, eigen_residuals, solve_eig
+from stokeseig.errors import ConfigurationError
 from stokeseig.mesh import build_square_mesh
+from stokeseig.spaces import MIXED_BOTTOM_FIXED
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         EigConfig(nev=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"nev": 2.5}, {"nev": True}, {"seed": -1}, {"shift": float("nan")}, {"shift": float("inf")},
+], ids=["nev-float", "nev-bool", "seed-negative", "shift-nan", "shift-inf"])
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(ConfigurationError):
+        EigConfig(**kwargs)
 
 
 def test_tiny_pencil_matches_dense_oracle():
@@ -19,6 +29,34 @@ def test_tiny_pencil_matches_dense_oracle():
     assert len(dense) >= 4
     rel = np.abs(solution.eigenvalues - dense[:4]) / dense[:4]
     assert rel.max() < 1e-9
+
+
+def _oracle_cases():
+    square = build_square_mesh(2, mm.BI_UNIT_SQUARE)
+    mixed = mm.tag_bottom_fixed(build_square_mesh(2, mm.UNIT_SQUARE))
+    for ell in (1, 2):
+        for k in (0, 1, 2):
+            yield square, ell, k, "dirichlet", 0.0
+            yield mixed, ell, k, MIXED_BOTTOM_FIXED, 0.0
+    yield square, 2, 1, "dirichlet", 5.0
+
+
+def test_all_schemes_match_dense_oracle():
+    for mesh, ell, k, bc, shift in _oracle_cases():
+        solution, pencil, _ = solve_problem(mesh, ell, k, nev=3, bc=bc, shift=shift)
+        dense = dense_pencil_eigenvalues(pencil)[:3]
+        rel = np.abs(solution.eigenvalues - dense) / dense
+        assert rel.max() < 1e-10, (ell, k, bc, shift, solution.eigenvalues, dense)
+
+
+def test_small_velocity_space_reports_too_few_pairs(capsys):
+    import json
+
+    from stokeseig import cli
+    code = cli.main(["solve", "--domain", "unit_square", "--scheme", "1,0",
+                     "--N", "1", "--nev", "50"])
+    assert code == 5
+    assert json.loads(capsys.readouterr().err)["category"] == "solver"
 
 
 def test_square_lowest_eigenvalue_against_published_values():
@@ -37,6 +75,35 @@ def test_double_eigenvalue_on_square():
     sol, _, _ = solve_problem(mesh, 1, 0, nev=3)
     lam = sol.eigenvalues
     assert abs(lam[1] - lam[2]) / lam[1] < 1e-6
+
+
+def test_eigenvectors_are_mass_orthonormal():
+    # the double eigenvalue gets two orthogonal velocities, not two near copies
+    mesh = build_square_mesh(12, mm.BI_UNIT_SQUARE)
+    solution, pencil, _ = solve_problem(mesh, 1, 0, nev=3)
+    X = solution.vectors
+    assert np.abs(-(X.T @ (pencil.N @ X)) - np.eye(3)).max() < 1e-10
+
+
+@pytest.mark.parametrize("domain, bc, limit", [
+    (mm.BI_UNIT_SQUARE, "dirichlet", 60),
+    (mm.UNIT_SQUARE, MIXED_BOTTOM_FIXED, 40),
+])
+def test_lu_solve_count(monkeypatch, domain, bc, limit):
+    from stokeseig.sparselin import Factorization
+    columns = []
+    real_solve = Factorization.solve
+
+    def solve(self, b):
+        columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+        return real_solve(self, b)
+
+    monkeypatch.setattr(Factorization, "solve", solve)
+    mesh = build_square_mesh(10, domain)
+    if bc != "dirichlet":
+        mesh = mm.tag_bottom_fixed(mesh)
+    solve_problem(mesh, 2, 1, nev=5, bc=bc)
+    assert sum(columns) <= limit
 
 
 def test_shift_independence():
@@ -118,15 +185,15 @@ def test_deterministic_given_seed():
 
 @pytest.fixture
 def arpack_gives_up(monkeypatch):
-    """Make every Arnoldi run report non-convergence, carrying the pairs it found."""
+    """Make every Lanczos run report non-convergence, carrying the pairs it found."""
     import scipy.sparse.linalg as spla
-    real_eigs = spla.eigs
+    real_eigsh = spla.eigsh
 
-    def eigs(*args, **kwargs):
-        nu, vecs = real_eigs(*args, **kwargs)
+    def eigsh(*args, **kwargs):
+        nu, vecs = real_eigsh(*args, **kwargs)
         raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", nu, vecs)
 
-    monkeypatch.setattr(spla, "eigs", eigs)
+    monkeypatch.setattr(spla, "eigsh", eigsh)
 
 
 def test_unconverged_arnoldi_raises_with_partial(arpack_gives_up):
