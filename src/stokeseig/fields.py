@@ -175,8 +175,8 @@ def vorticity_from_stress(sigma, pressure, mu):
         raise KindMismatchError(f"expected a stress field, got {sigma.kind}")
     if pressure.kind != PRESSURE or pressure._d["stress"] is not sigma:
         raise KindMismatchError("pressure field does not belong to this stress field")
-    if mu <= 0:
-        raise KindMismatchError(f"viscosity must be positive, got {mu}")
+    if not 0.0 < mu < np.inf:
+        raise KindMismatchError(f"viscosity must be finite and positive, got {mu}")
     return DiscreteField(VORTICITY, sigma.mesh, {"stress": sigma, "mu": float(mu)})
 
 

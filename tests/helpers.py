@@ -4,7 +4,7 @@ import numpy as np
 
 from stokeseig.assembly import assemble_forms, build_pencil
 from stokeseig.eigsolve import EigConfig, solve_eig
-from stokeseig.mesh import Mesh
+from stokeseig.mesh import Mesh, build_lshape_mesh, refine
 from stokeseig.quadrature import quadrature
 from stokeseig.spaces import ALL_DIRICHLET, DofMap, SpaceDescriptor
 
@@ -14,6 +14,15 @@ def single_triangle_mesh():
     return Mesh.from_triangles(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]))
+
+
+def refined_lshape():
+    """L-shape refined twice around the reentrant corner: graded, non-uniform."""
+    mesh = build_lshape_mesh(2)
+    for _ in range(2):
+        centroids = mesh.vertices[mesh.tri_vertices].mean(axis=1)
+        mesh = refine(mesh, np.nonzero(np.hypot(*centroids.T) < 0.6)[0])
+    return mesh
 
 
 def solve_problem(mesh, ell, k, nev=5, bc=ALL_DIRICHLET, mu=1.0, seed=20240901, shift=0.0):

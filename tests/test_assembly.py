@@ -3,13 +3,18 @@ import pytest
 import scipy.sparse as sp
 
 import stokeseig.mesh as mm
-from helpers import permute_edges, single_triangle_mesh, solve_problem
+from helpers import permute_edges, refined_lshape, single_triangle_mesh, solve_problem
 from stokeseig.assembly import (J, assemble_forms, build_pencil, export_matrix,
                                 skew_free_part)
-from stokeseig.errors import AssemblyError
+from stokeseig.errors import AssemblyError, KindMismatchError
+from stokeseig.fields import DiscreteField, pressure_from_stress, vorticity_from_stress
 from stokeseig.mesh import build_square_mesh
+from stokeseig.quadrature import quadrature
+from stokeseig.refbasis import ned_basis, pk_basis
 from stokeseig.spaces import DofMap, SpaceDescriptor, interpolate_ned
 from stokeseig.sparselin import SparseMatrix, factorize
+
+SCHEMES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
 def test_tensor_helper_identities():
@@ -95,7 +100,7 @@ def test_kernel_exclusion_unique_solve():
     assert np.linalg.norm(pencil.K @ x - b) / np.linalg.norm(b) < 1e-10
 
 
-@pytest.mark.parametrize("ell,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+@pytest.mark.parametrize("ell,k", SCHEMES)
 def test_multiplier_border_adds_little_lu_fill(ell, k):
     # oracle: the same kernel removed by pinning the largest dof of the
     # constant-J interpolant, which leaves no dense row
@@ -114,11 +119,79 @@ def test_multiplier_border_adds_little_lu_fill(ell, k):
     assert fill(bordered) < 1.5 * fill(pinned)
 
 
-def test_viscosity_must_be_positive():
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+def test_viscosity_must_be_positive(mu):
     mesh = build_square_mesh(1, mm.UNIT_SQUARE)
-    dm = DofMap(mesh, SpaceDescriptor(1, 0))
+    desc = SpaceDescriptor(1, 0)
+    dm = DofMap(mesh, desc)
     with pytest.raises(AssemblyError):
-        assemble_forms(mesh, dm, mu=0.0)
+        assemble_forms(mesh, dm, mu=mu)
+    sigma = DiscreteField.stress(mesh, desc, np.ones(dm.n_sigma), dofmap=dm)
+    with pytest.raises(KindMismatchError):
+        vorticity_from_stress(sigma, pressure_from_stress(sigma), mu)
+
+
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_curl_block_stores_no_rounding_noise(ell, k):
+    desc = SpaceDescriptor(ell, k)
+    # the reference block, integrated at degree 10, splits into rounding of
+    # exact zeros and values far above the 1e-12 threshold assembly snaps at
+    ned, pk = ned_basis(desc.stress_family, desc.stress_order), pk_basis(k)
+    rule = quadrature(10)
+    bhat = np.einsum("pq,dq,q->pd", pk.eval(rule.points), ned.eval_curl(rule.points),
+                     rule.weights)
+    rel = np.abs(bhat) / np.abs(bhat).max()
+    assert rel[rel < 1e-12].max(initial=0.0) < 1e-13
+    assert rel[rel >= 1e-12].min() >= 1e-3
+
+    mesh = build_square_mesh(3, mm.BI_UNIT_SQUARE)
+    B = assemble_forms(mesh, DofMap(mesh, desc)).B.sp
+    assert np.abs(B.data).min() >= 1e-12 * np.abs(B.data).max()
+
+
+def _oracle_forms(mesh, dm, mu):
+    """A, B, M and j by a per-element loop over a degree-10 rule."""
+    ned, pk = dm.ned, dm.pk
+    rule = quadrature(10)
+    w, pts = rule.weights, rule.points
+    vhat, chat, phat = ned.eval(pts), ned.eval_curl(pts), pk.eval(pts)
+    _, _, det = mesh.affine_maps
+    _, BinvT = mesh.inv_maps
+    nd, npk = ned.dim, pk.dim
+    A = sp.lil_matrix((dm.n_sigma, dm.n_sigma))
+    B = sp.lil_matrix((dm.n_u, dm.n_sigma))
+    M = sp.lil_matrix((dm.n_u, dm.n_u))
+    j = np.zeros(dm.n_sigma)
+    for t in range(mesh.num_triangles):
+        sign = dm.vec_signs[t]
+        phi = sign[:, None, None] * np.einsum("ij,dqj->dqi", BinvT[t], vhat)
+        curl = sign[:, None] * chat / det[t]
+        sdofs = [r * dm.n_vec + dm.vec_gmap[t] for r in range(2)]
+        udofs = [t * 2 * npk + c * npk + np.arange(npk) for c in range(2)]
+        tau = np.zeros((2, nd, len(w), 2, 2))   # row r of tau_(r, d) is phi_d
+        tau[0, :, :, 0, :] = phi
+        tau[1, :, :, 1, :] = phi
+        sym = 0.5 * (tau + np.swapaxes(tau, -1, -2))
+        a_loc = np.einsum("rdqab,sfqab,q->rdsf", sym, sym, w) * det[t] / mu
+        for r in range(2):
+            for s in range(2):
+                A[np.ix_(sdofs[r], sdofs[s])] = A[np.ix_(sdofs[r], sdofs[s])] + a_loc[r, :, s]
+            B[np.ix_(udofs[r], sdofs[r])] = np.einsum("pq,dq,q->pd", phat, curl, w) * det[t]
+            M[np.ix_(udofs[r], udofs[r])] = np.einsum("pq,fq,q->pf", phat, phat, w) * det[t]
+            j[sdofs[r]] += np.einsum("dqab,ab,q->d", tau[r], J, w) * det[t]
+    return A.toarray(), B.toarray(), M.toarray(), j
+
+
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_forms_match_per_element_quadrature(ell, k):
+    mesh = refined_lshape()
+    dm = DofMap(mesh, SpaceDescriptor(ell, k))
+    forms = assemble_forms(mesh, dm, mu=1.7)
+    A, B, M, j = _oracle_forms(mesh, dm, 1.7)
+    B[np.abs(B) < 1e-12 * np.abs(B).max()] = 0.0
+    for got, want in ((forms.A.toarray(), A), (forms.B.toarray(), B),
+                      (forms.M.toarray(), M), (forms.j, j)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_mu_scaling_scales_eigenvalues():

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import stokeseig.estimator as est
 import stokeseig.mesh as mm
-from helpers import solve_problem
+from helpers import refined_lshape, solve_problem
 from stokeseig.assembly import J, skew_free_part
 from stokeseig.errors import UnsupportedSchemeError
 from stokeseig.estimator import compute_indicators, effectivity, write_indicators_csv
 from stokeseig.fields import DiscreteField, stress_from_solution, theta_postprocess, velocity_from_solution
 from stokeseig.mesh import build_square_mesh, patches
+from stokeseig.quadrature import quadrature
 from stokeseig.spaces import SpaceDescriptor, interpolate_ned
 from stokeseig.study import fit_order
 
@@ -74,6 +76,20 @@ def test_constant_normal_jump_hand_integral():
     assert abs(ind.addends[1, 3] - expected) < 1e-12 * max(expected, 1.0)
 
 
+@pytest.mark.parametrize("ell", [1, 2])
+def test_indicator_rule_is_exact(ell, monkeypatch):
+    mesh = refined_lshape()
+    desc = SpaceDescriptor(ell, 0)
+    sol, _, dm = solve_problem(mesh, ell, 0, nev=1)
+    sigma = stress_from_solution(mesh, desc, sol, 0, dofmap=dm)
+    u = velocity_from_solution(mesh, desc, sol, 0)
+    theta = theta_postprocess(u, patches(mesh))
+    got = compute_indicators(mesh, sigma, u, theta).addends
+    monkeypatch.setattr(est, "quadrature", lambda degree: quadrature(8))
+    want = compute_indicators(mesh, sigma, u, theta).addends
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_rejects_higher_order_velocity():
     mesh = build_square_mesh(2, mm.UNIT_SQUARE)
     desc = SpaceDescriptor(1, 1)
@@ -84,6 +100,10 @@ def test_rejects_higher_order_velocity():
     theta = theta_postprocess(u, patches(mesh))
     with pytest.raises(UnsupportedSchemeError):
         compute_indicators(mesh, sigma, u, theta)
+    # a P0 velocity does not make the degree-2 rule exact for a quadratic stress
+    u0 = _constant_velocity(mesh, [0.0, 0.0])
+    with pytest.raises(UnsupportedSchemeError):
+        compute_indicators(mesh, sigma, u0, theta_postprocess(u0, patches(mesh)))
 
 
 def test_effectivity_values():
