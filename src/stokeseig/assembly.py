@@ -67,11 +67,11 @@ class PencilLayout:
         return self.n_sigma_active + self.n_u + self.n_c
 
     def split(self, x):
-        """Split a pencil vector into (sigma_full, u, multiplier)."""
+        """Split a pencil vector into (sigma_full, u)."""
         ns, nu = self.n_sigma_active, self.n_u
         sigma = np.zeros(self.n_sigma_full, dtype=x.dtype)
         sigma[self.keep] = x[:ns]
-        return sigma, x[ns:ns + nu].copy(), x[ns + nu:].copy()
+        return sigma, x[ns:ns + nu].copy()
 
 
 @dataclass
@@ -110,7 +110,7 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     _, BinvT = mesh.inv_maps
     signs = dofmap.vec_signs
     # stress dofs (e, row r of the tensor, local d), velocity dofs (e comp, p)
-    sdofs = np.stack([dofmap.vec_gmap, dofmap.n_vec + dofmap.vec_gmap], axis=1)
+    sdofs = dofmap.stress_gmap
     udofs = np.arange(dofmap.n_u).reshape(2 * nt, pk.dim)
 
     # reference tensors; the physical basis function d is sign_d B^-T vhat_d

@@ -65,7 +65,6 @@ class SpectralSolution:
     eigenvalues: np.ndarray
     sigma: np.ndarray
     u: np.ndarray
-    multiplier: np.ndarray
     residuals: np.ndarray
     vectors: np.ndarray
 
@@ -161,9 +160,8 @@ class _VelocityOperator:
         Nr = -(X.T @ (self.pencil.N.sp @ X))
         lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
         vectors = X @ Y
-        sigma, u, mult = map(np.array, zip(*(self.pencil.layout.split(x) for x in vectors.T)))
-        return SpectralSolution(lams, sigma, u, mult, _residuals(self.pencil, lams, vectors),
-                                vectors)
+        sigma, u = map(np.array, zip(*(self.pencil.layout.split(x) for x in vectors.T)))
+        return SpectralSolution(lams, sigma, u, _residuals(self.pencil, lams, vectors), vectors)
 
 
 def _residuals(pencil, lams, vectors):

@@ -219,40 +219,50 @@ def _edge_sides(tri_edges, num_edges):
     return sides
 
 
-def _orient_ccw(vertices, tri):
-    p0, p1, p2 = (vertices[v] for v in tri)
-    area2 = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
-    if area2 < 0.0:
-        return (tri[0], tri[2], tri[1])
-    return tuple(tri)
+def _ccw_longest_first(vertices, tris):
+    """Orient triangles counter-clockwise, then rotate each so (v0, v1) is its longest edge.
 
-
-def _longest_edge_first(vertices, tri):
-    """Cyclically rotate a CCW triangle so edge (v0, v1) is its longest edge."""
-    best, best_len = 0, -1.0
-    for j, (a, b) in enumerate(_LOCAL_EDGES):
-        d = vertices[tri[b]] - vertices[tri[a]]
-        ln = float(np.hypot(d[0], d[1]))
-        if ln > best_len + 1e-14 * max(best_len, 1.0):
-            best, best_len = j, ln
-    return tuple(np.roll(tri, -best))
-
-
-def _structured_triangles(vertices, cells, parities):
-    """Split each quad cell (a, b, c, d) along one diagonal, CCW, labeled.
-
-    The diagonal direction alternates with the cell parity (a union-jack
-    pattern), which keeps the mesh invariant under the quarter-turn symmetry
-    of the square for even N; a fixed direction would split the double
-    eigenvalues of the square spectrum.
+    A clockwise (v0, v1, v2) becomes (v0, v2, v1).  A later local edge replaces
+    the longest so far only when it is longer by more than 1e-14 relative, so
+    ties go to the earliest edge.
     """
-    tris = []
-    for (a, b, c, d), parity in zip(cells, parities):
-        split = ((a, b, c), (a, c, d)) if parity == 0 else ((a, b, d), (b, c, d))
-        for tri in split:
-            tri = _orient_ccw(vertices, tri)
-            tris.append(_longest_edge_first(vertices, tri))
-    return np.array(tris, dtype=np.int64)
+    p = vertices[tris]
+    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+    tris = np.where((area2 < 0.0)[:, None], tris[:, [0, 2, 1]], tris)
+    p = vertices[tris]
+    best = np.zeros(len(tris), dtype=np.int64)
+    best_len = np.full(len(tris), -1.0)
+    for j, (a, b) in enumerate(_LOCAL_EDGES):
+        d = p[:, b] - p[:, a]
+        length = np.hypot(d[:, 0], d[:, 1])
+        longer = length > best_len + 1e-14 * np.maximum(best_len, 1.0)
+        best = np.where(longer, j, best)
+        best_len = np.where(longer, length, best_len)
+    return np.take_along_axis(tris, (best[:, None] + np.arange(3)) % 3, axis=1)
+
+
+# corners (a, b, c, d) of a cell split into two triangles, by cell parity: the
+# diagonal alternates (a union-jack pattern), which keeps the mesh invariant
+# under the quarter-turn symmetry of the square for even N; a fixed direction
+# would split the double eigenvalues of the square spectrum
+_CELL_SPLIT = np.array([[[0, 1, 2], [0, 2, 3]],
+                        [[0, 1, 3], [1, 2, 3]]])
+
+
+def _grid(n, lo, hi):
+    """Vertices, quad cells (a, b, c, d) row by row, and cell parities of an n x n grid."""
+    coords = np.linspace(lo, hi, n + 1)
+    xx, yy = np.meshgrid(coords, coords, indexing="xy")
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i
+    cells = np.column_stack([a, a + 1, a + n + 2, a + n + 1])
+    return np.column_stack([xx.ravel(), yy.ravel()]), cells, (i + j) % 2
+
+
+def _split_cells(vertices, cells, parity):
+    tris = cells[np.arange(len(cells))[:, None, None], _CELL_SPLIT[parity]].reshape(-1, 3)
+    return Mesh.from_triangles(vertices, _ccw_longest_first(vertices, tris))
 
 
 def build_square_mesh(N, domain=BI_UNIT_SQUARE):
@@ -268,50 +278,24 @@ def build_square_mesh(N, domain=BI_UNIT_SQUARE):
         lo, hi = -1.0, 1.0
     else:
         raise ConfigurationError(f"unknown square domain {domain!r}")
-    coords = np.linspace(lo, hi, N + 1)
-    xx, yy = np.meshgrid(coords, coords, indexing="xy")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (N + 1) + i
-
-    cells = [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-             for j in range(N) for i in range(N)]
-    parities = [(i + j) % 2 for j in range(N) for i in range(N)]
-    tris = _structured_triangles(vertices, cells, parities)
-    return Mesh.from_triangles(vertices, tris)
+    return _split_cells(*_grid(N, lo, hi))
 
 
 def build_lshape_mesh(N):
-    """L-shaped domain (-1,1)^2 minus (-1,0)x(-1,0), 6 N^2 triangles."""
+    """L-shaped domain (-1,1)^2 minus (-1,0)x(-1,0), 6 N^2 triangles.
+
+    Vertices are numbered in order of first use, cell by cell.
+    """
     _check_resolution(N)
-    n = 2 * N
-    coords = np.linspace(-1.0, 1.0, n + 1)
-    keep = np.full((n + 1) * (n + 1), -1, dtype=np.int64)
-    vertices = []
-
-    def raw(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    parities = []
-    for j in range(n):
-        for i in range(n):
-            cx = (coords[i] + coords[i + 1]) / 2.0
-            cy = (coords[j] + coords[j + 1]) / 2.0
-            if cx < 0.0 and cy < 0.0:
-                continue
-            cells.append((raw(i, j), raw(i + 1, j), raw(i + 1, j + 1), raw(i, j + 1)))
-            parities.append((i + j) % 2)
-    for cell in cells:
-        for v in cell:
-            if keep[v] < 0:
-                keep[v] = len(vertices)
-                vertices.append((coords[v % (n + 1)], coords[v // (n + 1)]))
-    vertices = np.array(vertices)
-    cells = [tuple(keep[v] for v in cell) for cell in cells]
-    tris = _structured_triangles(vertices, cells, parities)
-    return Mesh.from_triangles(vertices, tris)
+    vertices, cells, parity = _grid(2 * N, -1.0, 1.0)
+    centres = (vertices[cells[:, 0]] + vertices[cells[:, 2]]) / 2.0
+    kept = ~np.all(centres < 0.0, axis=1)
+    cells, parity = cells[kept], parity[kept]
+    used, first = np.unique(cells, return_index=True)
+    used = used[np.argsort(first)]
+    number = np.empty(len(vertices), dtype=np.int64)
+    number[used] = np.arange(used.size)
+    return _split_cells(vertices[used], number[cells], parity)
 
 
 def build_circle_mesh(N):
@@ -321,62 +305,42 @@ def build_circle_mesh(N):
     exactly on the unit circle.
     """
     _check_resolution(N)
-    vertices = [(0.0, 0.0)]
-    ring_start = [0]
-    for i in range(1, N + 1):
-        ring_start.append(len(vertices))
-        r = i / N
-        angles = 2.0 * np.pi * np.arange(6 * i) / (6 * i)
-        vertices.extend(zip(r * np.cos(angles), r * np.sin(angles)))
-    vertices = np.array(vertices)
+    ring = np.repeat(np.arange(1, N + 1), 6 * np.arange(1, N + 1))  # ring of vertex 1, 2, ...
+    start = 1 + 3 * ring * (ring - 1)                                 # id of its ring's vertex 0
+    k = np.arange(1, ring.size + 1) - start                           # position in the ring
+    angles = 2.0 * np.pi * k / (6 * ring)
+    r = ring / N
+    vertices = np.vstack([[0.0, 0.0], np.column_stack([r * np.cos(angles), r * np.sin(angles)])])
 
-    def outer_id(i, k):
-        return ring_start[i] + (k % (6 * i))
-
-    tris = []
-    for i in range(1, N + 1):
-        for s in range(6):
-            for j in range(i):
-                o0 = outer_id(i, s * i + j)
-                o1 = outer_id(i, s * i + j + 1)
-                if i == 1:
-                    tris.append((o0, o1, 0))
-                    continue
-                i0 = outer_id(i - 1, s * (i - 1) + j)
-                tris.append((o0, o1, i0))
-                if j < i - 1:
-                    i1 = outer_id(i - 1, s * (i - 1) + j + 1)
-                    tris.append((o1, i1, i0))
-    tris = [_longest_edge_first(vertices, _orient_ccw(vertices, t)) for t in tris]
-    return Mesh.from_triangles(vertices, np.array(tris, dtype=np.int64))
+    # vertex k of ring i is o0 of triangle (o0, o1, i0), followed by
+    # (o1, i1, i0) unless it is the last of its sixth of the ring; the centre
+    # is ring 0, with one vertex
+    inner = ring - 1
+    inner_start = 3 * inner * (inner - 1) + (inner > 0)
+    inner_size = np.maximum(6 * inner, 1)
+    s, j = np.divmod(k, ring)
+    m = s * inner + j
+    o0, o1 = start + k, start + (k + 1) % (6 * ring)
+    i0, i1 = inner_start + m % inner_size, inner_start + (m + 1) % inner_size
+    pairs = np.stack([np.column_stack([o0, o1, i0]), np.column_stack([o1, i1, i0])], axis=1)
+    second = j < inner
+    tris = pairs[np.column_stack([np.ones_like(second), second])]
+    return Mesh.from_triangles(vertices, _ccw_longest_first(vertices, tris))
 
 
 def _check_resolution(N):
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ConfigurationError(f"mesh resolution must be a positive integer, got {N!r}")
-
-
-def retag_boundary(mesh, tagger):
-    """Return a mesh with boundary tags replaced by ``tagger(midpoint) -> tag``."""
-    tags = mesh.edge_tags.copy()
-    for e in np.nonzero(mesh.edge_tags != INTERIOR)[0]:
-        mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
-        tag = int(tagger(mid))
-        if tag not in (DIRICHLET, NEUMANN):
-            raise ConfigurationError(f"boundary tag must be DIRICHLET or NEUMANN, got {tag}")
-        tags[e] = tag
-    return Mesh(mesh.vertices, mesh.tri_vertices, mesh.tri_edges, mesh.tri_parents,
-                mesh.edges, mesh.edge_tris, tags)
 
 
 def tag_bottom_fixed(mesh, tol=1e-12):
     """Tag edges on y = 0 Dirichlet and every other boundary edge Neumann."""
-    ymin = mesh.vertices[:, 1].min()
-
-    def tagger(mid):
-        return DIRICHLET if abs(mid[1] - ymin) <= tol else NEUMANN
-
-    return retag_boundary(mesh, tagger)
+    boundary = mesh.edge_tags != INTERIOR
+    mid_y = mesh.vertices[mesh.edges[boundary], 1].mean(axis=1)
+    tags = mesh.edge_tags.copy()
+    tags[boundary] = np.where(np.abs(mid_y - mesh.vertices[:, 1].min()) <= tol, DIRICHLET, NEUMANN)
+    return Mesh(mesh.vertices, mesh.tri_vertices, mesh.tri_edges, mesh.tri_parents,
+                mesh.edges, mesh.edge_tris, tags)
 
 
 # -- refinement ---------------------------------------------------------------
@@ -389,11 +353,13 @@ def refine(mesh, marked):
     propagate until no hanging vertex remains.  Boundary tags are inherited
     by the halves of split boundary edges.
     """
-    marked = np.fromiter(marked, dtype=np.int64)
-    if marked.size and (marked.min() < 0 or marked.max() >= mesh.num_triangles):
+    marked = list(marked)
+    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+               and 0 <= t < mesh.num_triangles for t in marked):
         raise MeshError("marked set contains an invalid triangle id")
-    if marked.size == 0:
+    if not marked:
         return mesh
+    marked = np.array(marked, dtype=np.int64)
 
     ref_edge = mesh.tri_edges[:, 0]
     edge_marked = np.zeros(mesh.num_edges, dtype=bool)

@@ -118,7 +118,10 @@ def _interior_moment_fields(family, order):
 
 
 class _Moment:
-    """A degree-of-freedom functional: a weighted sum of field values at fixed points."""
+    """A degree-of-freedom functional: a weighted sum of field values at fixed points.
+
+    Called with ``fn(points)`` of shape (..., n, 2), it returns shape (...).
+    """
 
     def apply_poly(self, comps):
         """Value on a vector polynomial given by Bernstein coefficients (2, d+1, d+1).
@@ -144,7 +147,7 @@ class _EdgeMoment(_Moment):
 
     def __call__(self, fn):
         vals = np.asarray(fn(self.points))
-        return float(self.weights @ (vals @ self.direction))
+        return np.vecdot(vals @ self.direction, self.weights)
 
 
 class _InteriorMoment(_Moment):
@@ -158,7 +161,7 @@ class _InteriorMoment(_Moment):
 
     def __call__(self, fn):
         vals = np.asarray(fn(self.points))
-        return float((vals * self.weighted).sum())
+        return (vals * self.weighted).sum(axis=(-2, -1))
 
 
 class ReferenceBasis:
@@ -203,8 +206,12 @@ class ReferenceBasis:
         return np.moveaxis(_evaluate(self._table, self._jac, points), -1, 1)
 
     def dof_values(self, fn):
-        """Apply every degree-of-freedom functional to a callable field."""
-        return np.array([func(fn) for func in self.functionals])
+        """Apply every degree-of-freedom functional to a callable field.
+
+        ``fn(points)`` returns shape (..., n, 2) for the n reference points; the
+        result has shape (..., dim), one row of dof values per leading index.
+        """
+        return np.stack([func(fn) for func in self.functionals], axis=-1)
 
 
 def _build_functionals(family, order, deg):

@@ -97,6 +97,8 @@ class DofMap:
             col += 1
         self.vec_gmap = gmap
         self.vec_signs = signs
+        # global stress dof of (triangle, tensor row, local dof)
+        self.stress_gmap = np.stack([gmap, self.n_vec + gmap], axis=1)
 
         if bc == MIXED_BOTTOM_FIXED:
             neumann = np.nonzero(mesh.edge_tags == meshmod.NEUMANN)[0]
@@ -115,22 +117,7 @@ class DofMap:
 
     def stress_local_coeffs(self, coeffs):
         """Per-element local stress coefficients, shape (nt, 2, ned.dim)."""
-        coeffs = np.asarray(coeffs)
-        out = np.empty((self.mesh.num_triangles, 2, self.ned.dim))
-        for row in range(2):
-            out[:, row] = self.vec_signs * coeffs[row * self.n_vec + self.vec_gmap]
-        return out
-
-
-def _pullback_row(tau, row, B, origin):
-    """Covariant pull-back of one row of an analytic tensor field."""
-
-    def fn(ref_pts):
-        phys = ref_pts @ B.T + origin
-        vals = np.asarray([np.asarray(tau(p), dtype=float)[row] for p in phys])
-        return vals @ B  # B^T v per point
-
-    return fn
+        return self.vec_signs[:, None] * np.asarray(coeffs)[self.stress_gmap]
 
 
 def interpolate_ned(mesh, descriptor, tau):
@@ -138,17 +125,25 @@ def interpolate_ned(mesh, descriptor, tau):
 
     ``tau(x)`` must return a 2x2 array; each row is interpolated into the
     vector stress space.  Fields whose rows lie in the local space are
-    reproduced exactly.
+    reproduced exactly.  ``tau`` is called once per physical point of the
+    functionals' quadratures.
     """
     dofmap = DofMap(mesh, descriptor)
-    ned = dofmap.ned
     B, origin, _ = mesh.affine_maps
+    pulled = {}
+
+    def rows(ref_pts):
+        # covariant pull-back B^T tau_r of both rows, shape (nt, 2, n, 2); the
+        # functionals of one edge share their points, as do the interior ones
+        key = ref_pts.tobytes()
+        if key not in pulled:
+            phys = ref_pts @ np.swapaxes(B, 1, 2) + origin[:, None]
+            vals = np.array([tau(p) for p in phys.reshape(-1, 2)], dtype=float)
+            pulled[key] = np.swapaxes(vals.reshape(phys.shape + (2,)), 1, 2) @ B[:, None]
+        return pulled[key]
+
     out = np.zeros(dofmap.n_sigma)
-    for t in range(mesh.num_triangles):
-        for row in range(2):
-            local = ned.dof_values(_pullback_row(tau, row, B[t], origin[t]))
-            gdofs = row * dofmap.n_vec + dofmap.vec_gmap[t]
-            out[gdofs] = dofmap.vec_signs[t] * local
+    out[dofmap.stress_gmap] = dofmap.vec_signs[:, None] * dofmap.ned.dof_values(rows)
     return out
 
 
@@ -156,13 +151,8 @@ def l2_project_velocity(mesh, k, v):
     """Element-wise L2 projection of an analytic vector field onto P_k^2."""
     pk = pk_basis(k)
     rule = quadrature(min(10, 2 * k + 6))
-    phat = pk.eval(rule.points)                      # (np, q)
-    mass = pk_reference_mass(k)
-    B, origin, det = mesh.affine_maps
-    out = np.empty((mesh.num_triangles, 2, pk.dim))
-    for t in range(mesh.num_triangles):
-        phys = rule.points @ B[t].T + origin[t]
-        vals = np.asarray([np.asarray(v(p), dtype=float) for p in phys])  # (q, 2)
-        rhs = phat @ (rule.weights[:, None] * vals)  # (np, 2)
-        out[t] = np.linalg.solve(mass, rhs).T
-    return out.ravel()
+    B, origin, _ = mesh.affine_maps
+    phys = rule.points @ np.swapaxes(B, 1, 2) + origin[:, None]       # (nt, q, 2)
+    vals = np.array([v(p) for p in phys.reshape(-1, 2)], dtype=float).reshape(phys.shape)
+    rhs = pk.eval(rule.points) @ (rule.weights[:, None] * vals)       # (nt, np, 2)
+    return np.swapaxes(np.linalg.solve(pk_reference_mass(k), rhs), 1, 2).ravel()

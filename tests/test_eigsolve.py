@@ -148,14 +148,12 @@ def test_eigen_residuals_recompute_and_reject():
     rng = np.random.default_rng(0)
     noisy = solution.vectors + 1e-3 * rng.standard_normal(solution.vectors.shape)
     perturbed = SpectralSolution(
-        solution.eigenvalues, solution.sigma, solution.u, solution.multiplier,
-        solution.residuals, noisy)
+        solution.eigenvalues, solution.sigma, solution.u, solution.residuals, noisy)
     res_noisy = eigen_residuals(pencil, perturbed)
     assert min(np.array(res_noisy) / np.array(res)) > 10.0
 
     zeroed = SpectralSolution(
-        solution.eigenvalues[:1], solution.sigma[:1], solution.u[:1],
-        solution.multiplier[:1], solution.residuals[:1],
+        solution.eigenvalues[:1], solution.sigma[:1], solution.u[:1], solution.residuals[:1],
         np.zeros((pencil.layout.size, 1)))
     with pytest.raises(ValueError):
         eigen_residuals(pencil, zeroed)

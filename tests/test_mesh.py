@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,7 @@ from hypothesis import strategies as st
 import stokeseig.mesh as mm
 from stokeseig.errors import ConfigurationError, IOFailureError, MeshError
 from stokeseig.mesh import (build_circle_mesh, build_lshape_mesh, build_square_mesh,
-                            patches, read_mesh, refine, retag_boundary,
-                            tag_bottom_fixed, write_mesh)
+                            patches, read_mesh, refine, tag_bottom_fixed, write_mesh)
 
 
 def test_single_split_square():
@@ -80,10 +81,62 @@ def test_lshape_corner_vertex():
 
 
 def test_invalid_resolution():
-    with pytest.raises(ConfigurationError):
-        build_square_mesh(0)
-    with pytest.raises(ConfigurationError):
-        build_circle_mesh(-2)
+    for build in (build_square_mesh, build_lshape_mesh, build_circle_mesh):
+        for N in (0, -2, True, 2.0):
+            with pytest.raises(ConfigurationError):
+                build(N)
+
+
+# sha256 prefixes of the seven Mesh arrays (dtype, shape and bytes), recorded
+# from the per-cell builders that the array-made ones replaced
+RECORDED_MESHES = {
+    ("square-unit_square", 1): "293e19ef83c880288ca3fa46",
+    ("square-unit_square", 2): "2385affc6c3fdd142119db90",
+    ("square-unit_square", 3): "a3d9d2ce1c81d1df1b09ea9f",
+    ("square-unit_square", 4): "3f24bd991fad7e906133189a",
+    ("square-unit_square", 5): "563e80ad3bfb0c562b77c0bd",
+    ("square-unit_square", 6): "8bafc167898847351dfcedb7",
+    ("square-bi_unit_square", 1): "a0adf76d19c3ad9709499bdf",
+    ("square-bi_unit_square", 2): "62aa8342539879e4e0857e92",
+    ("square-bi_unit_square", 3): "28dd5e3260d02e1b3c176a87",
+    ("square-bi_unit_square", 4): "bba7f0fdf767bcfc700edde5",
+    ("square-bi_unit_square", 5): "588ecba5040471c2a9a0878a",
+    ("square-bi_unit_square", 6): "144c072644223c78c16c7837",
+    ("bottom_fixed", 1): "1f538090875598aba91ce27f",
+    ("bottom_fixed", 2): "1291b9ba2aa61aa82bb48607",
+    ("bottom_fixed", 3): "2b85e79bb60716678e0bee3d",
+    ("bottom_fixed", 4): "d74dc2471bf7ed57b39d5771",
+    ("lshape", 1): "cdb3578bca01542075aa27ec",
+    ("lshape", 2): "0e6e4e15defda554db02928e",
+    ("lshape", 3): "ba5c2d1d19fa90448c05059e",
+    ("lshape", 4): "cfb64990978b100a61ce5a8f",
+    ("lshape", 5): "d2461d932e86922efe317e87",
+    ("circle", 1): "7d8f6cd87efb4f9e0d3c17e0",
+    ("circle", 2): "7f74c1375538ed56e56fd105",
+    ("circle", 3): "a996dffbffffbe457e289ac0",
+    ("circle", 4): "429f26af39e8eb1b99d4e25c",
+    ("circle", 5): "b5ff2b785fdc995e445bbf32",
+}
+
+
+def _build_recorded(kind, N):
+    if kind.startswith("square-"):
+        return build_square_mesh(N, kind.removeprefix("square-"))
+    if kind == "bottom_fixed":
+        return tag_bottom_fixed(build_square_mesh(N, mm.UNIT_SQUARE))
+    return {"lshape": build_lshape_mesh, "circle": build_circle_mesh}[kind](N)
+
+
+@pytest.mark.parametrize("kind,N", sorted(RECORDED_MESHES))
+def test_builders_reproduce_recorded_meshes(kind, N):
+    mesh = _build_recorded(kind, N)
+    h = hashlib.sha256()
+    for name in ("vertices", "tri_vertices", "tri_edges", "tri_parents",
+                 "edges", "edge_tris", "edge_tags"):
+        arr = getattr(mesh, name)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest()[:24] == RECORDED_MESHES[kind, N]
 
 
 def test_refine_empty_is_identity():
@@ -103,8 +156,16 @@ def test_refine_both_triangles_conforming():
 
 def test_refine_invalid_mark():
     mesh = build_square_mesh(1, mm.UNIT_SQUARE)
-    with pytest.raises(MeshError):
-        refine(mesh, {7})
+    for marked in ({7}, {-1}, [2 ** 70], {1.5}, [1.9], {True}, [np.float64(1.0)]):
+        with pytest.raises(MeshError):
+            refine(mesh, marked)
+
+
+def test_refine_accepts_integer_ids():
+    mesh = build_square_mesh(2, mm.UNIT_SQUARE)
+    fine = refine(mesh, {1, 4})
+    for marked in ([1, 4], np.array([1, 4]), np.array([4, 1], dtype=np.int32), [np.int64(1), 4]):
+        assert np.array_equal(refine(mesh, marked).tri_vertices, fine.tri_vertices)
 
 
 def test_repeated_local_refinement_keeps_angles():
@@ -253,9 +314,3 @@ def test_read_mesh_fuzz_finite_mesh_or_categorized_error(tmp_path_factory, edits
     except (IOFailureError, MeshError):
         return
     assert np.all(np.isfinite(mesh.vertices))
-
-
-def test_retag_rejects_bad_tag():
-    mesh = build_square_mesh(1, mm.UNIT_SQUARE)
-    with pytest.raises(ConfigurationError):
-        retag_boundary(mesh, lambda mid: 99)

@@ -38,6 +38,21 @@ def test_unisolvence_dof_matrix_identity(family, order):
 
 
 @pytest.mark.parametrize("family,order", sorted(DIMS))
+def test_dof_values_batch_matches_single_fields(family, order):
+    basis = ned_basis(family, order)
+    coef = np.random.default_rng(1).standard_normal((3, 2, 3))
+
+    def fields(points):
+        # three smooth non-polynomial fields, shape (3, n, 2)
+        x, y = points[:, 0], points[:, 1]
+        mono = np.stack([np.ones_like(x), x * y, np.exp(x - y)])
+        return np.ascontiguousarray(np.einsum("fck,kn->fnc", coef, mono))
+
+    single = [basis.dof_values(lambda points, f=f: fields(points)[f]) for f in range(3)]
+    assert np.array_equal(basis.dof_values(fields), np.stack(single))
+
+
+@pytest.mark.parametrize("family,order", sorted(DIMS))
 def test_tangential_trace_vanishes_off_edge(family, order):
     # edge j of the reference triangle joins vertices j and j+1 mod 3
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
