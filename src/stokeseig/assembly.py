@@ -1,14 +1,15 @@
 """Assembly of the saddle-point eigenvalue pencil.
 
-Blocks, in the order (stress, velocity, mean-constraint multiplier):
+Blocks, in the order (stress, velocity, kernel-pinning multiplier):
 
 * ``A``: (1/mu) integral of sym(xi) : sym(tau) over the domain, where sym is
   the symmetric part of the stress tensor (identical to removing the skew
   multiple of J = [[0, 1], [-1, 0]]).
 * ``B``: integral of v . curl(tau), the scalar curl applied to each row.
 * ``M``: velocity mass matrix.
-* ``j``: integral of tau : J, one Lagrange-multiplier row/column that removes
-  the constant-J direction annihilated by both A and the curl.
+* ``j``: integral of tau : J.  The constant-J direction, annihilated by both
+  A and the curl, is removed by one single-entry multiplier row that pins a
+  stress dof; adding a multiple of it afterwards makes j . sigma = 0.
 
 The eigenvalue problem is K x = lambda N x with N = diag(0, -M, 0): its
 finite eigenvalues are the discrete Stokes eigenvalues.
@@ -61,16 +62,20 @@ class PencilLayout:
     n_sigma_active: int
     n_u: int
     n_c: int
+    kernel: tuple | None = None   # (z, j) when a multiplier pins the kernel z
 
     @property
     def size(self):
         return self.n_sigma_active + self.n_u + self.n_c
 
     def split(self, x):
-        """Split a pencil vector into (sigma_full, u)."""
+        """Split a pencil vector into (sigma_full, u), with j . sigma_full = 0."""
         ns, nu = self.n_sigma_active, self.n_u
         sigma = np.zeros(self.n_sigma_full, dtype=x.dtype)
         sigma[self.keep] = x[:ns]
+        if self.kernel is not None:
+            z, j = self.kernel
+            sigma -= (j @ sigma) / (j @ z) * z
         return sigma, x[ns:ns + nu].copy()
 
 
@@ -148,9 +153,12 @@ def assemble_forms(mesh, dofmap, mu=1.0):
 def build_pencil(forms):
     """Combine assembled forms into the pencil (K, N), applying constraints.
 
-    With all-Dirichlet boundary conditions a single Lagrange multiplier
-    enforces the zero mean of sigma : J; with mixed conditions the Neumann
-    tangential-trace dofs are eliminated instead and no multiplier is needed.
+    With all-Dirichlet boundary conditions the constant-J interpolant z
+    (A z = B z = 0) spans the kernel left in the stress.  One multiplier row
+    with a single entry pins the stress dof where |z| is largest, and
+    :meth:`PencilLayout.split` restores the zero mean of sigma : J by adding a
+    multiple of z.  With mixed conditions the Neumann tangential-trace dofs are
+    eliminated instead and no multiplier is needed.
     """
     dofmap = forms.dofmap
     n_sigma, n_u = dofmap.n_sigma, dofmap.n_u
@@ -159,28 +167,21 @@ def build_pencil(forms):
     if dofmap.has_mean_constraint:
         keep = np.arange(n_sigma)
         n_c = 1
-        # The multiplier row is dense.  Partial pivoting picks it wherever its
-        # entry is the largest left in a column, and its nonzeros then fill
-        # every later row of U: at (2,1), N=30, L+U held 19M to 89M nonzeros
-        # as the basis changed by rounding.  Scaled exactly, by a power of two,
-        # to at most 2^-20 of the largest entry of A and B in each column, it
-        # is picked only where the constant-J direction leaves no other
-        # candidate.  The multiplier is zero on every eigenvector, so
-        # eigenpairs keep their stress and velocity parts.
-        colmax = np.maximum(abs(A).max(axis=0).toarray().ravel(),
-                            abs(B).max(axis=0).toarray().ravel())
-        nz = forms.j != 0.0
-        ratio = (colmax[nz] / np.abs(forms.j[nz])).min()
-        jcol = sp.csr_matrix(2.0 ** np.floor(np.log2(2.0 ** -20 * ratio)) * forms.j[:, None])
-        K = sp.bmat([[A, B.T, jcol],
+        # one entry, unlike a dense border row, fills nothing wherever the LU
+        # pivots on it, so factorize may scale it with the velocity rows
+        z = _constant_j_interpolant(dofmap)
+        pin = sp.csr_matrix(([1.0], ([0], [np.argmax(np.abs(z))])), shape=(1, n_sigma))
+        K = sp.bmat([[A, B.T, pin.T],
                      [B, None, None],
-                     [jcol.T, None, None]], format="csr")
+                     [pin, None, None]], format="csr")
+        kernel = (z, forms.j)
     else:
         keep = np.setdiff1d(np.arange(n_sigma), dofmap.constrained)
         n_c = 0
         Ak = A[keep][:, keep]
         Bk = B[:, keep]
         K = sp.bmat([[Ak, Bk.T], [Bk, None]], format="csr")
+        kernel = None
 
     asym = abs(K - K.T).max()
     scale = abs(K).max()
@@ -193,8 +194,15 @@ def build_pencil(forms):
     N = sp.coo_matrix((Ncoo.data, (Ncoo.row + len(keep), Ncoo.col + len(keep))),
                       shape=(size, size)).tocsr()
 
-    layout = PencilLayout(n_sigma, keep, len(keep), n_u, n_c)
+    layout = PencilLayout(n_sigma, keep, len(keep), n_u, n_c, kernel)
     return Pencil(SparseMatrix(K), SparseMatrix(N), layout, dofmap)
+
+
+def _constant_j_interpolant(dofmap):
+    """Interpolant of the constant field J, from its pull-backs B^T J_r."""
+    pulled = J @ dofmap.mesh.affine_maps[0]
+    return dofmap.interpolate(
+        lambda pts: np.broadcast_to(pulled[:, :, None], pulled.shape[:2] + (len(pts), 2)))
 
 
 def export_matrix(matrix, path):

@@ -59,8 +59,9 @@ class EigConfig:
 class SpectralSolution:
     """Eigenpairs sorted by ascending eigenvalue.
 
-    ``sigma`` rows are in the full stress numbering (constrained dofs zero),
-    ``vectors`` holds the raw pencil eigenvectors used for residual checks.
+    ``sigma`` rows are in the full stress numbering (constrained dofs zero,
+    zero mean of sigma : J under all-Dirichlet conditions), ``vectors`` holds
+    the raw pencil eigenvectors used for residual checks.
     """
     eigenvalues: np.ndarray
     sigma: np.ndarray

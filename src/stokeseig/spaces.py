@@ -13,6 +13,7 @@ Velocity is element-wise P_k^2 with no coupling between elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -36,10 +37,12 @@ class SpaceDescriptor:
     k: int
 
     def __post_init__(self):
-        if self.ell not in (1, 2):
-            raise ConfigurationError(f"stress family selector must be 1 or 2, got {self.ell}")
-        if self.k not in (0, 1, 2):
-            raise ConfigurationError(f"velocity order must be 0, 1 or 2, got {self.k}")
+        for value, allowed, what in ((self.ell, (1, 2), "stress family selector"),
+                                     (self.k, (0, 1, 2), "velocity order")):
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or value not in allowed):
+                raise ConfigurationError(
+                    f"{what} must be one of {allowed}, got {value!r}")
 
     @property
     def stress_family(self):
@@ -119,6 +122,13 @@ class DofMap:
         """Per-element local stress coefficients, shape (nt, 2, ned.dim)."""
         return self.vec_signs[:, None] * np.asarray(coeffs)[self.stress_gmap]
 
+    def interpolate(self, rows):
+        """Global stress coefficients of the field whose covariant pull-backs
+        B^T tau_r of both rows ``rows(ref_points)`` returns, shape (nt, 2, n, 2)."""
+        out = np.zeros(self.n_sigma)
+        out[self.stress_gmap] = self.vec_signs[:, None] * self.ned.dof_values(rows)
+        return out
+
 
 def interpolate_ned(mesh, descriptor, tau):
     """Edge/interior-moment interpolation of an analytic tensor field.
@@ -142,9 +152,7 @@ def interpolate_ned(mesh, descriptor, tau):
             pulled[key] = np.swapaxes(vals.reshape(phys.shape + (2,)), 1, 2) @ B[:, None]
         return pulled[key]
 
-    out = np.zeros(dofmap.n_sigma)
-    out[dofmap.stress_gmap] = dofmap.vec_signs[:, None] * dofmap.ned.dof_values(rows)
-    return out
+    return dofmap.interpolate(rows)
 
 
 def l2_project_velocity(mesh, k, v):

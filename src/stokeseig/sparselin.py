@@ -1,8 +1,9 @@
 """Minimal sparse linear algebra: CSR storage, matvec, direct LU solves.
 
 Factorization is sparse LU with partial pivoting and a fill-reducing
-column ordering (COLAMD via SuperLU).  Singular systems are reported as
-errors instead of producing garbage solutions.
+column ordering (COLAMD via SuperLU), after scaling the zero-diagonal
+(constraint) rows and columns by a power of two.  Singular systems are
+reported as errors instead of producing garbage solutions.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from .errors import SingularMatrixError
 
 # a pivot at or below this fraction of the largest entry counts as zero
 _PIVOT_TOL = 1e-12
+# zero-diagonal rows are scaled so that their largest entry is about this many
+# times the largest entry of the other rows
+_CONSTRAINT_WEIGHT = 16.0
 
 
 class SparseMatrix:
@@ -71,54 +75,68 @@ class SparseMatrix:
             return 0.0
         return float(abs(self.sp).sum(axis=1).max())
 
-    def max_abs(self):
-        return float(abs(self.sp).max()) if self.nnz else 0.0
-
 
 class Factorization:
-    """Reusable LU factors of a square sparse matrix."""
+    """Reusable LU factors of D A D, D diagonal; solves A x = b as x = D (DAD)^-1 D b."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, scale):
         self._lu = lu
+        self._scale = scale
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
-        return self._lu.solve(b)
+        d = self._scale.reshape((-1,) + (1,) * (b.ndim - 1))
+        return d * self._lu.solve(d * b)
 
 
 def factorize(A):
     """LU-factorize a square :class:`SparseMatrix`.
 
+    Rows and columns with an exactly zero diagonal are scaled by
+    s = 2^round(log2(16 max|other rows| / max|zero-diagonal rows|)).  Partial
+    pivoting then eliminates a saddle-point matrix [[A, B^T], [B, 0]] through
+    B's rows first, which is the pairing of element-wise condensation and fills
+    far less than the unscaled choice between A's and B's rows.  A power of
+    two scales without rounding.
+
     Raises :class:`SingularMatrixError` for structurally singular inputs
-    (empty row or column) and when a pivot falls to 1e-12 of the largest
-    matrix entry or below.
+    (a row or column without nonzeros) and when a pivot falls to 1e-12 of the largest
+    entry of the scaled matrix or below.
     """
     if A.shape[0] != A.shape[1]:
         raise SingularMatrixError(f"matrix is not square: {A.shape}", kind="structural")
-    n = A.shape[0]
     csr = A.sp
-    row_counts = np.diff(csr.indptr)
-    if np.any(row_counts == 0):
-        idx = int(np.argmin(row_counts))
-        raise SingularMatrixError(f"row {idx} is empty", kind="structural")
-    col_counts = np.diff(csr.tocsc().indptr)
+    rowmax = abs(csr).max(axis=1).toarray().ravel()
+    if np.any(rowmax == 0.0):
+        idx = int(np.argmin(rowmax))
+        raise SingularMatrixError(f"row {idx} has no nonzero entry", kind="structural")
+
+    scale = np.ones(A.shape[0])
+    zero = csr.diagonal() == 0.0
+    if zero.any() and not zero.all():
+        scale[zero] = 2.0 ** np.round(
+            np.log2(_CONSTRAINT_WEIGHT * rowmax[~zero].max() / rowmax[zero].max()))
+    scaled = csr.astype(float)
+    scaled.data *= np.repeat(scale, np.diff(csr.indptr)) * scale[csr.indices]
+    csc = scaled.tocsc()
+    col_counts = np.diff(csc.indptr)
     if np.any(col_counts == 0):
         idx = int(np.argmin(col_counts))
         raise SingularMatrixError(f"column {idx} is empty", kind="structural")
 
     try:
-        lu = spla.splu(csr.tocsc(), permc_spec="COLAMD")
+        lu = spla.splu(csc, permc_spec="COLAMD")
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}", kind="numerical") from exc
 
     diag = np.abs(lu.U.diagonal())
-    floor = _PIVOT_TOL * max(A.max_abs(), 1e-300)
+    floor = _PIVOT_TOL * np.abs(csc.data).max()
     bad = np.nonzero(diag <= floor)[0]
     if bad.size:
         raise SingularMatrixError(
             f"pivot {diag[bad[0]]:.3e} at index {int(bad[0])} below tolerance {floor:.3e}",
             kind="numerical", pivot_index=int(bad[0]))
-    return Factorization(lu)
+    return Factorization(lu, scale)
 
 
 def matvec(A, x):

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import stokeseig.mesh as mm
 from helpers import permute_edges, refined_lshape, single_triangle_mesh, solve_problem
 from stokeseig.assembly import (J, assemble_forms, build_pencil, export_matrix,
                                 skew_free_part)
+from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.errors import AssemblyError, KindMismatchError
 from stokeseig.fields import DiscreteField, pressure_from_stress, vorticity_from_stress
 from stokeseig.mesh import build_square_mesh
 from stokeseig.quadrature import quadrature
 from stokeseig.refbasis import ned_basis, pk_basis
-from stokeseig.spaces import DofMap, SpaceDescriptor, interpolate_ned
+from stokeseig.spaces import MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor, interpolate_ned
 from stokeseig.sparselin import SparseMatrix, factorize
 
 SCHEMES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
@@ -100,10 +102,14 @@ def test_kernel_exclusion_unique_solve():
     assert np.linalg.norm(pencil.K @ x - b) / np.linalg.norm(b) < 1e-10
 
 
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
 @pytest.mark.parametrize("ell,k", SCHEMES)
 def test_multiplier_border_adds_little_lu_fill(ell, k):
-    # oracle: the same kernel removed by pinning the largest dof of the
-    # constant-J interpolant, which leaves no dense row
+    # oracle: the pinned dof of the constant-J interpolant eliminated from the
+    # system, instead of held by the multiplier row
     mesh = build_square_mesh(6, mm.BI_UNIT_SQUARE)
     desc = SpaceDescriptor(ell, k)
     forms = assemble_forms(mesh, DofMap(mesh, desc))
@@ -112,11 +118,60 @@ def test_multiplier_border_adds_little_lu_fill(ell, k):
     A, B = forms.A.sp[keep][:, keep], forms.B.sp[:, keep]
     pinned = factorize(SparseMatrix(sp.bmat([[A, B.T], [B, None]], format="csr")))
     bordered = factorize(build_pencil(forms).K)
+    assert _fill(bordered._lu) < 1.5 * _fill(pinned._lu)
 
-    def fill(fact):
-        return fact._lu.L.nnz + fact._lu.U.nnz
 
-    assert fill(bordered) < 1.5 * fill(pinned)
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_kernel_pin_keeps_stress_and_pressure(ell, k):
+    mesh = build_square_mesh(3, mm.BI_UNIT_SQUARE)
+    desc = SpaceDescriptor(ell, k)
+    forms = assemble_forms(mesh, DofMap(mesh, desc))
+    pencil = build_pencil(forms)
+    z, j = pencil.layout.kernel
+    want = interpolate_ned(mesh, desc, lambda p: J)
+    assert np.abs(z - want).max() <= 1e-15 * np.abs(want).max()
+
+    sol = solve_eig(pencil, EigConfig(nev=3))
+    for sigma in sol.sigma:
+        assert abs(j @ sigma) <= 1e-12 * np.linalg.norm(j) * np.linalg.norm(sigma)
+
+    # oracle: the stress of each eigenpair from the pencil with the dense
+    # multiplier border j, the kernel removed by the zero mean of sigma : J
+    A, B, M = forms.A.toarray(), forms.B.toarray(), forms.M.toarray()
+    ns, nu = B.shape[1], B.shape[0]
+    bordered = np.block([[A, B.T, j[:, None]],
+                         [B, np.zeros((nu, nu + 1))],
+                         [j[None, :], np.zeros((1, nu + 1))]])
+    points = quadrature(4).points
+    for lam, sigma, u in zip(sol.eigenvalues, sol.sigma, sol.u):
+        x = np.linalg.solve(bordered, np.concatenate([np.zeros(ns), -lam * M @ u, [0.0]]))
+        assert np.abs(x[ns:ns + nu] - u).max() <= 1e-10 * np.abs(u).max()
+        got, oracle = (pressure_from_stress(DiscreteField.stress(mesh, desc, s)).values_at(points)
+                       for s in (sigma, x[:ns]))
+        assert np.abs(got - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+def _square_pencil(bc, N=8):
+    mesh = build_square_mesh(N, mm.BI_UNIT_SQUARE)
+    if bc == MIXED_BOTTOM_FIXED:
+        mesh = mm.tag_bottom_fixed(build_square_mesh(N, mm.UNIT_SQUARE))
+    return build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(2, 1), bc)))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", MIXED_BOTTOM_FIXED])
+def test_constraint_scaling_cuts_lu_fill(bc):
+    K = _square_pencil(bc).K
+    plain = spla.splu(K.sp.tocsc(), permc_spec="COLAMD")
+    assert _fill(factorize(K)._lu) <= 0.75 * _fill(plain)
+
+
+def test_scaled_pin_row_adds_no_lu_fill_to_a_shifted_pencil():
+    # shifted, only the multiplier row has a zero diagonal; scaling it must not
+    # move its pivot early, as it did for a dense border
+    pencil = _square_pencil("dirichlet")
+    shifted = SparseMatrix(pencil.K.sp - 5.0 * pencil.N.sp)
+    plain = spla.splu(shifted.sp.tocsc(), permc_spec="COLAMD")
+    assert _fill(factorize(shifted)._lu) <= 1.1 * _fill(plain)
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])

@@ -4,7 +4,7 @@ import pytest
 import stokeseig.mesh as mm
 from helpers import dense_pencil_eigenvalues, solve_problem
 from stokeseig.eigsolve import EigConfig, SpectralSolution, eigen_residuals, solve_eig
-from stokeseig.errors import ConfigurationError
+from stokeseig.errors import ConfigurationError, ShiftAtEigenvalueError
 from stokeseig.mesh import build_square_mesh
 from stokeseig.spaces import MIXED_BOTTOM_FIXED
 
@@ -171,6 +171,19 @@ def test_shift_at_eigenvalue_reported():
                     PencilLayout(0, np.empty(0, dtype=int), 0, 3, 0), None)
     with pytest.raises(ShiftAtEigenvalueError):
         solve_eig(pencil, EigConfig(nev=1))
+
+
+@pytest.mark.parametrize("ell,k,bc", [(1, 0, "dirichlet"), (2, 1, "dirichlet"),
+                                      (2, 1, MIXED_BOTTOM_FIXED)])
+def test_shift_at_computed_eigenvalue_raises(ell, k, bc):
+    if bc == MIXED_BOTTOM_FIXED:
+        mesh = mm.tag_bottom_fixed(build_square_mesh(6, mm.UNIT_SQUARE))
+    else:
+        mesh = build_square_mesh(6, mm.BI_UNIT_SQUARE)
+    solution, pencil, _ = solve_problem(mesh, ell, k, nev=3, bc=bc)
+    for lam in solution.eigenvalues:
+        with pytest.raises(ShiftAtEigenvalueError):
+            solve_eig(pencil, EigConfig(nev=3, shift=float(lam)))
 
 
 def test_deterministic_given_seed():

@@ -23,6 +23,19 @@ def test_descriptor_pairs_family_and_order():
         SpaceDescriptor(1, 5)
 
 
+@pytest.mark.parametrize("ell,k", [(True, False), (1.0, 0.0), (2, 1.0), (np.float64(1), 0),
+                                   (1, True), (np.True_, 0), ("1", 0), (1, None)])
+def test_descriptor_rejects_non_integers(ell, k):
+    with pytest.raises(ConfigurationError):
+        SpaceDescriptor(ell, k)
+
+
+def test_descriptor_accepts_numpy_integers():
+    desc = SpaceDescriptor(np.int64(2), np.int32(1))
+    assert desc == SpaceDescriptor(2, 1)
+    assert desc.name == "P1-N2o2"
+
+
 def test_counts_two_triangle_square():
     mesh = build_square_mesh(1, mm.UNIT_SQUARE)
     dm = DofMap(mesh, SpaceDescriptor(1, 0))

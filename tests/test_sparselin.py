@@ -37,6 +37,23 @@ def test_random_saddle_point_residual():
     assert np.abs(A @ got - b).max() / denom <= 1e-10
 
 
+def test_scaled_solve_of_many_right_hand_sides():
+    rng = np.random.default_rng(7)
+    n, m = 40, 15
+    Ablk = rng.standard_normal((n, n))
+    Ablk = Ablk + Ablk.T + 2.0 * n * np.eye(n)
+    Bblk = 1e-3 * rng.standard_normal((m, n))
+    A = SparseMatrix.from_dense(np.block([[Ablk, Bblk.T], [Bblk, np.zeros((m, m))]]))
+    fact = factorize(A)
+    assert fact._scale[n:].min() > 1.0     # the zero-diagonal rows are scaled
+    rhs = rng.standard_normal((n + m, 3))
+    X = fact.solve(rhs)
+    for c in range(3):
+        x = fact.solve(rhs[:, c])
+        assert np.abs(X[:, c] - x).max() <= 1e-14 * np.abs(x).max()
+        assert np.abs(A @ x - rhs[:, c]).max() <= 1e-10 * np.abs(rhs[:, c]).max()
+
+
 def test_matvec_cases():
     eye = SparseMatrix.from_dense(np.eye(3))
     x = np.array([1.0, 2.0, 3.0])
