@@ -97,8 +97,7 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
 
     for iteration in range(max_iterations + 1):
         dofmap = DofMap(mesh, descriptor, bc)
-        forms = assemble_forms(mesh, dofmap, mu)
-        pencil = build_pencil(forms)
+        pencil = build_pencil(assemble_forms(mesh, dofmap, mu))
         solution = solve_eig(pencil, eig)
 
         idx = target_index if tracked is None else _track(solution.eigenvalues, tracked)

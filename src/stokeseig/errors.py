@@ -35,18 +35,16 @@ class UnsupportedSchemeError(StokesEigError):
 
 
 class SingularMatrixError(StokesEigError):
-    """Factorization hit a zero pivot.
+    """Factorization found the matrix singular.
 
-    ``kind`` is ``"structural"`` (empty row/column) or ``"numerical"``
-    (pivot below tolerance); ``pivot_index`` is set for numerical failures
-    when known.
+    ``kind`` is ``"structural"`` (empty row/column) or ``"numerical"`` (an
+    exactly zero pivot, or an estimated |A^-1|_1 max|a| of 1e12 or more).
     """
     category = "solver"
 
-    def __init__(self, message, kind, pivot_index=None):
+    def __init__(self, message, kind):
         super().__init__(message)
         self.kind = kind
-        self.pivot_index = pivot_index
 
 
 class ShiftAtEigenvalueError(StokesEigError):

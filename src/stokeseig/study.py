@@ -221,8 +221,7 @@ def extrapolate(pairs):
 def solve_on_mesh(cfg, mesh):
     """Assemble and solve one mesh; returns (solution, pencil, dofmap)."""
     dofmap = DofMap(mesh, cfg.descriptor, cfg.bc)
-    forms = assemble_forms(mesh, dofmap, cfg.mu)
-    pencil = build_pencil(forms)
+    pencil = build_pencil(assemble_forms(mesh, dofmap, cfg.mu))
     eig = EigConfig(nev=cfg.nev, seed=cfg.seed)
     return solve_eig(pencil, eig), pencil, dofmap
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import stokeseig.mesh as mm
 from helpers import dense_gauss_solve
+from stokeseig import sparselin
+from stokeseig.assembly import assemble_forms, build_pencil
 from stokeseig.errors import SingularMatrixError
+from stokeseig.spaces import DofMap, SpaceDescriptor
 from stokeseig.sparselin import SparseMatrix, factorize, matvec
 
 
@@ -99,6 +104,48 @@ def test_numerically_singular_reported():
     with pytest.raises(SingularMatrixError) as info:
         factorize(SparseMatrix.from_dense(dense))
     assert info.value.kind == "numerical"
+
+
+@pytest.mark.parametrize("dense", [
+    # rank 19 in exact arithmetic, so only rounding keeps the last pivot nonzero
+    np.random.default_rng(3).standard_normal((20, 19))
+    @ np.random.default_rng(4).standard_normal((19, 20)),
+    # a pivot so small that the solves overflow
+    np.diag([1.0, 1e-320]),
+], ids=["rank_deficient_product", "denormal_pivot"])
+def test_nearly_singular_without_zero_pivot_reported(dense):
+    A = SparseMatrix.from_dense(dense)
+    spla.splu(A.sp.tocsc(), permc_spec="COLAMD")   # SuperLU itself accepts it
+    with pytest.raises(SingularMatrixError) as info:
+        factorize(A)
+    assert info.value.kind == "numerical"
+
+
+class _FactorsUnreadable:
+    """SuperLU object that solves but refuses to hand out its factors: reading
+    ``L`` or ``U`` makes SuperLU build and keep CSC copies of both."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+    @property
+    def L(self):
+        raise AssertionError("factorize read lu.L")
+
+    @property
+    def U(self):
+        raise AssertionError("factorize read lu.U")
+
+
+def test_factorize_never_reads_the_factors(monkeypatch):
+    mesh = mm.build_square_mesh(4, mm.BI_UNIT_SQUARE)
+    K = build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(2, 1)))).K
+    b = np.random.default_rng(5).standard_normal(K.n)
+    expect = factorize(K).solve(b)
+    real_splu = spla.splu
+    monkeypatch.setattr(sparselin.spla, "splu",
+                        lambda *args, **kw: _FactorsUnreadable(real_splu(*args, **kw)))
+    assert np.array_equal(factorize(K).solve(b), expect)
 
 
 def test_rejects_non_square():
