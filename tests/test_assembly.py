@@ -165,6 +165,17 @@ def test_constraint_scaling_cuts_lu_fill(bc):
     assert _fill(factorize(K)._lu) <= 0.75 * _fill(plain)
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", MIXED_BOTTOM_FIXED])
+def test_preorder_cuts_lu_fill(bc):
+    # oracle: COLAMD on the same scaled matrix in DofMap order, whose blocks by
+    # entity type carry no mesh locality
+    K = _square_pencil(bc).K
+    fact = factorize(K)
+    D = sp.diags(fact._scale)     # powers of two, so D K D is exactly what factorize scales
+    dofmap_order = spla.splu((D @ K.sp @ D).tocsc(), permc_spec="COLAMD")
+    assert _fill(fact._lu) <= 0.92 * _fill(dofmap_order)
+
+
 def test_scaled_pin_row_adds_no_lu_fill_to_a_shifted_pencil():
     # shifted, only the multiplier row has a zero diagonal; scaling it must not
     # move its pivot early, as it did for a dense border
