@@ -170,7 +170,8 @@ def build_pencil(forms):
         # one entry, unlike a dense border row, fills nothing wherever the LU
         # pivots on it, so factorize may scale it with the velocity rows
         z = _constant_j_interpolant(dofmap)
-        pin = sp.csr_matrix(([1.0], ([0], [np.argmax(np.abs(z))])), shape=(1, n_sigma))
+        pinned = np.argmax(np.abs(z))
+        pin = sp.csr_matrix(([1.0], ([0], [pinned])), shape=(1, n_sigma))
         K = sp.bmat([[A, B.T, pin.T],
                      [B, None, None],
                      [pin, None, None]], format="csr")
@@ -182,6 +183,7 @@ def build_pencil(forms):
         Bk = B[:, keep]
         K = sp.bmat([[Ak, Bk.T], [Bk, None]], format="csr")
         kernel = None
+        pinned = None
 
     asym = abs(K - K.T).max()
     scale = abs(K).max()
@@ -195,7 +197,30 @@ def build_pencil(forms):
                       shape=(size, size)).tocsr()
 
     layout = PencilLayout(n_sigma, keep, len(keep), n_u, n_c, kernel)
-    return Pencil(SparseMatrix(K), SparseMatrix(N), layout, dofmap)
+    local = _interior_groups(dofmap, B, keep, pinned)
+    return Pencil(SparseMatrix(K, local), SparseMatrix(N), layout, dofmap)
+
+
+def _interior_groups(dofmap, B, keep, pinned):
+    """Pencil indices of the unknowns that couple only within their triangle,
+    one row per triangle (``SparseMatrix.local``); None without interior dofs.
+
+    A triangle's group is its interior stress dofs (both tensor rows) and the
+    velocity dofs whose curl moments against them are nonzero: the curl of a
+    bubble has zero mean, so the constant velocity is not one of them and
+    stays coupled to the edges.  A triangle whose interior holds the pinned
+    dof keeps its unknowns out of the groups.
+    """
+    n_int = dofmap.interior_dofs_per_tri
+    if n_int == 0:
+        return None
+    nt, p = dofmap.mesh.num_triangles, dofmap.pk.dim
+    interior = dofmap.stress_gmap[:, :, -n_int:].reshape(nt, 2 * n_int)
+    seen = np.diff(B[:, interior.ravel()].indptr) > 0
+    modes = np.flatnonzero(seen.reshape(-1, p).any(axis=0))
+    vel = len(keep) + np.arange(dofmap.n_u).reshape(nt, 2, p)[:, :, modes].reshape(nt, -1)
+    groups = np.hstack([np.searchsorted(keep, interior), vel])
+    return groups[~np.any(interior == pinned, axis=1)]
 
 
 def _constant_j_interpolant(dofmap):
@@ -210,7 +235,6 @@ def export_matrix(matrix, path):
     coo = matrix.sp.tocoo()
     try:
         with open(path, "w") as fp:
-            for i, jc, v in zip(coo.row, coo.col, coo.data):
-                fp.write(f"{i} {jc} {v:.17g}\n")
+            np.savetxt(fp, np.column_stack([coo.row, coo.col, coo.data]), fmt="%d %d %.17g")
     except OSError as exc:
         raise IOFailureError(f"cannot write matrix to {path}: {exc}") from exc

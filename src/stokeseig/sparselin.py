@@ -1,5 +1,15 @@
 """Minimal sparse linear algebra: CSR storage, matvec, direct LU solves.
 
+A matrix may carry ``local``: groups of unknowns that couple only with each
+other and with the remaining unknowns, never with another group.  The
+pencil sets them for the schemes whose stresses have interior dofs ((1,1),
+(1,2), (2,1), (2,2)): one group per triangle, its interior stress moments
+and the velocity modes they see through the curl.  ``factorize`` then
+eliminates the groups element by element and factorizes the Schur
+complement on the rest (static condensation; Arnold & Brezzi, M2AN 19,
+1985).  Matrices without groups, such as shifted pencils and the schemes
+(1,0) and (2,0), are factorized whole.
+
 Factorization is sparse LU with partial pivoting and a fill-reducing
 column ordering (COLAMD via SuperLU), after scaling the zero-diagonal
 (constraint) rows and columns by a power of two and preordering rows and
@@ -30,13 +40,19 @@ _CONSTRAINT_WEIGHT = 16.0
 
 
 class SparseMatrix:
-    """Compressed sparse rows with sorted, duplicate-free column indices."""
+    """Compressed sparse rows with sorted, duplicate-free column indices.
 
-    def __init__(self, matrix):
+    ``local`` is None or an (n_groups, g) index array of disjoint groups of
+    unknowns of a symmetric matrix: within the rows of all groups, entries
+    lie only inside a row's own group or in the columns of no group.
+    """
+
+    def __init__(self, matrix, local=None):
         csr = sp.csr_matrix(matrix)
         csr.sum_duplicates()
         csr.sort_indices()
         self.sp = csr
+        self.local = local
 
     @classmethod
     def from_triplets(cls, shape, rows, cols, vals):
@@ -85,28 +101,93 @@ class SparseMatrix:
 
 
 class Factorization:
-    """Reusable LU factors of P D A D P^T, D diagonal, P a permutation; solves
-    A x = b as x = D P^T (PDADP^T)^-1 P D b.
+    """Reusable factors of a matrix K.
 
-    ``perm`` lists the original index of each factorized row; ``scale`` is
-    D's diagonal in the original order.
+    Without groups, LU factors of P D K D P^T, D diagonal, P a permutation:
+    K x = b is solved as x = D P^T (PDKDP^T)^-1 P D b.  ``perm`` lists the
+    original index of each factorized row; ``scale`` is D's diagonal in the
+    original order.
+
+    With the groups E of ``K.local`` and the rest R, ``blocks`` holds E, R,
+    the inverses Q^-1 of the diagonal blocks Q = K[E_T, E_T], C = K[R, E] Q^-1
+    and C^T, and the LU factors, ``perm`` and ``scale`` are those of the
+    Schur complement S = K[R, R] - C K[E, R].  A solve is a block-diagonal
+    forward step, one solve with S and a back-substitution:
+    x_R = S^-1 (b_R - C b_E), x_E = Q^-1 b_E - C^T x_R.
     """
 
-    def __init__(self, lu, perm, scale):
+    def __init__(self, lu, perm, scale, blocks=None):
         self._lu = lu
         self._perm = perm
         self._scale = scale
+        self._blocks = blocks
 
-    def solve(self, b):
-        b = np.asarray(b, dtype=float)
+    def _solve_lu(self, b):
         d = self._scale.reshape((-1,) + (1,) * (b.ndim - 1))
         x = np.empty(b.shape)
         x[self._perm] = self._lu.solve((d * b)[self._perm])
         return d * x
 
+    def solve(self, b):
+        b = np.asarray(b, dtype=float)
+        if self._blocks is None:
+            return self._solve_lu(b)
+        E, R, Qinv, C, Ct = self._blocks
+        x = np.empty(b.shape)
+        bE = b[E]
+        x[R] = self._solve_lu(b[R] - C @ bE)
+        x[E] = (Qinv @ bE.reshape(Qinv.shape[:2] + (-1,))).reshape(bE.shape) - Ct @ x[R]
+        return x
+
+
+def _condense(K, local):
+    """Eliminate the groups ``local`` of the symmetric CSR matrix K; returns
+    the Schur complement S in CSR and the blocks of :class:`Factorization`."""
+    n_blocks, g = local.shape
+    E = local.ravel()
+    R = np.setdiff1d(np.arange(K.shape[0]), E)
+    rows_E = K[E]
+    KEE = rows_E[:, E].tocoo()
+    del rows_E
+    block = KEE.row // g
+    outside = block != KEE.col // g
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise SingularMatrixError(
+            f"entry ({E[KEE.row[i]]}, {E[KEE.col[i]]}) couples two eliminated groups",
+            kind="structural")
+    Q = np.zeros((n_blocks, g, g))
+    Q[block, KEE.row % g, KEE.col % g] = KEE.data
+    try:
+        Qinv = np.linalg.inv(Q)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"an eliminated block is singular: {exc}",
+                                  kind="numerical") from exc
+    cond = np.abs(Qinv).sum(axis=1).max(axis=1) * np.abs(Q).max(axis=(1, 2))
+    if not np.all(cond < _COND_LIMIT):      # also a NaN or infinite inverse
+        t = int(np.argmin(cond < _COND_LIMIT))
+        raise SingularMatrixError(
+            f"block of unknowns {local[t].tolist()}: |Q^-1|_1 max|q| = {cond[t]:.3e} "
+            f"reaches {_COND_LIMIT:.0e}", kind="numerical")
+
+    rows_R = K[R]
+    KRE = rows_R[:, E]
+    C = (KRE @ sp.bsr_matrix((Qinv, np.arange(n_blocks), np.arange(n_blocks + 1)),
+                             shape=(E.size, E.size))).tocsr()
+    S = rows_R[:, R] - C @ KRE.T
+    # C^T in CSR: a product with C.T, a CSC view, costs four times as much
+    return S.tocsr(), (E, R, Qinv, C, C.T.tocsr())
+
 
 def factorize(A):
-    """LU-factorize a square :class:`SparseMatrix`.
+    """Factorize a square :class:`SparseMatrix` for repeated solves.
+
+    When ``A.local`` is set, every group's diagonal block Q_T = A[E_T, E_T]
+    is inverted in one batched call and the rest goes on as below with the
+    Schur complement S = A_RR - A_RE Q^-1 A_ER in place of A; the block-free
+    path is A's own.  On the (2,1) pencils at N = 30 this condenses 38,161
+    unknowns to 20,161 (dirichlet) and cuts LU fill from 5.7M to 4.2M.  A
+    block counts as singular by the rule below, with its exact inverse.
 
     Rows and columns with an exactly zero diagonal are scaled by
     s = 2^round(log2(16 max|other rows| / max|zero-diagonal rows|)).  Partial
@@ -122,11 +203,12 @@ def factorize(A):
     entity type: 18-21% less on the (2,1) pencils at N = 30.
 
     Raises :class:`SingularMatrixError` for structurally singular inputs
-    (a row or column without nonzeros), and when the estimated 1-norm of the
-    inverse of the scaled matrix, times its largest entry, is not finite or
-    reaches 1e12.  The estimate (Hager 1984; Higham & Tisseur 2000, one
-    column, so deterministic) costs a few solves with the factors and, unlike
-    reading SuperLU's ``L`` or ``U``, copies neither of them.
+    (a row or column without nonzeros, or an entry that couples two groups),
+    and when the estimated 1-norm of the inverse of the scaled matrix, times
+    its largest entry, is not finite or reaches 1e12.  The estimate (Hager
+    1984; Higham & Tisseur 2000, one column, so deterministic) costs a few
+    solves with the factors and, unlike reading SuperLU's ``L`` or ``U``,
+    copies neither of them.
     """
     if A.shape[0] != A.shape[1]:
         raise SingularMatrixError(f"matrix is not square: {A.shape}", kind="structural")
@@ -135,8 +217,12 @@ def factorize(A):
     if np.any(rowmax == 0.0):
         idx = int(np.argmin(rowmax))
         raise SingularMatrixError(f"row {idx} has no nonzero entry", kind="structural")
+    blocks = None
+    if A.local is not None:
+        csr, blocks = _condense(csr, A.local)
+        rowmax = abs(csr).max(axis=1).toarray().ravel()
 
-    scale = np.ones(A.shape[0])
+    scale = np.ones(csr.shape[0])
     zero = csr.diagonal() == 0.0
     if zero.any() and not zero.all():
         scale[zero] = 2.0 ** np.round(
@@ -145,6 +231,7 @@ def factorize(A):
     # P A P^T: gather the rows, relabel the columns; tocsc sorts the indices,
     # and only its copy stays alive during splu
     rows = csr[perm]
+    del csr
     rows.indices = np.argsort(perm).astype(rows.indices.dtype)[rows.indices]
     csc = rows.tocsc().astype(float, copy=False)
     del rows
@@ -168,7 +255,7 @@ def factorize(A):
         raise SingularMatrixError(
             f"estimated |A^-1|_1 max|a| = {cond:.3e} reaches {_COND_LIMIT:.0e}",
             kind="numerical")
-    return Factorization(lu, perm, scale)
+    return Factorization(lu, perm, scale, blocks)
 
 
 def matvec(A, x):

@@ -4,9 +4,10 @@ import numpy as np
 
 from stokeseig.assembly import assemble_forms, build_pencil
 from stokeseig.eigsolve import EigConfig, solve_eig
-from stokeseig.mesh import Mesh, build_lshape_mesh, refine
+from stokeseig.mesh import (BI_UNIT_SQUARE, UNIT_SQUARE, Mesh, build_lshape_mesh,
+                            build_square_mesh, refine, tag_bottom_fixed)
 from stokeseig.quadrature import quadrature
-from stokeseig.spaces import ALL_DIRICHLET, DofMap, SpaceDescriptor
+from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
 
 
 def single_triangle_mesh():
@@ -32,6 +33,16 @@ def solve_problem(mesh, ell, k, nev=5, bc=ALL_DIRICHLET, mu=1.0, seed=20240901, 
     pencil = build_pencil(forms)
     solution = solve_eig(pencil, EigConfig(nev=nev, seed=seed, shift=shift))
     return solution, pencil, dofmap
+
+
+def square_pencil(ell, k, bc=ALL_DIRICHLET, N=8):
+    """Pencil on the bi-unit square (all-Dirichlet) or the unit square with its
+    bottom fixed (mixed)."""
+    if bc == MIXED_BOTTOM_FIXED:
+        mesh = tag_bottom_fixed(build_square_mesh(N, UNIT_SQUARE))
+    else:
+        mesh = build_square_mesh(N, BI_UNIT_SQUARE)
+    return build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k), bc)))
 
 
 def dense_gauss_solve(A, b):

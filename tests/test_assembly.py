@@ -4,7 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import stokeseig.mesh as mm
-from helpers import permute_edges, refined_lshape, single_triangle_mesh, solve_problem
+from helpers import (permute_edges, refined_lshape, single_triangle_mesh, solve_problem,
+                     square_pencil)
 from stokeseig.assembly import (J, assemble_forms, build_pencil, export_matrix,
                                 skew_free_part)
 from stokeseig.eigsolve import EigConfig, solve_eig
@@ -117,7 +118,7 @@ def test_multiplier_border_adds_little_lu_fill(ell, k):
     keep = np.delete(np.arange(z.size), np.argmax(np.abs(z)))
     A, B = forms.A.sp[keep][:, keep], forms.B.sp[:, keep]
     pinned = factorize(SparseMatrix(sp.bmat([[A, B.T], [B, None]], format="csr")))
-    bordered = factorize(build_pencil(forms).K)
+    bordered = factorize(SparseMatrix(build_pencil(forms).K.sp))
     assert _fill(bordered._lu) < 1.5 * _fill(pinned._lu)
 
 
@@ -151,16 +152,9 @@ def test_kernel_pin_keeps_stress_and_pressure(ell, k):
         assert np.abs(got - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
-def _square_pencil(bc, N=8):
-    mesh = build_square_mesh(N, mm.BI_UNIT_SQUARE)
-    if bc == MIXED_BOTTOM_FIXED:
-        mesh = mm.tag_bottom_fixed(build_square_mesh(N, mm.UNIT_SQUARE))
-    return build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(2, 1), bc)))
-
-
 @pytest.mark.parametrize("bc", ["dirichlet", MIXED_BOTTOM_FIXED])
 def test_constraint_scaling_cuts_lu_fill(bc):
-    K = _square_pencil(bc).K
+    K = SparseMatrix(square_pencil(2, 1, bc).K.sp)
     plain = spla.splu(K.sp.tocsc(), permc_spec="COLAMD")
     assert _fill(factorize(K)._lu) <= 0.75 * _fill(plain)
 
@@ -169,17 +163,24 @@ def test_constraint_scaling_cuts_lu_fill(bc):
 def test_preorder_cuts_lu_fill(bc):
     # oracle: COLAMD on the same scaled matrix in DofMap order, whose blocks by
     # entity type carry no mesh locality
-    K = _square_pencil(bc).K
+    K = SparseMatrix(square_pencil(2, 1, bc).K.sp)
     fact = factorize(K)
     D = sp.diags(fact._scale)     # powers of two, so D K D is exactly what factorize scales
     dofmap_order = spla.splu((D @ K.sp @ D).tocsc(), permc_spec="COLAMD")
     assert _fill(fact._lu) <= 0.92 * _fill(dofmap_order)
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", MIXED_BOTTOM_FIXED])
+def test_condensation_cuts_lu_fill(bc):
+    K = square_pencil(2, 1, bc).K
+    whole = factorize(SparseMatrix(K.sp))
+    assert _fill(factorize(K)._lu) <= 0.8 * _fill(whole._lu)
+
+
 def test_scaled_pin_row_adds_no_lu_fill_to_a_shifted_pencil():
     # shifted, only the multiplier row has a zero diagonal; scaling it must not
     # move its pivot early, as it did for a dense border
-    pencil = _square_pencil("dirichlet")
+    pencil = square_pencil(2, 1)
     shifted = SparseMatrix(pencil.K.sp - 5.0 * pencil.N.sp)
     plain = spla.splu(shifted.sp.tocsc(), permc_spec="COLAMD")
     assert _fill(factorize(shifted)._lu) <= 1.1 * _fill(plain)
@@ -290,3 +291,12 @@ def test_matrix_export(tmp_path):
     for i, j, v in rows:
         dense[int(i), int(j)] = float(v)
     assert np.array_equal(dense, pencil.K.toarray())
+
+
+def test_matrix_export_matches_line_by_line_text(tmp_path):
+    K = square_pencil(2, 1, N=3).K
+    path = tmp_path / "K.txt"
+    export_matrix(K, path)
+    coo = K.sp.tocoo()
+    want = "".join(f"{i} {j} {v:.17g}\n" for i, j, v in zip(coo.row, coo.col, coo.data))
+    assert path.read_text() == want

@@ -4,11 +4,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import stokeseig.mesh as mm
-from helpers import dense_gauss_solve
+from helpers import dense_gauss_solve, square_pencil
 from stokeseig import sparselin
-from stokeseig.assembly import assemble_forms, build_pencil
+from stokeseig.assembly import _interior_groups, assemble_forms, build_pencil
 from stokeseig.errors import SingularMatrixError
-from stokeseig.spaces import DofMap, SpaceDescriptor
+from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
 from stokeseig.sparselin import SparseMatrix, factorize, matvec
 
 
@@ -173,6 +173,65 @@ def test_factorize_never_reads_the_factors(monkeypatch):
     monkeypatch.setattr(sparselin.spla, "splu",
                         lambda *args, **kw: _FactorsUnreadable(real_splu(*args, **kw)))
     assert np.array_equal(factorize(K).solve(b), expect)
+
+
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_condensed_solve_matches_block_free(ell, k, bc):
+    K = square_pencil(ell, k, bc).K
+    fact, whole = factorize(K), factorize(SparseMatrix(K.sp))
+    assert fact._lu.shape[0] == K.n - K.local.size
+    rng = np.random.default_rng(8)
+    for b in (rng.standard_normal(K.n), rng.standard_normal((K.n, 3))):
+        x, want = fact.solve(b), whole.solve(b)
+        assert x.shape == b.shape
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    # refactorizing K gives the same fill (the benchmark's trace check relies on it)
+    again = factorize(K)
+    assert again._lu.L.nnz + again._lu.U.nnz == fact._lu.L.nnz + fact._lu.U.nnz
+
+
+@pytest.mark.parametrize("ell,k,width", [(1, 0, None), (2, 0, None), (1, 1, 8), (1, 2, 22),
+                                         (2, 1, 10), (2, 2, 26)])
+def test_interior_groups_per_scheme(ell, k, width):
+    pencil = square_pencil(ell, k, N=2)
+    if width is None:
+        assert pencil.K.local is None
+    else:
+        assert pencil.K.local.shape == (pencil.dofmap.mesh.num_triangles, width)
+        assert np.unique(pencil.K.local).size == pencil.K.local.size
+
+
+def test_triangle_holding_the_pinned_dof_keeps_its_unknowns():
+    mesh = mm.build_square_mesh(2, mm.BI_UNIT_SQUARE)
+    dofmap = DofMap(mesh, SpaceDescriptor(2, 1))
+    B = assemble_forms(mesh, dofmap).B.sp
+    keep = np.arange(dofmap.n_sigma)
+    groups = _interior_groups(dofmap, B, keep, None)
+    pinned = dofmap.stress_gmap[3, 1, -1]           # an interior dof of triangle 3
+    assert np.array_equal(_interior_groups(dofmap, B, keep, pinned), np.delete(groups, 3, axis=0))
+
+
+@pytest.mark.parametrize("factor", [0.0, 1e-14], ids=["singular", "ill_conditioned"])
+def test_singular_interior_block_reported(factor):
+    # (2,1): six interior stress dofs against four velocity modes, so one
+    # triangle's block is singular without its A_II part
+    K = square_pencil(2, 1, N=2).K
+    coo = K.sp.tocoo()
+    stress = K.local[0, :6]
+    coo.data[np.isin(coo.row, stress) & np.isin(coo.col, stress)] *= factor
+    with pytest.raises(SingularMatrixError) as info:
+        factorize(SparseMatrix(coo, K.local))
+    assert info.value.kind == "numerical"
+
+
+def test_entry_coupling_two_groups_reported():
+    K = square_pencil(2, 1, N=2).K
+    i, j = K.local[0, 0], K.local[1, 0]
+    link = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=K.shape)
+    with pytest.raises(SingularMatrixError) as info:
+        factorize(SparseMatrix(K.sp + link, K.local))
+    assert info.value.kind == "structural"
 
 
 def test_rejects_non_square():
