@@ -10,7 +10,7 @@ from .mesh import (Mesh, build_circle_mesh, build_lshape_mesh,
                    build_square_mesh, patches, read_mesh, refine, write_mesh)
 from .quadrature import QuadratureRule, quadrature
 from .refbasis import ReferenceBasis, ned_basis, pk_basis
-from .sparselin import Factorization, SparseMatrix, factorize, matvec
+from .sparselin import Factorization, SparseMatrix, factorize
 from .spaces import DofMap, SpaceDescriptor, interpolate_ned, l2_project_velocity
 from .study import ConvergenceReport, ExperimentConfig, extrapolate, fit_order, run_adapt, run_study
 

@@ -46,12 +46,11 @@ def skew_free_part(tau):
 
 @dataclass
 class Forms:
-    """Assembled bilinear forms on the full (unconstrained) numbering."""
-    A: SparseMatrix
-    B: SparseMatrix
-    M: SparseMatrix
+    """Assembled bilinear forms (CSR) on the full (unconstrained) numbering."""
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    M: sp.csr_matrix
     j: np.ndarray
-    mu: float
     dofmap: DofMap
 
 
@@ -59,10 +58,13 @@ class Forms:
 class PencilLayout:
     n_sigma_full: int
     keep: np.ndarray          # active stress dofs (full numbering)
-    n_sigma_active: int
     n_u: int
     n_c: int
     kernel: tuple | None = None   # (z, j) when a multiplier pins the kernel z
+
+    @property
+    def n_sigma_active(self):
+        return len(self.keep)
 
     @property
     def size(self):
@@ -81,9 +83,10 @@ class PencilLayout:
 
 @dataclass
 class Pencil:
-    """Matrix pair (K, N) whose finite eigenvalues solve the discrete problem."""
+    """Matrix pair (K, N) whose finite eigenvalues solve the discrete problem;
+    K carries the interior groups that ``factorize`` eliminates, N is CSR."""
     K: SparseMatrix
-    N: SparseMatrix
+    N: sp.csr_matrix
     layout: PencilLayout
     dofmap: DofMap
 
@@ -97,8 +100,8 @@ def _scatter(shape, blocks, rows, cols):
     without the entries that are exactly zero."""
     r = np.broadcast_to(rows[:, :, None], blocks.shape).ravel()
     c = np.broadcast_to(cols[:, None, :], blocks.shape).ravel()
-    mat = SparseMatrix.from_triplets(shape, r, c, blocks.ravel())
-    mat.sp.eliminate_zeros()
+    mat = sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
+    mat.eliminate_zeros()
     return mat
 
 
@@ -147,7 +150,7 @@ def assemble_forms(mesh, dofmap, mu=1.0):
                         det, signs)
     jvals = np.stack([phi_int[..., 1], -phi_int[..., 0]], axis=1)
     jvec = np.bincount(sdofs.ravel(), jvals.ravel(), minlength=dofmap.n_sigma)
-    return Forms(A, B, M, jvec, mu, dofmap)
+    return Forms(A, B, M, jvec, dofmap)
 
 
 def build_pencil(forms):
@@ -162,7 +165,7 @@ def build_pencil(forms):
     """
     dofmap = forms.dofmap
     n_sigma, n_u = dofmap.n_sigma, dofmap.n_u
-    A, B, M = forms.A.sp, forms.B.sp, forms.M.sp
+    A, B, M = forms.A, forms.B, forms.M
 
     if dofmap.has_mean_constraint:
         keep = np.arange(n_sigma)
@@ -196,9 +199,9 @@ def build_pencil(forms):
     N = sp.coo_matrix((Ncoo.data, (Ncoo.row + len(keep), Ncoo.col + len(keep))),
                       shape=(size, size)).tocsr()
 
-    layout = PencilLayout(n_sigma, keep, len(keep), n_u, n_c, kernel)
+    layout = PencilLayout(n_sigma, keep, n_u, n_c, kernel)
     local = _interior_groups(dofmap, B, keep, pinned)
-    return Pencil(SparseMatrix(K, local), SparseMatrix(N), layout, dofmap)
+    return Pencil(SparseMatrix(K, local), N, layout, dofmap)
 
 
 def _interior_groups(dofmap, B, keep, pinned):
@@ -231,10 +234,11 @@ def _constant_j_interpolant(dofmap):
 
 
 def export_matrix(matrix, path):
-    """Dump a sparse matrix as 'i j value' lines (debug aid)."""
-    coo = matrix.sp.tocoo()
+    """Dump a scipy sparse matrix as 'i j value' lines (debug aid)."""
+    coo = matrix.tocoo()
     try:
         with open(path, "w") as fp:
-            np.savetxt(fp, np.column_stack([coo.row, coo.col, coo.data]), fmt="%d %d %.17g")
+            fp.writelines(f"{i} {j} {v:.17g}\n"
+                          for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
     except OSError as exc:
         raise IOFailureError(f"cannot write matrix to {path}: {exc}") from exc

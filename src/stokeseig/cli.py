@@ -94,7 +94,7 @@ def _cmd_solve(args):
     if args.dump_matrices:
         from .assembly import export_matrix
         os.makedirs(cfg.out or ".", exist_ok=True)
-        export_matrix(pencil.K, os.path.join(cfg.out or ".", "pencil_K.txt"))
+        export_matrix(pencil.K.sp, os.path.join(cfg.out or ".", "pencil_K.txt"))
         export_matrix(pencil.N, os.path.join(cfg.out or ".", "pencil_N.txt"))
     return 0
 

@@ -117,7 +117,7 @@ def solve_eig(pencil, cfg):
 def _shifted(K, N, shift):
     if shift == 0.0:
         return K
-    return SparseMatrix(K.sp - shift * N.sp)
+    return SparseMatrix(K.sp - shift * N)
 
 
 def _dominant(nu, W, count):
@@ -136,7 +136,7 @@ class _VelocityOperator:
         self.vel = slice(layout.n_sigma_active, layout.n_sigma_active + layout.n_u)
         # M = -N_uu has one dense pk.dim^2 block per (triangle, component)
         p = pencil.dofmap.pk.dim
-        Muu = (-pencil.N.sp[self.vel, self.vel]).tocoo()
+        Muu = (-pencil.N[self.vel, self.vel]).tocoo()
         blocks = np.zeros((layout.n_u // p, p, p))
         blocks[Muu.row // p, Muu.row % p, Muu.col % p] = Muu.data
         self.L = np.linalg.cholesky(blocks)
@@ -158,7 +158,7 @@ class _VelocityOperator:
         """Rayleigh-Ritz on (-K, -N), -N positive definite, over the lifted vectors."""
         X = -self._solve_lifted(W) / nu      # N E u = -E M u = -E L w
         Kr = -(X.T @ (self.pencil.K.sp @ X))
-        Nr = -(X.T @ (self.pencil.N.sp @ X))
+        Nr = -(X.T @ (self.pencil.N @ X))
         lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
         vectors = X @ Y
         sigma, u = map(np.array, zip(*(self.pencil.layout.split(x) for x in vectors.T)))
@@ -167,7 +167,7 @@ class _VelocityOperator:
 
 def _residuals(pencil, lams, vectors):
     """|K x - lambda N x| / |x| for every column x of ``vectors``."""
-    K, N = pencil.K.sp, pencil.N.sp
+    K, N = pencil.K.sp, pencil.N
     return (np.linalg.norm(K @ vectors - (N @ vectors) * lams, axis=0)
             / np.linalg.norm(vectors, axis=0))
 
@@ -175,7 +175,7 @@ def _residuals(pencil, lams, vectors):
 def eigen_residuals(pencil, solution):
     """Recompute |K x - lambda N x| / |x| for every stored eigenpair."""
     x = solution.vectors
-    if x.shape[0] != pencil.K.n:
+    if x.shape[0] != pencil.K.sp.shape[0]:
         raise ValueError(f"eigenvectors have wrong dimension {x.shape[0]}")
     zero = np.flatnonzero(~np.any(x, axis=0))
     if zero.size:

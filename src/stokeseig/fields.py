@@ -46,7 +46,7 @@ class DiscreteField:
             raise KindMismatchError(
                 f"stress coefficient vector has length {coeffs.shape}, expected {dofmap.n_sigma}")
         local = dofmap.stress_local_coeffs(coeffs)
-        return cls(STRESS, mesh, {"dofmap": dofmap, "coeffs": coeffs, "local": local})
+        return cls(STRESS, mesh, {"dofmap": dofmap, "local": local})
 
     @classmethod
     def velocity(cls, mesh, order, coeffs):
@@ -58,7 +58,7 @@ class DiscreteField:
             raise KindMismatchError(
                 f"velocity coefficient vector has length {coeffs.shape}, expected {n_u}")
         local = coeffs.reshape(mesh.num_triangles, 2, pk.dim)
-        return cls(VELOCITY, mesh, {"pk": pk, "order": order, "coeffs": coeffs, "local": local})
+        return cls(VELOCITY, mesh, {"pk": pk, "order": order, "local": local})
 
     @classmethod
     def nodal_p1(cls, mesh, values):
@@ -68,10 +68,6 @@ class DiscreteField:
         return cls(NODAL_P1, mesh, {"values": values})
 
     # -- generic info ---------------------------------------------------------
-
-    @property
-    def coeffs(self):
-        return self._d.get("coeffs")
 
     @property
     def order(self):
@@ -87,6 +83,9 @@ class DiscreteField:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _triangle_ids(self, tris):
+        return np.arange(self.mesh.num_triangles) if tris is None else self.mesh.triangle_ids(tris)
+
     def values_at(self, ref_points, tris=None):
         """Evaluate on (all or selected) triangles at shared reference points.
 
@@ -94,22 +93,21 @@ class DiscreteField:
         fields, (nt, nq) for pressure.
         """
         ref_points = np.atleast_2d(ref_points)
-        if tris is None:
-            tris = np.arange(self.mesh.num_triangles)
+        ids = self._triangle_ids(tris)
         if self.kind == STRESS:
             dofmap = self._d["dofmap"]
             vhat = dofmap.ned.eval(ref_points)                     # (nd, q, 2)
             _, BinvT = self.mesh.inv_maps
-            local = self._d["local"][tris]                         # (e, 2, nd)
+            local = self._d["local"][ids]                          # (e, 2, nd)
             raw = np.einsum("erd,dqj->erqj", local, vhat)
-            return np.einsum("eij,erqj->eqri", BinvT[tris], raw)
+            return np.einsum("eij,erqj->eqri", BinvT[ids], raw)
         if self.kind == VELOCITY:
             phat = self._d["pk"].eval(ref_points)                  # (np, q)
-            return np.einsum("ecd,dq->eqc", self._d["local"][tris], phat)
+            return np.einsum("ecd,dq->eqc", self._d["local"][ids], phat)
         if self.kind == NODAL_P1:
             bary = np.column_stack([1.0 - ref_points[:, 0] - ref_points[:, 1],
                                     ref_points[:, 0], ref_points[:, 1]])
-            vv = self._d["values"][self.mesh.tri_vertices[tris]]   # (e, 3, 2)
+            vv = self._d["values"][self.mesh.tri_vertices[ids]]    # (e, 3, 2)
             return np.einsum("qb,ebc->eqc", bary, vv)
         if self.kind == PRESSURE:
             s = self._d["stress"].values_at(ref_points, tris)
@@ -124,8 +122,7 @@ class DiscreteField:
         if self.kind != STRESS:
             raise KindMismatchError(f"curl is defined for stress fields, not {self.kind}")
         ref_points = np.atleast_2d(ref_points)
-        if tris is None:
-            tris = np.arange(self.mesh.num_triangles)
+        tris = self._triangle_ids(tris)
         dofmap = self._d["dofmap"]
         chat = dofmap.ned.eval_curl(ref_points)                    # (nd, q)
         _, _, det = self.mesh.affine_maps
@@ -136,8 +133,7 @@ class DiscreteField:
         """Spatial jacobians: stress (nt, nq, 2, 2, 2) with [row, comp, deriv],
         velocity (nt, nq, 2, 2) with [comp, deriv]."""
         ref_points = np.atleast_2d(ref_points)
-        if tris is None:
-            tris = np.arange(self.mesh.num_triangles)
+        tris = self._triangle_ids(tris)
         Binv, BinvT = self.mesh.inv_maps
         if self.kind == STRESS:
             dofmap = self._d["dofmap"]
@@ -154,12 +150,12 @@ class DiscreteField:
 
     def eval_at(self, tri, points):
         """Evaluate at physical points lying inside triangle ``tri``."""
+        tris = self.mesh.triangle_ids([tri])
         points = np.atleast_2d(points)
-        B, origin, _ = self.mesh.affine_maps
+        _, origin, _ = self.mesh.affine_maps
         Binv, _ = self.mesh.inv_maps
-        ref = (points - origin[tri]) @ Binv[tri].T
-        out = self.values_at(ref, tris=np.array([tri]))
-        return out[0]
+        ref = (points - origin[tris[0]]) @ Binv[tris[0]].T
+        return self.values_at(ref, tris)[0]
 
 
 def pressure_from_stress(sigma):

@@ -91,6 +91,15 @@ class Mesh:
     def num_triangles(self):
         return self.tri_vertices.shape[0]
 
+    def triangle_ids(self, ids):
+        """``ids`` as an int64 array; a bool, non-integer or out-of-range
+        triangle id raises :class:`MeshError`."""
+        ids = list(ids)
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                   and 0 <= t < self.num_triangles for t in ids):
+            raise MeshError(f"triangle ids must be integers in [0, {self.num_triangles})")
+        return np.array(ids, dtype=np.int64)
+
     def __repr__(self):
         return (f"Mesh({self.num_vertices} vertices, {self.num_edges} edges, "
                 f"{self.num_triangles} triangles)")
@@ -353,13 +362,9 @@ def refine(mesh, marked):
     propagate until no hanging vertex remains.  Boundary tags are inherited
     by the halves of split boundary edges.
     """
-    marked = list(marked)
-    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
-               and 0 <= t < mesh.num_triangles for t in marked):
-        raise MeshError("marked set contains an invalid triangle id")
-    if not marked:
+    marked = mesh.triangle_ids(marked)
+    if not marked.size:
         return mesh
-    marked = np.array(marked, dtype=np.int64)
 
     ref_edge = mesh.tri_edges[:, 0]
     edge_marked = np.zeros(mesh.num_edges, dtype=bool)

@@ -75,7 +75,6 @@ class DofMap:
 
         per_edge = self.ned.num_edge_dofs // 3
         n_int = self.ned.dim - 3 * per_edge
-        self.edge_dofs_per_edge = per_edge
         self.interior_dofs_per_tri = n_int
         nt, ne = mesh.num_triangles, mesh.num_edges
         self.n_vec = ne * per_edge + nt * n_int

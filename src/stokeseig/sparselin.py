@@ -1,4 +1,4 @@
-"""Minimal sparse linear algebra: CSR storage, matvec, direct LU solves.
+"""Direct LU solves of a sparse matrix, with static condensation of interior groups.
 
 A matrix may carry ``local``: groups of unknowns that couple only with each
 other and with the remaining unknowns, never with another group.  The
@@ -40,11 +40,14 @@ _CONSTRAINT_WEIGHT = 16.0
 
 
 class SparseMatrix:
-    """Compressed sparse rows with sorted, duplicate-free column indices.
+    """A matrix in canonical CSR (``sp``) with the groups ``factorize`` may
+    eliminate.
 
     ``local`` is None or an (n_groups, g) index array of disjoint groups of
     unknowns of a symmetric matrix: within the rows of all groups, entries
     lie only inside a row's own group or in the columns of no group.
+    Duplicates are summed here because ``_condense`` fills its blocks by
+    assignment and would keep only one of them.
     """
 
     def __init__(self, matrix, local=None):
@@ -54,45 +57,10 @@ class SparseMatrix:
         self.sp = csr
         self.local = local
 
-    @classmethod
-    def from_triplets(cls, shape, rows, cols, vals):
-        if np.isscalar(shape):
-            shape = (shape, shape)
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape))
-
-    @classmethod
-    def from_dense(cls, dense):
-        return cls(sp.csr_matrix(np.asarray(dense, dtype=float)))
-
-    @property
-    def shape(self):
-        return self.sp.shape
-
-    @property
-    def n(self):
-        return self.sp.shape[0]
-
-    @property
-    def indptr(self):
-        return self.sp.indptr
-
-    @property
-    def indices(self):
-        return self.sp.indices
-
-    @property
-    def values(self):
-        return self.sp.data
-
+    # nnz and norm_inf stay because the benchmark (perfbench/) reads them
     @property
     def nnz(self):
         return self.sp.nnz
-
-    def __matmul__(self, x):
-        return matvec(self, x)
-
-    def toarray(self):
-        return self.sp.toarray()
 
     def norm_inf(self):
         if self.nnz == 0:
@@ -210,9 +178,9 @@ def factorize(A):
     solves with the factors and, unlike reading SuperLU's ``L`` or ``U``,
     copies neither of them.
     """
-    if A.shape[0] != A.shape[1]:
-        raise SingularMatrixError(f"matrix is not square: {A.shape}", kind="structural")
     csr = A.sp
+    if csr.shape[0] != csr.shape[1]:
+        raise SingularMatrixError(f"matrix is not square: {csr.shape}", kind="structural")
     rowmax = abs(csr).max(axis=1).toarray().ravel()
     if np.any(rowmax == 0.0):
         idx = int(np.argmin(rowmax))
@@ -256,10 +224,3 @@ def factorize(A):
             f"estimated |A^-1|_1 max|a| = {cond:.3e} reaches {_COND_LIMIT:.0e}",
             kind="numerical")
     return Factorization(lu, perm, scale, blocks)
-
-
-def matvec(A, x):
-    x = np.asarray(x)
-    if x.shape[0] != A.shape[1]:
-        raise ValueError(f"dimension mismatch: matrix {A.shape}, vector {x.shape}")
-    return A.sp @ x

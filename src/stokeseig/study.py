@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,9 +148,7 @@ class ConvergenceReport:
     dofs: np.ndarray
     lambdas: np.ndarray          # (len(N), nev)
     orders: np.ndarray           # (nev,)
-    fit_residuals: np.ndarray    # (nev,)
     extrapolated: np.ndarray     # (nev,)
-    extrap_info: list = field(default_factory=list)
 
     def relative_errors(self):
         return np.abs(self.lambdas - self.extrapolated[None, :]) / np.abs(self.extrapolated)
@@ -241,19 +239,16 @@ def run_study(cfg):
 
     extr = np.empty(cfg.nev)
     orders = np.empty(cfg.nev)
-    residuals = np.empty(cfg.nev)
-    info = []
     for i in range(cfg.nev):
-        lam_inf, C, t = extrapolate(list(zip(h, lambdas[:, i])))
+        lam_inf = extrapolate(list(zip(h, lambdas[:, i])))[0]
         extr[i] = lam_inf
-        info.append((C, t))
         errs = np.abs(lambdas[:, i] - lam_inf)
         good = errs > 1e-13 * abs(lam_inf)
         if good.sum() >= 2:
-            orders[i], residuals[i] = fit_order(list(zip(h[good], errs[good])))
+            orders[i] = fit_order(list(zip(h[good], errs[good])))[0]
         else:
-            orders[i], residuals[i] = float("nan"), 0.0
-    report = ConvergenceReport(cfg, h, dofs, lambdas, orders, residuals, extr, info)
+            orders[i] = float("nan")
+    report = ConvergenceReport(cfg, h, dofs, lambdas, orders, extr)
     if cfg.out:
         write_study_outputs(report)
     return report

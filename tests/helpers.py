@@ -70,7 +70,7 @@ def dense_gauss_solve(A, b):
 def dense_pencil_eigenvalues(pencil):
     """Finite positive generalized eigenvalues by a dense QZ-style solve."""
     from scipy.linalg import eig
-    w, _ = eig(pencil.K.toarray(), pencil.N.toarray(), homogeneous_eigvals=True)
+    w, _ = eig(pencil.K.sp.toarray(), pencil.N.toarray(), homogeneous_eigvals=True)
     alphas, betas = w[0], w[1]
     lam = []
     scale = np.abs(alphas).max()

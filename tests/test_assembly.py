@@ -58,7 +58,7 @@ def test_constant_j_field_in_a_kernel():
     dm = DofMap(mesh, desc)
     forms = assemble_forms(mesh, dm)
     cj = interpolate_ned(mesh, desc, lambda p: J)
-    scale = np.abs(forms.A.values).max()
+    scale = np.abs(forms.A.data).max()
     assert np.abs(forms.A @ cj).max() < 1e-12 * scale
     # the multiplier row evaluates to 2 |Omega| on the same field
     assert abs(forms.j @ cj - 2.0 * mesh.tri_areas.sum()) < 1e-12
@@ -100,7 +100,7 @@ def test_kernel_exclusion_unique_solve():
     rng = np.random.default_rng(5)
     b = rng.standard_normal(pencil.layout.size)
     x = fact.solve(b)
-    assert np.linalg.norm(pencil.K @ x - b) / np.linalg.norm(b) < 1e-10
+    assert np.linalg.norm(pencil.K.sp @ x - b) / np.linalg.norm(b) < 1e-10
 
 
 def _fill(lu):
@@ -116,7 +116,7 @@ def test_multiplier_border_adds_little_lu_fill(ell, k):
     forms = assemble_forms(mesh, DofMap(mesh, desc))
     z = interpolate_ned(mesh, desc, lambda p: J)
     keep = np.delete(np.arange(z.size), np.argmax(np.abs(z)))
-    A, B = forms.A.sp[keep][:, keep], forms.B.sp[:, keep]
+    A, B = forms.A[keep][:, keep], forms.B[:, keep]
     pinned = factorize(SparseMatrix(sp.bmat([[A, B.T], [B, None]], format="csr")))
     bordered = factorize(SparseMatrix(build_pencil(forms).K.sp))
     assert _fill(bordered._lu) < 1.5 * _fill(pinned._lu)
@@ -181,7 +181,7 @@ def test_scaled_pin_row_adds_no_lu_fill_to_a_shifted_pencil():
     # shifted, only the multiplier row has a zero diagonal; scaling it must not
     # move its pivot early, as it did for a dense border
     pencil = square_pencil(2, 1)
-    shifted = SparseMatrix(pencil.K.sp - 5.0 * pencil.N.sp)
+    shifted = SparseMatrix(pencil.K.sp - 5.0 * pencil.N)
     plain = spla.splu(shifted.sp.tocsc(), permc_spec="COLAMD")
     assert _fill(factorize(shifted)._lu) <= 1.1 * _fill(plain)
 
@@ -212,7 +212,7 @@ def test_curl_block_stores_no_rounding_noise(ell, k):
     assert rel[rel >= 1e-12].min() >= 1e-3
 
     mesh = build_square_mesh(3, mm.BI_UNIT_SQUARE)
-    B = assemble_forms(mesh, DofMap(mesh, desc)).B.sp
+    B = assemble_forms(mesh, DofMap(mesh, desc)).B
     assert np.abs(B.data).min() >= 1e-12 * np.abs(B.data).max()
 
 
@@ -284,19 +284,20 @@ def test_matrix_export(tmp_path):
     dm = DofMap(mesh, SpaceDescriptor(1, 0))
     pencil = build_pencil(assemble_forms(mesh, dm))
     path = tmp_path / "K.txt"
-    export_matrix(pencil.K, path)
+    K = pencil.K.sp
+    export_matrix(K, path)
     rows = [ln.split() for ln in path.read_text().strip().splitlines()]
-    assert len(rows) == pencil.K.nnz
-    dense = np.zeros(pencil.K.shape)
+    assert len(rows) == K.nnz
+    dense = np.zeros(K.shape)
     for i, j, v in rows:
         dense[int(i), int(j)] = float(v)
-    assert np.array_equal(dense, pencil.K.toarray())
+    assert np.array_equal(dense, K.toarray())
 
 
 def test_matrix_export_matches_line_by_line_text(tmp_path):
-    K = square_pencil(2, 1, N=3).K
+    K = square_pencil(2, 1, N=3).K.sp
     path = tmp_path / "K.txt"
     export_matrix(K, path)
-    coo = K.sp.tocoo()
+    coo = K.tocoo()
     want = "".join(f"{i} {j} {v:.17g}\n" for i, j, v in zip(coo.row, coo.col, coo.data))
     assert path.read_text() == want

@@ -1,9 +1,11 @@
-"""The benchmark's traced run (``perfbench/run.py --trace 1``) accepts a small solve.
+"""The benchmark (``perfbench/run.py``) accepts a small solve, traced or not.
 
 ``perfbench/worker.py::check_trace`` refactorizes the final pencil's K and
-compares its LU fill, dof count and call counts with what the tracer saw; a
-library change that breaks that contract otherwise shows only as a failed
-benchmark run.  The benchmark files are imported read-only.
+compares its LU fill, dof count and call counts with what the tracer saw;
+``perfbench/workloads.py::gate`` reads the dof count, ``K.norm_inf()`` and
+``eigen_residuals``.  A library change that breaks either contract otherwise
+shows only as a failed benchmark run.  The benchmark files are imported
+read-only.
 """
 
 import os
@@ -12,6 +14,7 @@ import sys
 import pytest
 
 from stokeseig import study
+from stokeseig.eigsolve import eigen_residuals
 from stokeseig.study import ExperimentConfig
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -45,4 +48,9 @@ def test_traced_solve_passes_check_trace(perfbench):
     finally:
         tracer.uninstall()
     result = {"mesh": mesh, "solution": solution, "pencil": pencil}
-    assert worker.check_trace(name, cfg, result, workloads.summary(name, result), tracer) == []
+    got = workloads.summary(name, result)
+    assert worker.check_trace(name, cfg, result, got, tracer) == []
+    # what the untraced gate (--trace 0) reads of the library besides the reference values
+    assert got["dofs"] == pencil.layout.size
+    bound = workloads.RESIDUAL_FACTOR * pencil.K.norm_inf()
+    assert max(eigen_residuals(pencil, solution)) <= bound

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import stokeseig.mesh as mm
 from helpers import dense_pencil_eigenvalues, solve_problem
@@ -166,9 +167,8 @@ def test_shift_at_eigenvalue_reported():
 
     singular = np.zeros((3, 3))
     singular[0, 0] = 1.0
-    pencil = Pencil(SparseMatrix.from_dense(singular),
-                    SparseMatrix.from_dense(-np.eye(3)),
-                    PencilLayout(0, np.empty(0, dtype=int), 0, 3, 0), None)
+    pencil = Pencil(SparseMatrix(singular), sp.csr_matrix(-np.eye(3)),
+                    PencilLayout(0, np.empty(0, dtype=int), 3, 0), None)
     with pytest.raises(ShiftAtEigenvalueError):
         solve_eig(pencil, EigConfig(nev=1))
 

@@ -4,7 +4,7 @@ import pytest
 import stokeseig.mesh as mm
 from helpers import field_l2_norm
 from stokeseig.assembly import J, skew_free_part
-from stokeseig.errors import KindMismatchError
+from stokeseig.errors import KindMismatchError, MeshError
 from stokeseig.fields import (DiscreteField, element_integrals,
                               pressure_from_stress, theta_postprocess,
                               vorticity_from_stress)
@@ -78,6 +78,26 @@ def test_kind_checks():
     with pytest.raises(KindMismatchError):
         vorticity_from_stress(sigma, pressure_from_stress(other), mu=1.0)
 
+
+
+@pytest.mark.parametrize("tri", [-1, 8, True, 1.0], ids=["negative", "past_end", "bool", "float"])
+def test_invalid_triangle_id_rejected(tri):
+    mesh = build_square_mesh(2, mm.UNIT_SQUARE)
+    assert mesh.num_triangles == 8
+    sigma = _stress_of(mesh, lambda q: np.array([[1.0, 2.0], [3.0, 4.0]]), ell=2, k=1)
+    centroid = np.full((1, 2), 1.0 / 3.0)
+    # valid ids select rows of the all-triangle evaluation
+    assert np.allclose(sigma.eval_at(7, mesh.vertices[mesh.tri_vertices[7]].mean(axis=0)),
+                       sigma.values_at(centroid)[7], atol=1e-12)
+    assert np.array_equal(sigma.curl_at(centroid, [0, 7]), sigma.curl_at(centroid)[[0, 7]])
+    with pytest.raises(MeshError):
+        sigma.eval_at(tri, mesh.vertices[mesh.tri_vertices[0]].mean(axis=0))
+    methods = (sigma.values_at, sigma.curl_at, sigma.jacobian_at,
+               pressure_from_stress(sigma).values_at)
+    for tris in ([tri], np.array([tri]), [0, tri]):
+        for method in methods:
+            with pytest.raises(MeshError):
+                method(centroid, tris)
 
 def test_theta_reproduces_constants():
     mesh = build_square_mesh(3, mm.UNIT_SQUARE)

@@ -9,18 +9,18 @@ from stokeseig import sparselin
 from stokeseig.assembly import _interior_groups, assemble_forms, build_pencil
 from stokeseig.errors import SingularMatrixError
 from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
-from stokeseig.sparselin import SparseMatrix, factorize, matvec
+from stokeseig.sparselin import SparseMatrix, factorize
 
 
 def test_identity_solve():
-    A = SparseMatrix.from_dense(np.eye(4))
+    A = SparseMatrix(np.eye(4))
     fact = factorize(A)
     b = np.array([1.0, -2.0, 3.0, 0.5])
     assert np.allclose(fact.solve(b), b, atol=1e-14)
 
 
 def test_antidiagonal_needs_pivoting():
-    A = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
+    A = SparseMatrix([[0.0, 1.0], [1.0, 0.0]])
     fact = factorize(A)
     assert np.allclose(fact.solve(np.array([1.0, 2.0])), [2.0, 1.0], atol=1e-14)
 
@@ -35,12 +35,12 @@ def test_random_saddle_point_residual():
     # sparsify: zero small entries while keeping symmetry and full rank
     K[np.abs(K) < 0.4] = 0.0
     K = (K + K.T) / 2.0
-    A = SparseMatrix.from_dense(K)
+    A = SparseMatrix(K)
     x = rng.standard_normal(n + m)
-    b = A @ x
+    b = A.sp @ x
     got = factorize(A).solve(b)
     denom = A.norm_inf() * np.abs(got).max() + np.abs(b).max()
-    assert np.abs(A @ got - b).max() / denom <= 1e-10
+    assert np.abs(A.sp @ got - b).max() / denom <= 1e-10
 
 
 def test_scaled_solve_of_many_right_hand_sides():
@@ -49,7 +49,7 @@ def test_scaled_solve_of_many_right_hand_sides():
     Ablk = rng.standard_normal((n, n))
     Ablk = Ablk + Ablk.T + 2.0 * n * np.eye(n)
     Bblk = 1e-3 * rng.standard_normal((m, n))
-    A = SparseMatrix.from_dense(np.block([[Ablk, Bblk.T], [Bblk, np.zeros((m, m))]]))
+    A = SparseMatrix(np.block([[Ablk, Bblk.T], [Bblk, np.zeros((m, m))]]))
     fact = factorize(A)
     assert fact._scale[n:].min() > 1.0     # the zero-diagonal rows are scaled
     rhs = rng.standard_normal((n + m, 3))
@@ -57,7 +57,7 @@ def test_scaled_solve_of_many_right_hand_sides():
     for c in range(3):
         x = fact.solve(rhs[:, c])
         assert np.abs(X[:, c] - x).max() <= 1e-14 * np.abs(x).max()
-        assert np.abs(A @ x - rhs[:, c]).max() <= 1e-10 * np.abs(rhs[:, c]).max()
+        assert np.abs(A.sp @ x - rhs[:, c]).max() <= 1e-10 * np.abs(rhs[:, c]).max()
 
 
 def test_preordered_solve_round_trip():
@@ -73,7 +73,7 @@ def test_preordered_solve_round_trip():
     dense = np.block([[Ablk, Cblk], [Bblk, np.zeros((m, m))]])
     q = rng.permutation(n + m)
     dense = dense[q][:, q]
-    A = SparseMatrix.from_dense(dense)
+    A = SparseMatrix(dense)
     fact = factorize(A)
     assert np.any(fact._scale != 1.0)
     assert not np.array_equal(fact._perm, np.arange(n + m))
@@ -86,25 +86,6 @@ def test_preordered_solve_round_trip():
         assert np.array_equal(factorize(A).solve(b), x)
 
 
-def test_matvec_cases():
-    eye = SparseMatrix.from_dense(np.eye(3))
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(matvec(eye, x), x)
-    zero = SparseMatrix.from_triplets(3, [], [], [])
-    assert np.array_equal(zero @ x, np.zeros(3))
-    rng = np.random.default_rng(2)
-    dense = rng.standard_normal((3, 3))
-    A = SparseMatrix.from_dense(dense)
-    # triple-loop oracle
-    want = np.zeros(3)
-    for i in range(3):
-        for j in range(3):
-            want[i] += dense[i, j] * x[j]
-    assert np.allclose(A @ x, want, atol=1e-14)
-    with pytest.raises(ValueError):
-        matvec(A, np.ones(5))
-
-
 @pytest.mark.parametrize("n", [5, 17, 50])
 def test_matches_dense_elimination_oracle(n):
     rng = np.random.default_rng(n)
@@ -112,7 +93,7 @@ def test_matches_dense_elimination_oracle(n):
     dense[np.abs(dense) < 0.5] = 0.0
     dense += n * np.eye(n) * 0.0
     b = rng.standard_normal(n)
-    A = SparseMatrix.from_dense(dense)
+    A = SparseMatrix(dense)
     x_sparse = factorize(A).solve(b)
     x_oracle = dense_gauss_solve(dense, b)
     assert np.abs(x_sparse - x_oracle).max() <= 1e-9 * max(1.0, np.abs(x_oracle).max())
@@ -122,14 +103,14 @@ def test_structurally_singular_reported():
     dense = np.eye(4)
     dense[2, 2] = 0.0
     with pytest.raises(SingularMatrixError) as info:
-        factorize(SparseMatrix.from_dense(dense))
+        factorize(SparseMatrix(dense))
     assert info.value.kind in ("structural", "numerical")
 
 
 def test_numerically_singular_reported():
     dense = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError) as info:
-        factorize(SparseMatrix.from_dense(dense))
+        factorize(SparseMatrix(dense))
     assert info.value.kind == "numerical"
 
 
@@ -141,7 +122,7 @@ def test_numerically_singular_reported():
     np.diag([1.0, 1e-320]),
 ], ids=["rank_deficient_product", "denormal_pivot"])
 def test_nearly_singular_without_zero_pivot_reported(dense):
-    A = SparseMatrix.from_dense(dense)
+    A = SparseMatrix(dense)
     spla.splu(A.sp.tocsc(), permc_spec="COLAMD")   # SuperLU itself accepts it
     with pytest.raises(SingularMatrixError) as info:
         factorize(A)
@@ -167,7 +148,7 @@ class _FactorsUnreadable:
 def test_factorize_never_reads_the_factors(monkeypatch):
     mesh = mm.build_square_mesh(4, mm.BI_UNIT_SQUARE)
     K = build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(2, 1)))).K
-    b = np.random.default_rng(5).standard_normal(K.n)
+    b = np.random.default_rng(5).standard_normal(K.sp.shape[0])
     expect = factorize(K).solve(b)
     real_splu = spla.splu
     monkeypatch.setattr(sparselin.spla, "splu",
@@ -180,9 +161,10 @@ def test_factorize_never_reads_the_factors(monkeypatch):
 def test_condensed_solve_matches_block_free(ell, k, bc):
     K = square_pencil(ell, k, bc).K
     fact, whole = factorize(K), factorize(SparseMatrix(K.sp))
-    assert fact._lu.shape[0] == K.n - K.local.size
+    n = K.sp.shape[0]
+    assert fact._lu.shape[0] == n - K.local.size
     rng = np.random.default_rng(8)
-    for b in (rng.standard_normal(K.n), rng.standard_normal((K.n, 3))):
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         x, want = fact.solve(b), whole.solve(b)
         assert x.shape == b.shape
         assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
@@ -205,7 +187,7 @@ def test_interior_groups_per_scheme(ell, k, width):
 def test_triangle_holding_the_pinned_dof_keeps_its_unknowns():
     mesh = mm.build_square_mesh(2, mm.BI_UNIT_SQUARE)
     dofmap = DofMap(mesh, SpaceDescriptor(2, 1))
-    B = assemble_forms(mesh, dofmap).B.sp
+    B = assemble_forms(mesh, dofmap).B
     keep = np.arange(dofmap.n_sigma)
     groups = _interior_groups(dofmap, B, keep, None)
     pinned = dofmap.stress_gmap[3, 1, -1]           # an interior dof of triangle 3
@@ -228,23 +210,27 @@ def test_singular_interior_block_reported(factor):
 def test_entry_coupling_two_groups_reported():
     K = square_pencil(2, 1, N=2).K
     i, j = K.local[0, 0], K.local[1, 0]
-    link = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=K.shape)
+    link = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=K.sp.shape)
     with pytest.raises(SingularMatrixError) as info:
         factorize(SparseMatrix(K.sp + link, K.local))
     assert info.value.kind == "structural"
 
 
 def test_rejects_non_square():
-    A = SparseMatrix.from_triplets((2, 3), [0, 1], [0, 2], [1.0, 1.0])
+    A = SparseMatrix(sp.csr_matrix(([1.0, 1.0], ([0, 1], [0, 2])), shape=(2, 3)))
     with pytest.raises(SingularMatrixError):
         factorize(A)
 
 
-def test_csr_invariants():
-    A = SparseMatrix.from_triplets(3, [0, 0, 1, 2, 0], [2, 1, 1, 0, 2], [1.0, 2.0, 3.0, 4.0, 5.0])
-    # duplicates summed, indices sorted per row
-    assert A.nnz == 4
-    for r in range(3):
-        idx = A.indices[A.indptr[r]:A.indptr[r + 1]]
-        assert np.all(np.diff(idx) > 0)
-    assert A.toarray()[0, 2] == 6.0
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+def test_forms_and_pencil_are_canonical_csr(ell, k, bc):
+    # sorted, duplicate-free CSR: _condense fills its blocks by assignment
+    mesh = mm.build_square_mesh(3, mm.UNIT_SQUARE)
+    if bc == MIXED_BOTTOM_FIXED:
+        mesh = mm.tag_bottom_fixed(mesh)
+    forms = assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k), bc))
+    pencil = build_pencil(forms)
+    for mat in (forms.A, forms.B, forms.M, pencil.K.sp, pencil.N):
+        assert sp.isspmatrix_csr(mat)
+        assert mat.has_canonical_format
