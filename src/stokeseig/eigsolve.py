@@ -81,8 +81,11 @@ def solve_eig(pencil, cfg):
     try:
         fact = factorize(_shifted(K, N, cfg.shift))
     except SingularMatrixError as exc:
+        # a singular element block need not make the shift an eigenvalue of the
+        # pencil, but another shift is the remedy in both cases
         raise ShiftAtEigenvalueError(
-            f"shift {cfg.shift} is (numerically) an eigenvalue: {exc}") from exc
+            f"shift {cfg.shift} is (numerically) an eigenvalue of the pencil or of an "
+            f"eliminated element block: {exc}") from exc
     op = _VelocityOperator(pencil, fact)
 
     k = cfg.nev + _SPARE_RITZ
@@ -117,7 +120,9 @@ def solve_eig(pencil, cfg):
 def _shifted(K, N, shift):
     if shift == 0.0:
         return K
-    return SparseMatrix(K.sp - shift * N)
+    # theta N couples a triangle's velocity modes only with each other, so
+    # K's interior groups stay valid
+    return SparseMatrix(K.sp - shift * N, K.local)
 
 
 def _dominant(nu, W, count):
@@ -161,15 +166,17 @@ class _VelocityOperator:
         Nr = -(X.T @ (self.pencil.N @ X))
         lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
         vectors = X @ Y
+        del X
         sigma, u = map(np.array, zip(*(self.pencil.layout.split(x) for x in vectors.T)))
         return SpectralSolution(lams, sigma, u, _residuals(self.pencil, lams, vectors), vectors)
 
 
 def _residuals(pencil, lams, vectors):
-    """|K x - lambda N x| / |x| for every column x of ``vectors``."""
+    """|K x - lambda N x| / |x| for every column x of ``vectors``, one at a time
+    so that no temporary has the size of ``vectors``."""
     K, N = pencil.K.sp, pencil.N
-    return (np.linalg.norm(K @ vectors - (N @ vectors) * lams, axis=0)
-            / np.linalg.norm(vectors, axis=0))
+    return np.array([np.linalg.norm(K @ x - (N @ x) * lam) / np.linalg.norm(x)
+                     for lam, x in zip(lams, vectors.T)])
 
 
 def eigen_residuals(pencil, solution):

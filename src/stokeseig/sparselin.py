@@ -7,8 +7,9 @@ pencil sets them for the schemes whose stresses have interior dofs ((1,1),
 and the velocity modes they see through the curl.  ``factorize`` then
 eliminates the groups element by element and factorizes the Schur
 complement on the rest (static condensation; Arnold & Brezzi, M2AN 19,
-1985).  Matrices without groups, such as shifted pencils and the schemes
-(1,0) and (2,0), are factorized whole.
+1985).  The groups stay valid for shifted pencils K - theta N, because
+theta N couples a triangle's velocity modes only with each other.  Matrices
+without groups, those of the schemes (1,0) and (2,0), are factorized whole.
 
 Factorization is sparse LU with partial pivoting and a fill-reducing
 column ordering (COLAMD via SuperLU), after scaling the zero-diagonal
@@ -19,7 +20,9 @@ dof numbering is blocked by entity type and carries no mesh locality, and
 the RCM preorder supplies it.  Singular systems are reported as errors
 instead of producing garbage solutions; numerical singularity is judged
 from a 1-norm estimate of the inverse, so only the LU factors are kept in
-memory.
+memory.  While SuperLU allocates them, only the input matrix, the scaled
+matrix handed to it and the inverted blocks are alive besides; the coupling
+blocks of the condensation are built after it returns.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ class SparseMatrix:
     unknowns of a symmetric matrix: within the rows of all groups, entries
     lie only inside a row's own group or in the columns of no group.
     Duplicates are summed here because ``_condense`` fills its blocks by
-    assignment and would keep only one of them.
+    assignment and would keep only one of them.  ``sp`` is not to be changed
+    in place: its infinity norm is computed here, once, so that the residual
+    check after a solve makes no ``abs`` copy next to the LU factors.
     """
 
     def __init__(self, matrix, local=None):
@@ -56,6 +61,7 @@ class SparseMatrix:
         csr.sort_indices()
         self.sp = csr
         self.local = local
+        self._norm_inf = float(abs(csr).sum(axis=1).max()) if csr.nnz else 0.0
 
     # nnz and norm_inf stay because the benchmark (perfbench/) reads them
     @property
@@ -63,9 +69,7 @@ class SparseMatrix:
         return self.sp.nnz
 
     def norm_inf(self):
-        if self.nnz == 0:
-            return 0.0
-        return float(abs(self.sp).sum(axis=1).max())
+        return self._norm_inf
 
 
 class Factorization:
@@ -110,12 +114,13 @@ class Factorization:
 
 def _condense(K, local):
     """Eliminate the groups ``local`` of the symmetric CSR matrix K; returns
-    the Schur complement S in CSR and the blocks of :class:`Factorization`."""
+    the Schur complement S in CSR, E, R and the inverted blocks Q^-1."""
     n_blocks, g = local.shape
     E = local.ravel()
     R = np.setdiff1d(np.arange(K.shape[0]), E)
     rows_E = K[E]
     KEE = rows_E[:, E].tocoo()
+    KER = rows_E[:, R]
     del rows_E
     block = KEE.row // g
     outside = block != KEE.col // g
@@ -128,23 +133,27 @@ def _condense(K, local):
     Q[block, KEE.row % g, KEE.col % g] = KEE.data
     try:
         Qinv = np.linalg.inv(Q)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"an eliminated block is singular: {exc}",
-                                  kind="numerical") from exc
+    except np.linalg.LinAlgError:
+        # LAPACK met an exactly zero pivot, the same one that makes det(Q_t) zero
+        t = int(np.argmin(np.abs(np.linalg.det(Q))))
+        raise SingularMatrixError(f"block of unknowns {local[t].tolist()} is singular",
+                                  kind="numerical") from None
     cond = np.abs(Qinv).sum(axis=1).max(axis=1) * np.abs(Q).max(axis=(1, 2))
     if not np.all(cond < _COND_LIMIT):      # also a NaN or infinite inverse
         t = int(np.argmin(cond < _COND_LIMIT))
         raise SingularMatrixError(
             f"block of unknowns {local[t].tolist()}: |Q^-1|_1 max|q| = {cond[t]:.3e} "
             f"reaches {_COND_LIMIT:.0e}", kind="numerical")
+    S = K[R][:, R] - _coupling(KER, Qinv) @ KER
+    return S.tocsr(), E, R, Qinv
 
-    rows_R = K[R]
-    KRE = rows_R[:, E]
-    C = (KRE @ sp.bsr_matrix((Qinv, np.arange(n_blocks), np.arange(n_blocks + 1)),
-                             shape=(E.size, E.size))).tocsr()
-    S = rows_R[:, R] - C @ KRE.T
-    # C^T in CSR: a product with C.T, a CSC view, costs four times as much
-    return S.tocsr(), (E, R, Qinv, C, C.T.tocsr())
+
+def _coupling(KER, Qinv):
+    """C = K_RE Q^-1 in CSR, with K_RE = K_ER^T (K symmetric)."""
+    n_blocks = len(Qinv)
+    blocks = sp.bsr_matrix((Qinv, np.arange(n_blocks), np.arange(n_blocks + 1)),
+                           shape=(KER.shape[0],) * 2)
+    return (KER.T.tocsr() @ blocks).tocsr()
 
 
 def factorize(A):
@@ -185,9 +194,8 @@ def factorize(A):
     if np.any(rowmax == 0.0):
         idx = int(np.argmin(rowmax))
         raise SingularMatrixError(f"row {idx} has no nonzero entry", kind="structural")
-    blocks = None
     if A.local is not None:
-        csr, blocks = _condense(csr, A.local)
+        csr, E, R, Qinv = _condense(csr, A.local)
         rowmax = abs(csr).max(axis=1).toarray().ravel()
 
     scale = np.ones(csr.shape[0])
@@ -195,6 +203,7 @@ def factorize(A):
     if zero.any() and not zero.all():
         scale[zero] = 2.0 ** np.round(
             np.log2(_CONSTRAINT_WEIGHT * rowmax[~zero].max() / rowmax[zero].max()))
+    del rowmax, zero
     perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
     # P A P^T: gather the rows, relabel the columns; tocsc sorts the indices,
     # and only its copy stays alive during splu
@@ -205,22 +214,31 @@ def factorize(A):
     del rows
     d = scale[perm]
     csc.data *= d[csc.indices] * np.repeat(d, np.diff(csc.indptr))
+    del d
     col_counts = np.diff(csc.indptr)
     if np.any(col_counts == 0):
         idx = int(perm[np.argmin(col_counts)])
         raise SingularMatrixError(f"column {idx} is empty", kind="structural")
+    shape, amax = csc.shape, np.abs(csc.data).max()
 
     try:
         lu = spla.splu(csc, permc_spec="COLAMD")
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}", kind="numerical") from exc
+    del csc
 
-    inverse = spla.LinearOperator(csc.shape, matvec=lu.solve, dtype=float,
+    inverse = spla.LinearOperator(shape, matvec=lu.solve, dtype=float,
                                   rmatvec=lambda b: lu.solve(b, trans="T"))
     with np.errstate(over="ignore", invalid="ignore"):
-        cond = spla.onenormest(inverse, t=1) * np.abs(csc.data).max()
+        cond = spla.onenormest(inverse, t=1) * amax
     if not cond < _COND_LIMIT:      # also a NaN or infinite estimate
         raise SingularMatrixError(
             f"estimated |A^-1|_1 max|a| = {cond:.3e} reaches {_COND_LIMIT:.0e}",
             kind="numerical")
+    blocks = None
+    if A.local is not None:
+        # the same product _condense formed, rebuilt now that the factors exist
+        C = _coupling(A.sp[E][:, R], Qinv)
+        # C^T in CSR: a product with C.T, a CSC view, costs four times as much
+        blocks = (E, R, Qinv, C, C.T.tocsr())
     return Factorization(lu, perm, scale, blocks)

@@ -54,3 +54,13 @@ def test_traced_solve_passes_check_trace(perfbench):
     assert got["dofs"] == pencil.layout.size
     bound = workloads.RESIDUAL_FACTOR * pencil.K.norm_inf()
     assert max(eigen_residuals(pencil, solution)) <= bound
+
+
+@pytest.mark.parametrize("ell,k,bc", [(2, 1, "dirichlet"), (2, 1, "mixed_bottom_fixed"),
+                                      (1, 0, "dirichlet")])
+def test_cached_norm_inf_is_the_gate_expression(ell, k, bc):
+    # the gate's residual bound reads K.norm_inf(), computed once when K is built
+    domain = "bi_unit_square" if bc == "dirichlet" else "unit_square"
+    cfg = ExperimentConfig(domain=domain, ell=ell, k=k, N=(6,), nev=5, bc=bc)
+    _, pencil, _ = study.solve_on_mesh(cfg, cfg.build_mesh(cfg.N[0]))
+    assert pencil.K.norm_inf() == float(abs(pencil.K.sp).sum(axis=1).max())

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import stokeseig.mesh as mm
-from helpers import dense_pencil_eigenvalues, solve_problem
-from stokeseig.eigsolve import EigConfig, SpectralSolution, eigen_residuals, solve_eig
+from helpers import dense_pencil_eigenvalues, solve_problem, square_pencil
+from stokeseig.eigsolve import EigConfig, SpectralSolution, _shifted, eigen_residuals, solve_eig
 from stokeseig.errors import ConfigurationError, ShiftAtEigenvalueError
 from stokeseig.mesh import build_square_mesh
-from stokeseig.spaces import MIXED_BOTTOM_FIXED
+from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED
+from stokeseig.sparselin import SparseMatrix, factorize
 
 
 def test_config_validation():
@@ -184,6 +186,39 @@ def test_shift_at_computed_eigenvalue_raises(ell, k, bc):
     for lam in solution.eigenvalues:
         with pytest.raises(ShiftAtEigenvalueError):
             solve_eig(pencil, EigConfig(nev=3, shift=float(lam)))
+
+
+@pytest.mark.parametrize("shift", [5.0, -5.0])
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+def test_shifted_pencil_keeps_interior_groups(bc, shift):
+    pencil = square_pencil(2, 1, bc)
+    F = _shifted(pencil.K, pencil.N, shift)
+    assert np.array_equal(F.local, pencil.K.local)
+    grouped, whole = factorize(F)._lu, factorize(SparseMatrix(F.sp))._lu
+    # measured 0.45-0.49
+    assert grouped.L.nnz + grouped.U.nnz <= 0.6 * (whole.L.nnz + whole.U.nnz)
+
+
+def test_positive_shift_gives_the_unshifted_eigenvalues():
+    # every eigenvalue lies above 5, so the five nearest 5 are the five lowest
+    pencil = square_pencil(2, 1)
+    at_zero = solve_eig(pencil, EigConfig(nev=5)).eigenvalues
+    at_five = solve_eig(pencil, EigConfig(nev=5, shift=5.0)).eigenvalues
+    assert np.abs(at_five - at_zero).max() <= 1e-10 * np.abs(at_zero).max()
+
+
+def test_shift_at_element_block_eigenvalue_reported():
+    # a finite eigenvalue of one triangle's block (K - theta N)[g, g] makes that
+    # block singular without being an eigenvalue of the pencil
+    pencil = square_pencil(2, 1)
+    g = pencil.K.local[0]
+    local = sla.eigvals(pencil.K.sp[g][:, g].toarray(), pencil.N[g][:, g].toarray())
+    theta = float(np.min(local[np.isfinite(local)].real))
+    lams = solve_eig(pencil, EigConfig(nev=5)).eigenvalues
+    assert np.abs(lams - theta).min() > 1.0
+    with pytest.raises(ShiftAtEigenvalueError) as info:
+        solve_eig(pencil, EigConfig(nev=5, shift=theta))
+    assert any(str(row.tolist()) in str(info.value) for row in pencil.K.local)
 
 
 def test_deterministic_given_seed():

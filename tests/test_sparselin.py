@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -205,6 +207,7 @@ def test_singular_interior_block_reported(factor):
     with pytest.raises(SingularMatrixError) as info:
         factorize(SparseMatrix(coo, K.local))
     assert info.value.kind == "numerical"
+    assert f"block of unknowns {K.local[0].tolist()}" in str(info.value)
 
 
 def test_entry_coupling_two_groups_reported():
@@ -234,3 +237,47 @@ def test_forms_and_pencil_are_canonical_csr(ell, k, bc):
     for mat in (forms.A, forms.B, forms.M, pencil.K.sp, pencil.N):
         assert sp.isspmatrix_csr(mat)
         assert mat.has_canonical_format
+
+
+def _numpy_bytes():
+    """Bytes of numpy data allocated since tracemalloc started and still alive."""
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(numpy_only).traces)
+
+
+def test_only_the_scaled_matrix_and_inverted_blocks_alive_during_splu(monkeypatch):
+    # at its memory peak SuperLU shares the process with K, the matrix it
+    # factorizes and Q^-1; C and C^T are built after it returns
+    K = square_pencil(2, 1).K
+    n = K.sp.shape[0]
+    seen = {}
+    real_splu = spla.splu
+
+    def splu(csc, **kw):
+        seen["alive"] = _numpy_bytes()
+        seen["csc"] = csc.data.nbytes + csc.indices.nbytes + csc.indptr.nbytes
+        return real_splu(csc, **kw)
+
+    monkeypatch.setattr(sparselin.spla, "splu", splu)
+    tracemalloc.start()
+    try:
+        fact = factorize(K)
+    finally:
+        tracemalloc.stop()
+    _, _, Qinv, C, Ct = fact._blocks
+    # E, R, the RCM order, the scale and the column counts: at most 4 x 8 bytes per row
+    allowed = seen["csc"] + Qinv.nbytes + 4 * 8 * n
+    assert seen["alive"] <= allowed
+    assert C.data.nbytes + Ct.data.nbytes > 4 * 8 * n     # the bound would see them
+
+
+def test_norm_inf_is_computed_once():
+    K = square_pencil(2, 1).K
+    tracemalloc.start()
+    try:
+        value = K.norm_inf()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    assert value == K.norm_inf()
