@@ -91,11 +91,10 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
     if eig.nev < target_index + 2:
         raise ValueError("eigenvalue budget too small for the requested target")
 
-    report = AdaptReport(lambda_ref=lambda_ref)
-    mesh = initial_mesh
-    tracked = None
-
-    for iteration in range(max_iterations + 1):
+    def solve_and_mark(mesh, tracked):
+        # only the record, the tracked value and the marked set outlive this
+        # call, so the solution, fields and pencil of one mesh are freed
+        # before the next mesh is assembled and factorized
         dofmap = DofMap(mesh, descriptor, bc)
         pencil = build_pencil(assemble_forms(mesh, dofmap, mu))
         solution = solve_eig(pencil, eig)
@@ -110,13 +109,19 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
         marked = mark(ind, mark_fraction)
 
         eff = None if lambda_ref is None else effectivity(lambda_ref, tracked, ind.eta)
-        dof = pencil.layout.size
-        report.iterations.append(IterationRecord(
-            dof=dof, lambda_h=tracked, eta_sq=float(ind.eta ** 2), effectivity=eff,
-            marked=len(marked), num_triangles=mesh.num_triangles,
-            num_vertices=mesh.num_vertices))
+        record = IterationRecord(
+            dof=pencil.layout.size, lambda_h=tracked, eta_sq=float(ind.eta ** 2),
+            effectivity=eff, marked=len(marked), num_triangles=mesh.num_triangles,
+            num_vertices=mesh.num_vertices)
+        return record, tracked, marked
 
-        if iteration == max_iterations or dof >= dof_cap or not marked:
+    report = AdaptReport(lambda_ref=lambda_ref)
+    mesh = initial_mesh
+    tracked = None
+    for iteration in range(max_iterations + 1):
+        record, tracked, marked = solve_and_mark(mesh, tracked)
+        report.iterations.append(record)
+        if iteration == max_iterations or record.dof >= dof_cap or not marked:
             break
         mesh = refine(mesh, marked)
 

@@ -17,7 +17,7 @@ import sys
 from . import fields as fd
 from . import mesh as meshmod
 from .errors import ConfigurationError, StokesEigError
-from .study import ExperimentConfig, run_adapt, run_study, solve_on_mesh
+from .study import ExperimentConfig, output_dir, run_adapt, run_study, solve_on_mesh
 from .vtkio import export_vtk
 
 _EXIT_CODES = {"config": 2, "mesh": 3, "assembly": 4, "solver": 5, "io": 6, "internal": 1}
@@ -93,9 +93,9 @@ def _cmd_solve(args):
     print(json.dumps(result, indent=2, sort_keys=True))
     if args.dump_matrices:
         from .assembly import export_matrix
-        os.makedirs(cfg.out or ".", exist_ok=True)
-        export_matrix(pencil.K.sp, os.path.join(cfg.out or ".", "pencil_K.txt"))
-        export_matrix(pencil.N, os.path.join(cfg.out or ".", "pencil_N.txt"))
+        out = output_dir(cfg.out or ".")
+        export_matrix(pencil.K.sp, os.path.join(out, "pencil_K.txt"))
+        export_matrix(pencil.N, os.path.join(out, "pencil_N.txt"))
     return 0
 
 

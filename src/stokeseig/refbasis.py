@@ -34,10 +34,9 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import legval
-from scipy.special import roots_legendre
 
 from .errors import ConfigurationError
-from .quadrature import quadrature
+from .quadrature import gauss_legendre, quadrature
 
 NED1 = "ned1"
 NED2 = "ned2"
@@ -139,7 +138,7 @@ class _EdgeMoment(_Moment):
     def __init__(self, edge, moment):
         a, b = (_REF_VERTS[v] for v in _EDGE_VERTS[edge])
         self.direction = b - a
-        s, w = roots_legendre(_GAUSS_N)
+        s, w = gauss_legendre(_GAUSS_N)
         coeff = np.zeros(moment + 1)
         coeff[moment] = 1.0
         self.weights = w / 2.0 * legval(s, coeff)

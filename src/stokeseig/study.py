@@ -226,8 +226,9 @@ def solve_on_mesh(cfg, mesh):
 
 def run_study(cfg):
     """Eigenvalue convergence study over ``cfg.N``; writes tables when cfg.out is set."""
-    if len(cfg.N) < 3:
-        raise ConfigurationError("a study needs at least three mesh resolutions")
+    if len(cfg.N) < 3 or len(set(cfg.N)) < len(cfg.N):
+        raise ConfigurationError(
+            f"a study needs at least three distinct mesh resolutions, got {cfg.N}")
     lambdas = np.empty((len(cfg.N), cfg.nev))
     dofs = np.empty(len(cfg.N), dtype=int)
     for i, N in enumerate(cfg.N):
@@ -254,10 +255,18 @@ def run_study(cfg):
     return report
 
 
+def output_dir(path):
+    """Create the directory ``path`` if it is missing; returns ``path``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IOFailureError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
 def write_study_outputs(report):
     cfg = report.config
-    os.makedirs(cfg.out, exist_ok=True)
-    table = os.path.join(cfg.out, "study_table.csv")
+    table = os.path.join(output_dir(cfg.out), "study_table.csv")
     try:
         with open(table, "w") as fp:
             cols = ",".join(f"N={N}" for N in cfg.N)
@@ -307,9 +316,8 @@ def run_adapt(cfg):
 
 
 def write_adapt_outputs(cfg, report):
-    os.makedirs(cfg.out, exist_ok=True)
     try:
-        with open(os.path.join(cfg.out, "adapt_table.csv"), "w") as fp:
+        with open(os.path.join(output_dir(cfg.out), "adapt_table.csv"), "w") as fp:
             fp.write("iteration,dof,lambda_h,abs_error,eta_sq,effectivity,marked,triangles\n")
             for it, rec in enumerate(report.iterations):
                 err = "" if report.lambda_ref is None else _fmt(abs(rec.lambda_h - report.lambda_ref))

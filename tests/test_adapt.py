@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from stokeseig import adapt
 from stokeseig.adapt import _track, afem_loop, fit_decay_order, mark
 from stokeseig.errors import TrackingError, UnsupportedSchemeError
 from stokeseig.estimator import LocalIndicators
@@ -69,6 +72,24 @@ def test_dof_cap_below_initial_single_entry():
     report = afem_loop(mesh, SpaceDescriptor(1, 0), max_iterations=10, dof_cap=10,
                        lambda_ref=LAMBDA_REF)
     assert len(report.iterations) == 1
+
+
+def test_each_iteration_is_freed_before_the_next_solve(monkeypatch):
+    # the loop keeps only its records, so the solution and pencil of every
+    # earlier mesh are gone, with no garbage collection, when a solve starts
+    earlier = []
+    solve_eig = adapt.solve_eig
+
+    def solve_and_watch(pencil, cfg):
+        assert [ref() for ref in earlier] == [None] * len(earlier)
+        solution = solve_eig(pencil, cfg)
+        earlier.extend([weakref.ref(solution), weakref.ref(pencil)])
+        return solution
+
+    monkeypatch.setattr(adapt, "solve_eig", solve_and_watch)
+    report = afem_loop(build_lshape_mesh(2), SpaceDescriptor(1, 0), max_iterations=3,
+                       lambda_ref=LAMBDA_REF)
+    assert len(earlier) == 2 * len(report.iterations) == 8
 
 
 def test_dofs_strictly_increase(short_lshape_run):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import stokeseig
 from stokeseig.errors import ConfigurationError
-from stokeseig.quadrature import MAX_DEGREE, quadrature, reference_monomial_integral
+from stokeseig.quadrature import (_JACOBI10, _LEGENDRE, MAX_DEGREE, gauss_legendre, quadrature,
+                                  reference_monomial_integral)
 
 
 @pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
@@ -63,3 +69,32 @@ def test_rejects_unsupported_degree():
         quadrature(MAX_DEGREE + 1)
     with pytest.raises(ConfigurationError):
         quadrature(0)
+
+
+@pytest.mark.parametrize("n", sorted(_LEGENDRE))
+def test_legendre_table_is_scipy_rule_and_exact(n):
+    from scipy.special import roots_legendre
+    x, w = gauss_legendre(n)
+    for got, want in zip((x, w), roots_legendre(n)):
+        assert np.array_equal(got, want)
+    for p in range(2 * n):
+        assert abs(w @ x ** p - (1 - (-1) ** (p + 1)) / (p + 1)) < 1e-14
+
+
+@pytest.mark.parametrize("n", sorted(_JACOBI10))
+def test_jacobi_table_is_scipy_rule_and_exact(n):
+    from scipy.special import roots_jacobi
+    x, w = (np.array(v) for v in _JACOBI10[n])
+    for got, want in zip((x, w), roots_jacobi(n, 1.0, 0.0)):
+        assert np.array_equal(got, want)
+    for p in range(2 * n):
+        # int_{-1}^{1} (1 - x) x^p dx
+        exact = (1 - (-1) ** (p + 1)) / (p + 1) - (1 - (-1) ** (p + 2)) / (p + 2)
+        assert abs(w @ x ** p - exact) < 1e-14
+
+
+def test_import_does_not_load_scipy_special():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stokeseig.__file__)))
+    code = "import sys, stokeseig; sys.exit('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

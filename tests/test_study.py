@@ -217,6 +217,32 @@ def test_cli_bad_resolutions_and_deep_config_exit_with_config_code(tmp_path, cap
         assert json.loads(capsys.readouterr().err)["category"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["study", "--N", "3,4,5", "--nev", "2"],
+    ["adapt", "--domain", "lshape", "--initial-N", "2", "--max-iterations", "1"],
+    ["solve", "--N", "3", "--nev", "2", "--dump-matrices"],
+])
+def test_cli_output_dir_under_a_file_exits_with_io_code(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*argv, "--scheme", "1,0", "--out", str(blocker / "out")]) == 6
+    err = json.loads(capsys.readouterr().err)
+    assert err["category"] == "io"
+    assert str(blocker / "out") in err["message"]
+
+
+def test_study_rejects_repeated_resolutions(capsys):
+    assert main(["study", "--scheme", "1,0", "--N", "3,3,3", "--nev", "2"]) == 2
+    assert json.loads(capsys.readouterr().err)["category"] == "config"
+    with pytest.raises(ConfigurationError, match="distinct"):
+        run_study(ExperimentConfig(N=(3, 4, 3), nev=2))
+
+
+def test_study_accepts_decreasing_resolutions():
+    report = run_study(ExperimentConfig(N=(5, 4, 3), nev=2))
+    assert list(report.dofs) == sorted(report.dofs, reverse=True)
+
+
 def test_square_first_order_scheme_table_row():
     # first-kind stress of order 1: the lowest eigenvalue is converged to
     # 13.08617 at every resolution of the published table
