@@ -9,10 +9,10 @@ import numpy as np
 from . import fields as fd
 from .assembly import assemble_forms, build_pencil
 from .eigsolve import EigConfig, solve_eig
-from .errors import TrackingError, UnsupportedSchemeError
+from .errors import ConfigurationError, TrackingError, UnsupportedSchemeError
 from .estimator import compute_indicators, effectivity
 from .mesh import patches, refine
-from .spaces import ALL_DIRICHLET, DofMap
+from .spaces import DofMap
 
 # a new eigenvalue counts as the tracked one only within this relative window
 _TRACK_WINDOW = 0.2
@@ -77,25 +77,26 @@ def _track(lambdas, previous):
 
 def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
               dof_cap=50_000, mu=1.0, lambda_ref=None, mark_fraction=0.5,
-              eig=None, bc=ALL_DIRICHLET):
+              eig=None):
     """Run the adaptive loop; returns the per-iteration report.
 
     The loop records a solve for the initial mesh, then refines while the
     iteration and dof budgets allow.  The tracked eigenvalue starts as the
     ``target_index``-th lowest and is followed across meshes by value
-    proximity.
+    proximity.  Boundary conditions come from the initial mesh's edge tags.
     """
     if descriptor.k != 0:
         raise UnsupportedSchemeError("adaptive refinement requires the lowest-order scheme")
     eig = eig or EigConfig(nev=max(target_index + 3, 5))
     if eig.nev < target_index + 2:
-        raise ValueError("eigenvalue budget too small for the requested target")
+        raise ConfigurationError(f"tracking eigenvalue {target_index} needs nev >= "
+                                 f"{target_index + 2}, got {eig.nev}")
 
     def solve_and_mark(mesh, tracked):
         # only the record, the tracked value and the marked set outlive this
         # call, so the solution, fields and pencil of one mesh are freed
         # before the next mesh is assembled and factorized
-        dofmap = DofMap(mesh, descriptor, bc)
+        dofmap = DofMap(mesh, descriptor)
         pencil = build_pencil(assemble_forms(mesh, dofmap, mu))
         solution = solve_eig(pencil, eig)
 

@@ -17,7 +17,8 @@ import sys
 from . import fields as fd
 from . import mesh as meshmod
 from .errors import ConfigurationError, StokesEigError
-from .study import ExperimentConfig, output_dir, run_adapt, run_study, solve_on_mesh
+from .spaces import BOUNDARY_CONDITIONS
+from .study import DOMAINS, ExperimentConfig, output_dir, run_adapt, run_study, solve_on_mesh
 from .vtkio import export_vtk
 
 _EXIT_CODES = {"config": 2, "mesh": 3, "assembly": 4, "solver": 5, "io": 6, "internal": 1}
@@ -33,12 +34,12 @@ def _parse_scheme(text):
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--domain", choices=["unit_square", "bi_unit_square", "circle", "lshape"])
+    p.add_argument("--domain", choices=list(DOMAINS))
     p.add_argument("--scheme", help="ell,k e.g. 1,0")
     p.add_argument("--N", help="comma-separated resolutions, e.g. 20,30,40,50")
     p.add_argument("--nev", type=int)
     p.add_argument("--mu", type=float)
-    p.add_argument("--bc", choices=["dirichlet", "mixed_bottom_fixed"])
+    p.add_argument("--bc", choices=BOUNDARY_CONDITIONS)
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int)
 

@@ -42,23 +42,28 @@ class Mesh:
         (-1 for meshes built from scratch).
     edges : (ne, 2) int array
         Ascending vertex ids.
-    edge_tris : (ne, 2) int array
-        Adjacent triangle ids, -1 when the edge is on the boundary.
     edge_tags : (ne,) int array
         INTERIOR, DIRICHLET or NEUMANN.
+
+    The incidence ``edge_sides``, (ne, 2, 2) (triangle, local edge) pairs, -1
+    padded, is derived from ``tri_edges`` once, here; the tags must match it.
     """
 
-    def __init__(self, vertices, tri_vertices, tri_edges, tri_parents,
-                 edges, edge_tris, edge_tags):
+    def __init__(self, vertices, tri_vertices, tri_edges, tri_parents, edges, edge_tags):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.tri_vertices = np.ascontiguousarray(tri_vertices, dtype=np.int64)
         self.tri_edges = np.ascontiguousarray(tri_edges, dtype=np.int64)
         self.tri_parents = np.ascontiguousarray(tri_parents, dtype=np.int64)
         self.edges = np.ascontiguousarray(edges, dtype=np.int64)
-        self.edge_tris = np.ascontiguousarray(edge_tris, dtype=np.int64)
         self.edge_tags = np.ascontiguousarray(edge_tags, dtype=np.int64)
-        for arr in (self.vertices, self.tri_vertices, self.tri_edges,
-                    self.tri_parents, self.edges, self.edge_tris, self.edge_tags):
+        for what, ids, n in (("vertex", self.edges, self.num_vertices),
+                             ("vertex", self.tri_vertices, self.num_vertices),
+                             ("edge", self.tri_edges, self.num_edges)):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise MeshError(f"{what} id out of range [0, {n})")
+        self.edge_sides = _edge_sides(self.tri_edges, self.num_edges)
+        for arr in (self.vertices, self.tri_vertices, self.tri_edges, self.tri_parents,
+                    self.edges, self.edge_tags, self.edge_sides):
             arr.flags.writeable = False
         self._validate()
 
@@ -73,9 +78,9 @@ class Mesh:
         tri_vertices = np.asarray(tri_vertices, dtype=np.int64)
         if tri_parents is None:
             tri_parents = np.full(tri_vertices.shape[0], -1, dtype=np.int64)
-        edges, tri_edges, edge_tris = _build_edges(tri_vertices)
-        tags = np.where(edge_tris[:, 1] < 0, DIRICHLET, INTERIOR)
-        return cls(vertices, tri_vertices, tri_edges, tri_parents, edges, edge_tris, tags)
+        edges, tri_edges = _build_edges(tri_vertices)
+        tags = np.where(np.bincount(tri_edges.ravel()) == 1, DIRICHLET, INTERIOR)
+        return cls(vertices, tri_vertices, tri_edges, tri_parents, edges, tags)
 
     # -- counts ------------------------------------------------------------
 
@@ -143,10 +148,10 @@ class Mesh:
         inv /= det[:, None, None]
         return inv, np.swapaxes(inv, 1, 2).copy()
 
-    @cached_property
-    def edge_sides(self):
-        """(ne, 2, 2) array of (triangle, local slot) pairs per edge, -1 padded."""
-        return _edge_sides(self.tri_edges, self.num_edges)
+    @property
+    def edge_tris(self):
+        """(ne, 2) adjacent triangle ids, -1 when the edge is on the boundary."""
+        return self.edge_sides[:, :, 0]
 
     @cached_property
     def boundary_vertices(self):
@@ -185,11 +190,9 @@ class Mesh:
             raise MeshError(f"triangle {bad} is not counter-clockwise (area {self.tri_areas[bad]:g})")
         if np.any(self.edges[:, 0] >= self.edges[:, 1]):
             raise MeshError("edge vertex ids must be strictly ascending")
-        counts = (self.edge_tris >= 0).sum(axis=1)
-        if np.any((counts < 1) | (counts > 2)):
+        if np.any(self.edge_tris[:, 0] < 0):
             raise MeshError("every edge must have one or two adjacent triangles")
-        boundary = counts == 1
-        if np.any(boundary != (self.edge_tags != INTERIOR)):
+        if np.any((self.edge_tris[:, 1] < 0) != (self.edge_tags != INTERIOR)):
             raise MeshError("edge is boundary-tagged iff it has exactly one adjacent triangle")
         v, e, t = self.num_vertices, self.num_edges, self.num_triangles
         if v - e + t != 1:
@@ -207,8 +210,7 @@ def _build_edges(tri_vertices):
     for j, (a, b) in enumerate(_LOCAL_EDGES):
         raw[j * nt:(j + 1) * nt] = np.sort(tri_vertices[:, [a, b]], axis=1)
     edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-    tri_edges = inverse.reshape(3, nt).T.copy()
-    return edges, tri_edges, _edge_sides(tri_edges, len(edges))[:, :, 0]
+    return edges, inverse.reshape(3, nt).T.copy()
 
 
 def _edge_sides(tri_edges, num_edges):
@@ -349,7 +351,7 @@ def tag_bottom_fixed(mesh, tol=1e-12):
     tags = mesh.edge_tags.copy()
     tags[boundary] = np.where(np.abs(mid_y - mesh.vertices[:, 1].min()) <= tol, DIRICHLET, NEUMANN)
     return Mesh(mesh.vertices, mesh.tri_vertices, mesh.tri_edges, mesh.tri_parents,
-                mesh.edges, mesh.edge_tris, tags)
+                mesh.edges, tags)
 
 
 # -- refinement ---------------------------------------------------------------
@@ -406,7 +408,7 @@ def refine(mesh, marked):
 
     # boundary tags: an uncut edge keeps its pair, a cut one passes its tag to
     # (a, m) and (b, m); the new edges are sorted, so their pair keys are too
-    edges, tri_edges, edge_tris = _build_edges(tri_vertices)
+    edges, tri_edges = _build_edges(tri_vertices)
     bnd = np.nonzero(mesh.edge_tags != INTERIOR)[0]
     a, b = mesh.edges[bnd].T
     mb = mid[bnd]
@@ -417,7 +419,7 @@ def refine(mesh, marked):
     tags = np.zeros(len(edges), dtype=np.int64)
     at = np.searchsorted(edges[:, 0] * n + edges[:, 1], lo * n + hi)
     tags[at] = np.concatenate([mesh.edge_tags[bnd], mesh.edge_tags[bnd][split]])
-    return Mesh(vertices, tri_vertices, tri_edges, tri_parents, edges, edge_tris, tags)
+    return Mesh(vertices, tri_vertices, tri_edges, tri_parents, edges, tags)
 
 
 # -- patches -------------------------------------------------------------------
@@ -477,12 +479,5 @@ def read_mesh(path):
         tdata = np.array(tokens[e_end:t_end], dtype=np.int64).reshape(nt, 6)
     except (ValueError, OverflowError) as exc:
         raise IOFailureError(f"malformed mesh file {path}: {exc}") from exc
-    edges, tags = edata[:, :2], edata[:, 2]
-    tri_vertices, tri_edges = tdata[:, :3], tdata[:, 3:]
-    for what, ids, n in (("vertex", edges, nv), ("vertex", tri_vertices, nv),
-                         ("edge", tri_edges, ne)):
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            raise MeshError(f"{what} id out of range [0, {n}) in {path}")
-    edge_tris = _edge_sides(tri_edges, ne)[:, :, 0]
-    return Mesh(vertices, tri_vertices, tri_edges, np.full(nt, -1, dtype=np.int64),
-                edges, edge_tris, tags)
+    return Mesh(vertices, tdata[:, :3], tdata[:, 3:], np.full(nt, -1, dtype=np.int64),
+                edata[:, :2], edata[:, 2])

@@ -24,6 +24,7 @@ from .refbasis import NED1, NED2, ned_basis, pk_basis, pk_reference_mass
 
 ALL_DIRICHLET = "dirichlet"
 MIXED_BOTTOM_FIXED = "mixed_bottom_fixed"
+BOUNDARY_CONDITIONS = (ALL_DIRICHLET, MIXED_BOTTOM_FIXED)
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,22 @@ class DofMap:
 
     Stress dofs come first (row 0 of the tensor, then row 1), then velocity
     dofs grouped per triangle (component 0 block, then component 1).
+
+    The boundary conditions come from the mesh's edge tags: the trace dofs of
+    NEUMANN (traction-free) edges are constrained; with none, the stress mean
+    is.  ``bc``, if given, must name the conditions the tags give.
     """
 
-    def __init__(self, mesh, descriptor, bc=ALL_DIRICHLET):
-        if bc not in (ALL_DIRICHLET, MIXED_BOTTOM_FIXED):
-            raise ConfigurationError(f"unknown boundary-condition mode {bc!r}")
+    def __init__(self, mesh, descriptor, bc=None):
+        neumann = np.nonzero(mesh.edge_tags == meshmod.NEUMANN)[0]
+        if neumann.size and not np.any(mesh.edge_tags == meshmod.DIRICHLET):
+            raise ConfigurationError("mixed boundary conditions need Dirichlet-tagged edges")
+        tagged = MIXED_BOTTOM_FIXED if neumann.size else ALL_DIRICHLET
+        if bc not in (None, tagged):
+            raise ConfigurationError(
+                f"boundary-condition mode {bc!r} disagrees with the edge tags ({tagged!r})")
         self.mesh = mesh
         self.descriptor = descriptor
-        self.bc = bc
         self.ned = ned_basis(descriptor.stress_family, descriptor.stress_order)
         self.pk = pk_basis(descriptor.k)
 
@@ -102,20 +111,13 @@ class DofMap:
         # global stress dof of (triangle, tensor row, local dof)
         self.stress_gmap = np.stack([gmap, self.n_vec + gmap], axis=1)
 
-        if bc == MIXED_BOTTOM_FIXED:
-            neumann = np.nonzero(mesh.edge_tags == meshmod.NEUMANN)[0]
-            if neumann.size == 0:
-                raise ConfigurationError("mixed boundary conditions need Neumann-tagged edges")
-            if not np.any(mesh.edge_tags == meshmod.DIRICHLET):
-                raise ConfigurationError("mixed boundary conditions need Dirichlet-tagged edges")
-            vdofs = (neumann[:, None] * per_edge + np.arange(per_edge)).ravel()
-            self.constrained = np.sort(np.concatenate([vdofs, self.n_vec + vdofs]))
-        else:
-            self.constrained = np.empty(0, dtype=np.int64)
+        vdofs = (neumann[:, None] * per_edge + np.arange(per_edge)).ravel()
+        self.constrained = np.sort(np.concatenate([vdofs, self.n_vec + vdofs]))
 
     @property
     def has_mean_constraint(self):
-        return self.bc == ALL_DIRICHLET
+        """No NEUMANN edge: the constant-J kernel must be pinned."""
+        return self.constrained.size == 0
 
     def stress_local_coeffs(self, coeffs):
         """Per-element local stress coefficients, shape (nt, 2, ned.dim)."""

@@ -22,9 +22,16 @@ from .adapt import afem_loop
 from .assembly import assemble_forms, build_pencil
 from .eigsolve import EigConfig, solve_eig
 from .errors import ConfigurationError, IOFailureError
-from .spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
+from .spaces import (ALL_DIRICHLET, BOUNDARY_CONDITIONS, MIXED_BOTTOM_FIXED, DofMap,
+                     SpaceDescriptor)
 
-DOMAINS = ("unit_square", "bi_unit_square", "circle", "lshape")
+# name -> (mesh builder of N, h * N, mixed boundary conditions defined)
+DOMAINS = {
+    "unit_square": (lambda N: meshmod.build_square_mesh(N, meshmod.UNIT_SQUARE), 1.0, True),
+    "bi_unit_square": (lambda N: meshmod.build_square_mesh(N, meshmod.BI_UNIT_SQUARE), 2.0, True),
+    "circle": (meshmod.build_circle_mesh, 1.0, False),
+    "lshape": (meshmod.build_lshape_mesh, 1.0, False),
+}
 # integer fields of ExperimentConfig and their least allowed values
 _INT_FIELDS = (("ell", 1), ("k", 0), ("nev", 1), ("seed", 0), ("max_iterations", 0),
                ("dof_cap", 1), ("target_index", 0), ("initial_N", 1))
@@ -68,8 +75,9 @@ class ExperimentConfig:
     initial_N: int = 4
 
     def __post_init__(self):
-        if self.domain not in DOMAINS:
-            raise ConfigurationError(f"unknown domain {self.domain!r}; pick one of {DOMAINS}")
+        if not isinstance(self.domain, str) or self.domain not in DOMAINS:
+            raise ConfigurationError(
+                f"unknown domain {self.domain!r}; pick one of {tuple(DOMAINS)}")
         for name, low in _INT_FIELDS:
             value = getattr(self, name)
             if not _is_int(value) or value < low:
@@ -89,9 +97,9 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ConfigurationError(f"out must be a directory path, got {self.out!r}")
         self.descriptor = SpaceDescriptor(self.ell, self.k)
-        if self.bc not in (ALL_DIRICHLET, MIXED_BOTTOM_FIXED):
+        if self.bc not in BOUNDARY_CONDITIONS:
             raise ConfigurationError(f"unknown boundary mode {self.bc!r}")
-        if self.bc == MIXED_BOTTOM_FIXED and self.domain not in ("unit_square", "bi_unit_square"):
+        if self.bc == MIXED_BOTTOM_FIXED and not DOMAINS[self.domain][2]:
             raise ConfigurationError("mixed boundary conditions are defined on the square domains")
 
     @classmethod
@@ -123,21 +131,12 @@ class ExperimentConfig:
         return cls(**data)
 
     def build_mesh(self, N):
-        if self.domain == "unit_square":
-            m = meshmod.build_square_mesh(N, meshmod.UNIT_SQUARE)
-        elif self.domain == "bi_unit_square":
-            m = meshmod.build_square_mesh(N, meshmod.BI_UNIT_SQUARE)
-        elif self.domain == "circle":
-            m = meshmod.build_circle_mesh(N)
-        else:
-            m = meshmod.build_lshape_mesh(N)
-        if self.bc == MIXED_BOTTOM_FIXED:
-            m = meshmod.tag_bottom_fixed(m)
-        return m
+        """The domain's mesh, its boundary tagged with the conditions of ``bc``."""
+        m = DOMAINS[self.domain][0](N)
+        return meshmod.tag_bottom_fixed(m) if self.bc == MIXED_BOTTOM_FIXED else m
 
     def h_of(self, N):
-        return {"unit_square": 1.0, "bi_unit_square": 2.0, "circle": 1.0, "lshape": 1.0}[
-            self.domain] / N
+        return DOMAINS[self.domain][1] / N
 
 
 @dataclass
@@ -229,6 +228,8 @@ def run_study(cfg):
     if len(cfg.N) < 3 or len(set(cfg.N)) < len(cfg.N):
         raise ConfigurationError(
             f"a study needs at least three distinct mesh resolutions, got {cfg.N}")
+    if cfg.out:
+        output_dir(cfg.out)
     lambdas = np.empty((len(cfg.N), cfg.nev))
     dofs = np.empty(len(cfg.N), dtype=int)
     for i, N in enumerate(cfg.N):
@@ -303,13 +304,14 @@ def run_adapt(cfg):
     """Adaptive experiment driver; writes the iteration table when cfg.out is set."""
     if cfg.k != 0:
         raise ConfigurationError("adaptive mode requires the lowest-order scheme (k = 0)")
+    if cfg.out:
+        output_dir(cfg.out)
     mesh = cfg.build_mesh(cfg.initial_N)
     report = afem_loop(mesh, cfg.descriptor, target_index=cfg.target_index,
                        max_iterations=cfg.max_iterations, dof_cap=cfg.dof_cap,
                        mu=cfg.mu, lambda_ref=cfg.lambda_ref,
                        mark_fraction=cfg.mark_fraction,
-                       eig=EigConfig(nev=max(cfg.nev, cfg.target_index + 3), seed=cfg.seed),
-                       bc=cfg.bc)
+                       eig=EigConfig(nev=max(cfg.nev, cfg.target_index + 3), seed=cfg.seed))
     if cfg.out:
         write_adapt_outputs(cfg, report)
     return report

@@ -88,8 +88,7 @@ def permute_edges(mesh, perm):
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
     return Mesh(mesh.vertices, mesh.tri_vertices, perm[mesh.tri_edges],
-                mesh.tri_parents, mesh.edges[inv], mesh.edge_tris[inv],
-                mesh.edge_tags[inv])
+                mesh.tri_parents, mesh.edges[inv], mesh.edge_tags[inv])
 
 
 def l2_field_error(mesh, field, exact, degree=10):

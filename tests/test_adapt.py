@@ -1,3 +1,4 @@
+import inspect
 import weakref
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from stokeseig import adapt
 from stokeseig.adapt import _track, afem_loop, fit_decay_order, mark
-from stokeseig.errors import TrackingError, UnsupportedSchemeError
+from stokeseig.eigsolve import EigConfig
+from stokeseig.errors import ConfigurationError, TrackingError, UnsupportedSchemeError
 from stokeseig.estimator import LocalIndicators
 from stokeseig.mesh import build_lshape_mesh
 from stokeseig.spaces import SpaceDescriptor
@@ -154,3 +156,25 @@ def test_fit_decay_order_on_synthetic_series():
     errors = 50.0 * dofs ** -1.0
     slope = fit_decay_order(dofs, errors)
     assert abs(slope + 1.0) < 1e-10
+
+
+def test_nev_too_small_for_the_target_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="needs nev >= 4, got 3"):
+        afem_loop(build_lshape_mesh(2), SpaceDescriptor(1, 0), target_index=2,
+                  eig=EigConfig(nev=3))
+
+
+def test_boundary_conditions_follow_the_initial_mesh_tags():
+    from helpers import solve_problem
+    from stokeseig.mesh import NEUMANN, UNIT_SQUARE, build_square_mesh, tag_bottom_fixed
+    from stokeseig.spaces import MIXED_BOTTOM_FIXED
+
+    assert "bc" not in inspect.signature(afem_loop).parameters
+    mesh = tag_bottom_fixed(build_square_mesh(4, UNIT_SQUARE))
+    report = afem_loop(mesh, SpaceDescriptor(1, 0), max_iterations=1)
+    sol, pencil, _ = solve_problem(mesh, 1, 0, bc=MIXED_BOTTOM_FIXED)
+    assert report.iterations[0].lambda_h == sol.eigenvalues[0]
+    assert report.iterations[0].dof == pencil.layout.size
+    # refinement passes the tags on, so the refined mesh keeps mixed conditions
+    assert abs(report.iterations[1].lambda_h - 2.4674) < 0.1
+    assert np.any(report.final_mesh.edge_tags == NEUMANN)

@@ -10,7 +10,9 @@ read-only.
 
 import os
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from stokeseig import study
@@ -64,3 +66,22 @@ def test_cached_norm_inf_is_the_gate_expression(ell, k, bc):
     cfg = ExperimentConfig(domain=domain, ell=ell, k=k, N=(6,), nev=5, bc=bc)
     _, pencil, _ = study.solve_on_mesh(cfg, cfg.build_mesh(cfg.N[0]))
     assert pencil.K.norm_inf() == float(abs(pencil.K.sp).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("name,sizes", [("adapt_lshape_p0", dict(initial_N=2, max_iterations=2)),
+                                        ("solve_square_mixed_p2", dict(N=(6,)))])
+def test_final_pencil_rebuild_matches_the_library_solve(perfbench, name, sizes):
+    # final_pencil rebuilds the adaptive run's last pencil with
+    # DofMap(mesh, cfg.descriptor, cfg.bc), bc positional; run it on the
+    # adaptive final mesh and on a mixed-conditions mesh
+    _, _, workloads = perfbench
+    cfg = ExperimentConfig(**{**workloads.WORKLOADS[name]["config"], **sizes}, seed=311)
+    if workloads.WORKLOADS[name]["kind"] == "adapt":
+        mesh = study.run_adapt(cfg).final_mesh
+    else:
+        mesh = cfg.build_mesh(cfg.N[0])
+    rebuilt = workloads.final_pencil("adapt_lshape_p0", cfg,
+                                     {"report": SimpleNamespace(final_mesh=mesh)})
+    _, pencil, _ = study.solve_on_mesh(cfg, mesh)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(rebuilt.K.sp, attr), getattr(pencil.K.sp, attr))

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -314,3 +315,41 @@ def test_read_mesh_fuzz_finite_mesh_or_categorized_error(tmp_path_factory, edits
     except (IOFailureError, MeshError):
         return
     assert np.all(np.isfinite(mesh.vertices))
+
+
+def test_edge_incidence_is_derived_once_from_tri_edges(monkeypatch):
+    calls = []
+    real = mm._edge_sides
+    monkeypatch.setattr(mm, "_edge_sides", lambda *a: calls.append(1) or real(*a))
+    mesh = build_lshape_mesh(2)
+    assert len(calls) == 1
+    assert "edge_tris" not in inspect.signature(mm.Mesh).parameters
+    assert not mesh.edge_sides.flags.writeable and not mesh.edge_tris.flags.writeable
+    assert np.shares_memory(mesh.edge_tris, mesh.edge_sides)
+    assert np.array_equal(mesh.edge_tris, mesh.edge_sides[:, :, 0])
+    refine(mesh, {0})
+    assert len(calls) == 2
+
+
+def test_tags_are_checked_against_the_true_incidence():
+    mesh = build_square_mesh(2, mm.UNIT_SQUARE)
+    tags = mesh.edge_tags.copy()
+    inner = int(np.nonzero(tags == mm.INTERIOR)[0][0])
+    outer = int(np.nonzero(tags == mm.DIRICHLET)[0][0])
+    tags[[inner, outer]] = tags[[outer, inner]]
+    with pytest.raises(MeshError, match="boundary-tagged"):
+        mm.Mesh(mesh.vertices, mesh.tri_vertices, mesh.tri_edges, mesh.tri_parents,
+                mesh.edges, tags)
+
+
+def test_edge_of_three_triangles_and_bad_edge_ids_raise_mesh_error():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(MeshError, match="more than two"):
+        mm.Mesh.from_triangles(vertices, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    mesh = build_square_mesh(1, mm.UNIT_SQUARE)
+    for bad in (-1, mesh.num_edges):
+        tri_edges = mesh.tri_edges.copy()
+        tri_edges[0, 0] = bad
+        with pytest.raises(MeshError, match="edge id out of range"):
+            mm.Mesh(mesh.vertices, mesh.tri_vertices, tri_edges, mesh.tri_parents,
+                    mesh.edges, mesh.edge_tags)

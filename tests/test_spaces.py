@@ -3,11 +3,13 @@ import pytest
 
 import stokeseig.mesh as mm
 from helpers import l2_field_error, single_triangle_mesh
+from stokeseig.assembly import assemble_forms, build_pencil
+from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.errors import ConfigurationError
 from stokeseig.fields import DiscreteField
 from stokeseig.mesh import build_square_mesh, tag_bottom_fixed
 from stokeseig.quadrature import quadrature
-from stokeseig.spaces import (MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor,
+from stokeseig.spaces import (ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor,
                               interpolate_ned, l2_project_velocity)
 
 ALL_SCHEMES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
@@ -175,3 +177,31 @@ def test_interpolation_error_decay(ell, k, min_order):
         hs.append(1.0 / N)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= min_order
+
+
+def test_boundary_conditions_come_from_the_edge_tags():
+    mesh = tag_bottom_fixed(build_square_mesh(8, mm.UNIT_SQUARE))
+    desc = SpaceDescriptor(1, 0)
+    dm = DofMap(mesh, desc)
+    explicit = DofMap(mesh, desc, MIXED_BOTTOM_FIXED)
+    assert np.array_equal(dm.constrained, explicit.constrained)
+    assert dm.constrained.size and not dm.has_mean_constraint
+    assert not hasattr(dm, "bc")
+    solution = solve_eig(build_pencil(assemble_forms(mesh, dm)), EigConfig(nev=1))
+    assert abs(solution.eigenvalues[0] - 2.4671) < 5e-3
+    # a mode that disagrees with the tags is an error, not a choice
+    with pytest.raises(ConfigurationError, match="disagrees"):
+        DofMap(mesh, desc, ALL_DIRICHLET)
+    with pytest.raises(ConfigurationError, match="disagrees"):
+        DofMap(build_square_mesh(8, mm.UNIT_SQUARE), desc, MIXED_BOTTOM_FIXED)
+    with pytest.raises(ConfigurationError, match="disagrees"):
+        DofMap(mesh, desc, "neumann")
+
+
+def test_neumann_tags_without_a_dirichlet_edge_raise():
+    mesh = build_square_mesh(2, mm.UNIT_SQUARE)
+    tags = np.where(mesh.edge_tags == mm.DIRICHLET, mm.NEUMANN, mesh.edge_tags)
+    free = mm.Mesh(mesh.vertices, mesh.tri_vertices, mesh.tri_edges, mesh.tri_parents,
+                   mesh.edges, tags)
+    with pytest.raises(ConfigurationError, match="Dirichlet-tagged"):
+        DofMap(free, SpaceDescriptor(1, 0))

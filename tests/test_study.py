@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokeseig import study
 from stokeseig.cli import main
 from stokeseig.errors import ConfigurationError
+from stokeseig.mesh import NEUMANN
+from stokeseig.spaces import BOUNDARY_CONDITIONS
 from stokeseig.study import (ExperimentConfig, extrapolate, fit_order, run_adapt,
                              run_study)
 
@@ -229,6 +232,42 @@ def test_cli_output_dir_under_a_file_exits_with_io_code(tmp_path, capsys, argv):
     err = json.loads(capsys.readouterr().err)
     assert err["category"] == "io"
     assert str(blocker / "out") in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--N", "3,4,5", "--nev", "2"],
+    ["adapt", "--domain", "lshape", "--initial-N", "2", "--max-iterations", "1"],
+])
+def test_unusable_out_fails_before_the_first_solve(tmp_path, capsys, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(study, "solve_on_mesh", no_solve)
+    monkeypatch.setattr(study, "afem_loop", no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*argv, "--scheme", "1,0", "--out", str(blocker / "out")]) == 6
+    assert json.loads(capsys.readouterr().err)["category"] == "io"
+
+
+def test_one_domain_table_drives_config_mesh_h_and_cli(capsys):
+    for name, (build, side, mixed) in study.DOMAINS.items():
+        cfg = ExperimentConfig(domain=name)
+        assert cfg.h_of(4) == side / 4
+        assert np.array_equal(cfg.build_mesh(2).vertices, build(2).vertices)
+        if mixed:
+            tagged = ExperimentConfig(domain=name, bc="mixed_bottom_fixed").build_mesh(2)
+            assert np.any(tagged.edge_tags == NEUMANN)
+        else:
+            with pytest.raises(ConfigurationError, match="square domains"):
+                ExperimentConfig(domain=name, bc="mixed_bottom_fixed")
+    with pytest.raises(ConfigurationError, match="pick one of"):
+        ExperimentConfig(domain=["lshape"])
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    usage = capsys.readouterr().out
+    assert "{" + ",".join(study.DOMAINS) + "}" in usage
+    assert "{" + ",".join(BOUNDARY_CONDITIONS) + "}" in usage
 
 
 def test_study_rejects_repeated_resolutions(capsys):
