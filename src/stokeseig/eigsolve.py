@@ -161,14 +161,20 @@ class _VelocityOperator:
 
     def extract(self, nu, W):
         """Rayleigh-Ritz on (-K, -N), -N positive definite, over the lifted vectors."""
-        X = -self._solve_lifted(W) / nu      # N E u = -E M u = -E L w
+        X = self._solve_lifted(W)
+        X /= -nu                             # N E u = -E M u = -E L w
         Kr = -(X.T @ (self.pencil.K.sp @ X))
         Nr = -(X.T @ (self.pencil.N @ X))
         lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
         vectors = X @ Y
         del X
-        sigma, u = map(np.array, zip(*(self.pencil.layout.split(x) for x in vectors.T)))
-        return SpectralSolution(lams, sigma, u, _residuals(self.pencil, lams, vectors), vectors)
+        residuals = _residuals(self.pencil, lams, vectors)
+        layout = self.pencil.layout
+        sigma = np.empty((len(lams), layout.n_sigma_full))
+        u = np.empty((len(lams), layout.n_u))
+        for i, x in enumerate(vectors.T):
+            sigma[i], u[i] = layout.split(x)
+        return SpectralSolution(lams, sigma, u, residuals, vectors)
 
 
 def _residuals(pencil, lams, vectors):

@@ -47,15 +47,18 @@ class Mesh:
 
     The incidence ``edge_sides``, (ne, 2, 2) (triangle, local edge) pairs, -1
     padded, is derived from ``tri_edges`` once, here; the tags must match it.
+    An array of another shape, or an id array with fractional values, raises
+    :class:`MeshError`.
     """
 
     def __init__(self, vertices, tri_vertices, tri_edges, tri_parents, edges, edge_tags):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.tri_vertices = np.ascontiguousarray(tri_vertices, dtype=np.int64)
-        self.tri_edges = np.ascontiguousarray(tri_edges, dtype=np.int64)
-        self.tri_parents = np.ascontiguousarray(tri_parents, dtype=np.int64)
-        self.edges = np.ascontiguousarray(edges, dtype=np.int64)
-        self.edge_tags = np.ascontiguousarray(edge_tags, dtype=np.int64)
+        counts = {}
+        self.vertices = _mesh_array("vertices", vertices, ("nv", 2), counts, float)
+        self.tri_vertices = _mesh_array("tri_vertices", tri_vertices, ("nt", 3), counts)
+        self.tri_edges = _mesh_array("tri_edges", tri_edges, ("nt", 3), counts)
+        self.tri_parents = _mesh_array("tri_parents", tri_parents, ("nt",), counts)
+        self.edges = _mesh_array("edges", edges, ("ne", 2), counts)
+        self.edge_tags = _mesh_array("edge_tags", edge_tags, ("ne",), counts)
         for what, ids, n in (("vertex", self.edges, self.num_vertices),
                              ("vertex", self.tri_vertices, self.num_vertices),
                              ("edge", self.tri_edges, self.num_edges)):
@@ -202,6 +205,22 @@ class Mesh:
             pair = np.sort(self.tri_vertices[:, [a, b]], axis=1)
             if not np.array_equal(pair, self.edges[self.tri_edges[:, j]]):
                 raise MeshError("triangle-edge incidence is inconsistent (hanging vertex?)")
+
+
+def _mesh_array(name, value, shape, counts, dtype=np.int64):
+    """``value`` as a contiguous ``dtype`` array of ``shape``, whose named sizes
+    are fixed in ``counts`` by the first array that has them; integer arrays
+    accept only integral values.  Anything else raises :class:`MeshError`."""
+    arr = np.asarray(value)
+    want = tuple(counts.setdefault(s, n) if isinstance(s, str) else s
+                 for s, n in zip(shape, arr.shape)) if arr.ndim == len(shape) else None
+    if arr.shape != want:
+        sizes = ", ".join(f"{s}={counts[s]}" if s in counts else str(s) for s in shape)
+        raise MeshError(f"{name} has shape {arr.shape}, expected ({sizes})")
+    if dtype is not float and arr.dtype.kind not in "iu" and not (
+            arr.dtype.kind == "f" and np.array_equal(arr, np.trunc(arr))):
+        raise MeshError(f"{name} must hold integers")
+    return np.ascontiguousarray(arr, dtype=dtype)
 
 
 def _build_edges(tri_vertices):

@@ -21,8 +21,12 @@ the RCM preorder supplies it.  Singular systems are reported as errors
 instead of producing garbage solutions; numerical singularity is judged
 from a 1-norm estimate of the inverse, so only the LU factors are kept in
 memory.  While SuperLU allocates them, only the input matrix, the scaled
-matrix handed to it and the inverted blocks are alive besides; the coupling
-blocks of the condensation are built after it returns.
+matrix handed to it and the inverted blocks are alive besides.  The
+condensed solve couples E and R through the input's own block K[E, R],
+sliced after SuperLU returns, and keeps no product with Q^-1.  SuperLU runs
+without relaxed supernodes and with 8-column panels (``_RELAX``,
+``_PANEL_SIZE``): on these matrices its defaults cost memory and save no
+fill.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ _COND_LIMIT = 1e12
 # zero-diagonal rows are scaled so that their largest entry is about this many
 # times the largest entry of the other rows
 _CONSTRAINT_WEIGHT = 16.0
+# SuperLU's supernode relaxation and panel width; its defaults are 10 and 20,
+# and larger values crash scipy 1.17's SuperLU (see factorize)
+_RELAX = 1
+_PANEL_SIZE = 8
 
 
 class SparseMatrix:
@@ -81,11 +89,12 @@ class Factorization:
     original order.
 
     With the groups E of ``K.local`` and the rest R, ``blocks`` holds E, R,
-    the inverses Q^-1 of the diagonal blocks Q = K[E_T, E_T], C = K[R, E] Q^-1
-    and C^T, and the LU factors, ``perm`` and ``scale`` are those of the
-    Schur complement S = K[R, R] - C K[E, R].  A solve is a block-diagonal
-    forward step, one solve with S and a back-substitution:
-    x_R = S^-1 (b_R - C b_E), x_E = Q^-1 b_E - C^T x_R.
+    the inverses Q^-1 of the diagonal blocks Q = K[E_T, E_T] and K_ER =
+    K[E, R], and the LU factors, ``perm`` and ``scale`` are those of the
+    Schur complement S = K[R, R] - C K[E, R], C = K_ER^T Q^-1.  A solve is a
+    block-diagonal forward step, one solve with S and a back-substitution,
+    with C and C^T applied as products with K_ER and Q^-1:
+    x_R = S^-1 (b_R - K_ER^T (Q^-1 b_E)), x_E = Q^-1 b_E - Q^-T (K_ER x_R).
     """
 
     def __init__(self, lu, perm, scale, blocks=None):
@@ -96,19 +105,36 @@ class Factorization:
 
     def _solve_lu(self, b):
         d = self._scale.reshape((-1,) + (1,) * (b.ndim - 1))
+        y = self._lu.solve((d * b)[self._perm])
         x = np.empty(b.shape)
-        x[self._perm] = self._lu.solve((d * b)[self._perm])
-        return d * x
+        x[self._perm] = y
+        x *= d
+        return x
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         if self._blocks is None:
             return self._solve_lu(b)
-        E, R, Qinv, C, Ct = self._blocks
+        if b.ndim == 1:
+            return self._solve_condensed(b)
+        # one column at a time, so that the block temporaries next to b and x
+        # have the size of one column
         x = np.empty(b.shape)
-        bE = b[E]
-        x[R] = self._solve_lu(b[R] - C @ bE)
-        x[E] = (Qinv @ bE.reshape(Qinv.shape[:2] + (-1,))).reshape(bE.shape) - Ct @ x[R]
+        for col in np.ndindex(b.shape[1:]):
+            x[(slice(None),) + col] = self._solve_condensed(b[(slice(None),) + col])
+        return x
+
+    def _solve_condensed(self, b):
+        E, R, Qinv, KER = self._blocks
+        blocked = Qinv.shape[:2] + (1,)
+        qE = (Qinv @ b[E].reshape(blocked)).ravel()
+        bR = b[R]
+        bR -= KER.T @ qE
+        xR = self._solve_lu(bR)
+        del bR
+        qE -= (Qinv.transpose(0, 2, 1) @ (KER @ xR).reshape(blocked)).ravel()
+        x = np.empty(b.shape)
+        x[R], x[E] = xR, qE
         return x
 
 
@@ -179,6 +205,20 @@ def factorize(A):
     banded start order leads it to far less fill than a numbering blocked by
     entity type: 18-21% less on the (2,1) pencils at N = 30.
 
+    SuperLU runs with ``relax`` = 1 and ``panel_size`` = 8 instead of its
+    defaults 10 and 20 (Demmel et al., SIMAX 20, 1999).  Relaxed supernodes
+    store their zeros dense, and the panel workspace grows with width times
+    n.  Measured on one core, against the defaults: the factors of the
+    dirichlet (2,1) N = 30 S kept 43.9 MB instead of 49.7 MB, the peak of
+    ``splu`` fell from 56.6 to 49.4 MB, and fill moved by -0.1% (4.20M to
+    4.19M); at (1,0) N = 100 the peak fell from 168 to 129 MB and fill from
+    9.87M to 9.21M.  Of relax 1, 2, 3 and 10, relax 1 kept the least on
+    the three benchmark meshes.  Panel 4 peaks 0.3-6 MB lower than panel 8,
+    but its ``splu`` at N = 100 took 1.34 s against 1.13 s (medians of four
+    runs), and panel 6 lies between the two.  Values above the defaults crashed
+    scipy 1.17's SuperLU (relax 50 and 100; panel 32 on an adaptive mesh).
+    The constants decide the factors, and so the rounding of every solve.
+
     Raises :class:`SingularMatrixError` for structurally singular inputs
     (a row or column without nonzeros, or an entry that couples two groups),
     and when the estimated 1-norm of the inverse of the scaled matrix, times
@@ -222,7 +262,7 @@ def factorize(A):
     shape, amax = csc.shape, np.abs(csc.data).max()
 
     try:
-        lu = spla.splu(csc, permc_spec="COLAMD")
+        lu = spla.splu(csc, permc_spec="COLAMD", relax=_RELAX, panel_size=_PANEL_SIZE)
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}", kind="numerical") from exc
     del csc
@@ -237,8 +277,6 @@ def factorize(A):
             kind="numerical")
     blocks = None
     if A.local is not None:
-        # the same product _condense formed, rebuilt now that the factors exist
-        C = _coupling(A.sp[E][:, R], Qinv)
-        # C^T in CSR: a product with C.T, a CSC view, costs four times as much
-        blocks = (E, R, Qinv, C, C.T.tocsr())
+        # sliced now that the factors exist, so that it was not alive next to them
+        blocks = (E, R, Qinv, A.sp[E][:, R])
     return Factorization(lu, perm, scale, blocks)

@@ -37,11 +37,16 @@ def perfbench(monkeypatch):
     return tracer, worker, workloads
 
 
-def test_traced_solve_passes_check_trace(perfbench):
+@pytest.mark.parametrize("name,domain,ell,k,bc", [
+    ("solve_square_dirichlet_p2", "bi_unit_square", 2, 1, "dirichlet"),
+    ("solve_square_mixed_p2", "unit_square", 2, 1, "mixed_bottom_fixed"),
+    ("solve_square_dirichlet_p2", "bi_unit_square", 1, 0, "dirichlet"),
+], ids=["dirichlet-2-1", "mixed-2-1", "dirichlet-1-0"])
+def test_traced_solve_passes_check_trace(perfbench, name, domain, ell, k, bc):
+    # check_trace refactorizes K: a condensed pencil under both conditions and
+    # a (1,0) one factorized whole
     tracer_mod, worker, workloads = perfbench
-    name = "solve_square_dirichlet_p2"
-    cfg = ExperimentConfig(domain="bi_unit_square", ell=2, k=1, N=(6,), nev=5,
-                           bc="dirichlet", seed=301)
+    cfg = ExperimentConfig(domain=domain, ell=ell, k=k, N=(6,), nev=5, bc=bc, seed=301)
     mesh = cfg.build_mesh(cfg.N[0])
     tracer = tracer_mod.Tracer("test")
     tracer.install()

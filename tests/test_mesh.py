@@ -353,3 +353,24 @@ def test_edge_of_three_triangles_and_bad_edge_ids_raise_mesh_error():
         with pytest.raises(MeshError, match="edge id out of range"):
             mm.Mesh(mesh.vertices, mesh.tri_vertices, tri_edges, mesh.tri_parents,
                     mesh.edges, mesh.edge_tags)
+
+
+def test_wrong_shapes_and_fractional_ids_raise_mesh_error():
+    mesh = build_square_mesh(2, mm.UNIT_SQUARE)
+    args = dict(vertices=mesh.vertices, tri_vertices=mesh.tri_vertices,
+                tri_edges=mesh.tri_edges, tri_parents=mesh.tri_parents, edges=mesh.edges,
+                edge_tags=mesh.edge_tags)
+    mm.Mesh(**args)
+    probes = [
+        ("edge_tags", mesh.edge_tags[:-1], "edge_tags has shape"),
+        ("tri_vertices", mesh.tri_vertices.ravel(), "tri_vertices has shape"),
+        ("tri_parents", mesh.tri_parents[:-1], "tri_parents has shape"),
+        ("vertices", np.c_[mesh.vertices, np.zeros(mesh.num_vertices)], "vertices has shape"),
+        ("tri_vertices", mesh.tri_vertices + 0.4, "must hold integers"),
+    ]
+    for name, value, message in probes:
+        with pytest.raises(MeshError, match=message):
+            mm.Mesh(**{**args, name: value})
+    # integral values of another dtype are the same mesh
+    same = mm.Mesh(**{**args, "tri_vertices": mesh.tri_vertices.astype(float)})
+    assert np.array_equal(same.tri_vertices, mesh.tri_vertices)
