@@ -9,7 +9,8 @@ import numpy as np
 from . import fields as fd
 from .assembly import assemble_forms, build_pencil
 from .eigsolve import EigConfig, solve_eig
-from .errors import ConfigurationError, TrackingError, UnsupportedSchemeError
+from .errors import (ConfigurationError, TrackingError, UnsupportedSchemeError, check_int,
+                     is_finite)
 from .estimator import compute_indicators, effectivity
 from .mesh import patches, refine
 from .spaces import DofMap
@@ -75,6 +76,19 @@ def _track(lambdas, previous):
     return int(order[0])
 
 
+def check_loop_parameters(target_index, max_iterations, dof_cap, mark_fraction, lambda_ref):
+    """Raise :class:`ConfigurationError` for a parameter :func:`afem_loop`
+    cannot run with; ``ExperimentConfig`` applies the same rules."""
+    for name, value, low in (("target_index", target_index, 0),
+                             ("max_iterations", max_iterations, 0), ("dof_cap", dof_cap, 1)):
+        check_int(name, value, low)
+    if not (is_finite(mark_fraction) and 0 <= mark_fraction <= 1):
+        raise ConfigurationError(f"mark_fraction must be in [0, 1], got {mark_fraction!r}")
+    if lambda_ref is not None and not (is_finite(lambda_ref) and lambda_ref > 0):
+        raise ConfigurationError(
+            f"lambda_ref must be a finite positive number, got {lambda_ref!r}")
+
+
 def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
               dof_cap=50_000, mu=1.0, lambda_ref=None, mark_fraction=0.5,
               eig=None):
@@ -87,6 +101,7 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
     """
     if descriptor.k != 0:
         raise UnsupportedSchemeError("adaptive refinement requires the lowest-order scheme")
+    check_loop_parameters(target_index, max_iterations, dof_cap, mark_fraction, lambda_ref)
     eig = eig or EigConfig(nev=max(target_index + 3, 5))
     if eig.nev < target_index + 2:
         raise ConfigurationError(f"tracking eigenvalue {target_index} needs nev >= "

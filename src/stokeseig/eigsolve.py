@@ -11,16 +11,14 @@ vectors gives the eigenvalues with M-orthonormal velocities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .errors import (ConfigurationError, ShiftAtEigenvalueError, SingularMatrixError,
-                     UnconvergedError)
+                     UnconvergedError, check_int, is_finite)
 from .sparselin import SparseMatrix, factorize
 
 # ARPACK settings (symmetric mode, largest |nu|).  A single Lanczos vector sees
@@ -46,12 +44,9 @@ class EigConfig:
     seed: int = 20240901
 
     def __post_init__(self):
-        for name, low in (("nev", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
-        if (isinstance(self.shift, bool) or not isinstance(self.shift, Real)
-                or not math.isfinite(self.shift)):
+        check_int("nev", self.nev, 1)
+        check_int("seed", self.seed, 0)
+        if not is_finite(self.shift):
             raise ConfigurationError(f"shift must be a finite number, got {self.shift!r}")
 
 
@@ -78,6 +73,11 @@ def solve_eig(pencil, cfg):
     holds the pairs that could be extracted.
     """
     K, N, n_u = pencil.K, pencil.N, pencil.layout.n_u
+    if cfg.nev > n_u:
+        # the pencil has n_u finite eigenvalues; fail before the dense path's
+        # n_u right-hand sides are allocated
+        raise UnconvergedError(f"only {n_u} of {cfg.nev} eigenpairs exist: the velocity "
+                               f"space has {n_u} dofs")
     try:
         fact = factorize(_shifted(K, N, cfg.shift))
     except SingularMatrixError as exc:

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the argument checks that
+every module applies the same way.
 
 Every error carries a machine-readable ``category`` used by the CLI to pick
 an exit code.
 """
+
+import math
+import numbers
 
 
 class StokesEigError(Exception):
@@ -71,3 +75,24 @@ class TrackingError(StokesEigError):
 
 class IOFailureError(StokesEigError):
     category = "io"
+
+
+def is_int(value):
+    """An integral number that is not a bool; numpy integers count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value):
+    """A finite real number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def check_int(name, value, low):
+    """Raise :class:`ConfigurationError` unless ``value`` is an integer >= ``low``."""
+    if not is_int(value) or value < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, IOFailureError, MeshError
+from .errors import ConfigurationError, IOFailureError, MeshError, is_int
 
 INTERIOR = 0
 DIRICHLET = 1
@@ -103,8 +103,7 @@ class Mesh:
         """``ids`` as an int64 array; a bool, non-integer or out-of-range
         triangle id raises :class:`MeshError`."""
         ids = list(ids)
-        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
-                   and 0 <= t < self.num_triangles for t in ids):
+        if not all(is_int(t) and 0 <= t < self.num_triangles for t in ids):
             raise MeshError(f"triangle ids must be integers in [0, {self.num_triangles})")
         return np.array(ids, dtype=np.int64)
 
@@ -224,12 +223,12 @@ def _mesh_array(name, value, shape, counts, dtype=np.int64):
 
 
 def _build_edges(tri_vertices):
-    nt = tri_vertices.shape[0]
-    raw = np.empty((3 * nt, 2), dtype=np.int64)
-    for j, (a, b) in enumerate(_LOCAL_EDGES):
-        raw[j * nt:(j + 1) * nt] = np.sort(tri_vertices[:, [a, b]], axis=1)
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-    return edges, inverse.reshape(3, nt).T.copy()
+    """Edges as sorted vertex pairs in lexicographic order, and each
+    triangle's edge ids; the pair (lo, hi) is keyed as lo * nv + hi."""
+    nv = int(tri_vertices.max(initial=-1)) + 1
+    pairs = np.sort(tri_vertices[:, _LOCAL_EDGES], axis=2)      # (nt, 3, 2)
+    keys, inverse = np.unique(pairs[..., 0] * nv + pairs[..., 1], return_inverse=True)
+    return np.column_stack(np.divmod(keys, nv)), inverse.reshape(pairs.shape[:2])
 
 
 def _edge_sides(tri_edges, num_edges):
@@ -359,7 +358,7 @@ def build_circle_mesh(N):
 
 
 def _check_resolution(N):
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+    if not is_int(N) or N < 1:
         raise ConfigurationError(f"mesh resolution must be a positive integer, got {N!r}")
 
 

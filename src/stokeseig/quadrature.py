@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_int
 
 MAX_DEGREE = 10
 
@@ -129,7 +129,7 @@ def _symmetrize(points, weights):
 @lru_cache(maxsize=None)
 def quadrature(degree):
     """Return a :class:`QuadratureRule` exact to the given total degree."""
-    if not isinstance(degree, (int, np.integer)) or degree < 1:
+    if not is_int(degree) or degree < 1:
         raise ConfigurationError(f"quadrature degree must be a positive integer, got {degree!r}")
     if degree > MAX_DEGREE:
         raise ConfigurationError(f"quadrature degree {degree} exceeds the supported maximum {MAX_DEGREE}")

@@ -35,7 +35,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import legval
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_int
 from .quadrature import gauss_legendre, quadrature
 
 NED1 = "ned1"
@@ -251,18 +251,19 @@ def _generators(family, order, exps):
     return np.linalg.qr(np.column_stack(gens))[0]
 
 
-@lru_cache(maxsize=None)
+# typed, so that a float order equal to a cached int is checked, not served
+@lru_cache(maxsize=None, typed=True)
 def ned_basis(family, order):
     """Vector basis of the requested family and order.
 
     Supported: first kind orders 0..2, second kind orders 1..3.
     """
     if family == NED1:
-        if order not in (0, 1, 2):
-            raise ConfigurationError(f"first-kind order must be 0, 1 or 2, got {order}")
+        if not is_int(order) or order not in (0, 1, 2):
+            raise ConfigurationError(f"first-kind order must be 0, 1 or 2, got {order!r}")
     elif family == NED2:
-        if order not in (1, 2, 3):
-            raise ConfigurationError(f"second-kind order must be 1, 2 or 3, got {order}")
+        if not is_int(order) or order not in (1, 2, 3):
+            raise ConfigurationError(f"second-kind order must be 1, 2 or 3, got {order!r}")
     else:
         raise ConfigurationError(f"unknown vector family {family!r}")
 
@@ -286,11 +287,11 @@ def ned_basis(family, order):
     return ReferenceBasis(family, order, coeffs, dofs, functionals)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pk_basis(order):
     """Monomial basis of P_order on the reference triangle (constant first)."""
-    if order not in (0, 1, 2, 3):
-        raise ConfigurationError(f"piecewise polynomial order must be 0..3, got {order}")
+    if not is_int(order) or order not in (0, 1, 2, 3):
+        raise ConfigurationError(f"piecewise polynomial order must be 0..3, got {order!r}")
     exps = _monomial_exponents(order)
     coeffs = np.zeros((len(exps), order + 1, order + 1))
     for d, (i, j) in enumerate(exps):

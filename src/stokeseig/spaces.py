@@ -13,12 +13,11 @@ Velocity is element-wise P_k^2 with no coupling between elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import mesh as meshmod
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_int
 from .quadrature import quadrature
 from .refbasis import NED1, NED2, ned_basis, pk_basis, pk_reference_mass
 
@@ -40,8 +39,7 @@ class SpaceDescriptor:
     def __post_init__(self):
         for value, allowed, what in ((self.ell, (1, 2), "stress family selector"),
                                      (self.k, (0, 1, 2), "velocity order")):
-            if (isinstance(value, bool) or not isinstance(value, Integral)
-                    or value not in allowed):
+            if not is_int(value) or value not in allowed:
                 raise ConfigurationError(
                     f"{what} must be one of {allowed}, got {value!r}")
 

@@ -10,18 +10,16 @@ output metadata.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mesh as meshmod
-from .adapt import afem_loop
+from .adapt import afem_loop, check_loop_parameters
 from .assembly import assemble_forms, build_pencil
 from .eigsolve import EigConfig, solve_eig
-from .errors import ConfigurationError, IOFailureError
+from .errors import ConfigurationError, IOFailureError, check_int, is_finite, is_int
 from .spaces import (ALL_DIRICHLET, BOUNDARY_CONDITIONS, MIXED_BOTTOM_FIXED, DofMap,
                      SpaceDescriptor)
 
@@ -32,26 +30,13 @@ DOMAINS = {
     "circle": (meshmod.build_circle_mesh, 1.0, False),
     "lshape": (meshmod.build_lshape_mesh, 1.0, False),
 }
-# integer fields of ExperimentConfig and their least allowed values
-_INT_FIELDS = (("ell", 1), ("k", 0), ("nev", 1), ("seed", 0), ("max_iterations", 0),
-               ("dof_cap", 1), ("target_index", 0), ("initial_N", 1))
+# integer fields of ExperimentConfig outside the adaptive loop's own, and
+# their least allowed values
+_INT_FIELDS = (("ell", 1), ("k", 0), ("nev", 1), ("seed", 0), ("initial_N", 1))
 
 
 def _fmt(x):
     return f"{x:.17g}"
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
 
 
 @dataclass
@@ -79,21 +64,15 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown domain {self.domain!r}; pick one of {tuple(DOMAINS)}")
         for name, low in _INT_FIELDS:
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_int(name, getattr(self, name), low)
         N = tuple(self.N) if np.iterable(self.N) and not isinstance(self.N, str) else (self.N,)
-        if not N or not all(_is_int(n) and n >= 1 for n in N):
+        if not N or not all(is_int(n) and n >= 1 for n in N):
             raise ConfigurationError(f"mesh resolutions must be positive integers, got {self.N!r}")
         self.N = tuple(int(n) for n in N)
-        if not (_is_finite(self.mu) and self.mu > 0):
+        if not (is_finite(self.mu) and self.mu > 0):
             raise ConfigurationError(f"mu must be a finite positive number, got {self.mu!r}")
-        if self.lambda_ref is not None and not (_is_finite(self.lambda_ref)
-                                                and self.lambda_ref > 0):
-            raise ConfigurationError(
-                f"lambda_ref must be a finite positive number, got {self.lambda_ref!r}")
-        if not (_is_finite(self.mark_fraction) and 0 <= self.mark_fraction <= 1):
-            raise ConfigurationError(f"mark_fraction must be in [0, 1], got {self.mark_fraction!r}")
+        check_loop_parameters(self.target_index, self.max_iterations, self.dof_cap,
+                              self.mark_fraction, self.lambda_ref)
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ConfigurationError(f"out must be a directory path, got {self.out!r}")
         self.descriptor = SpaceDescriptor(self.ell, self.k)

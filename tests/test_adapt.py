@@ -164,6 +164,19 @@ def test_nev_too_small_for_the_target_is_a_configuration_error():
                   eig=EigConfig(nev=3))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"target_index": -1}, {"mark_fraction": float("nan")}, {"mark_fraction": 2.0},
+    {"max_iterations": -1}, {"dof_cap": "x"}, {"lambda_ref": -1.0},
+], ids=repr)
+def test_bad_loop_parameters_fail_before_the_first_solve(monkeypatch, kwargs):
+    def no_solve(*args):
+        raise AssertionError("solve_eig must not run")
+
+    monkeypatch.setattr(adapt, "solve_eig", no_solve)
+    with pytest.raises(ConfigurationError):
+        afem_loop(build_lshape_mesh(2), SpaceDescriptor(1, 0), **{"max_iterations": 2, **kwargs})
+
+
 def test_boundary_conditions_follow_the_initial_mesh_tags():
     from helpers import solve_problem
     from stokeseig.mesh import NEUMANN, UNIT_SQUARE, build_square_mesh, tag_bottom_fixed

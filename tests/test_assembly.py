@@ -14,7 +14,8 @@ from stokeseig.fields import DiscreteField, pressure_from_stress, vorticity_from
 from stokeseig.mesh import build_square_mesh
 from stokeseig.quadrature import quadrature
 from stokeseig.refbasis import ned_basis, pk_basis
-from stokeseig.spaces import MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor, interpolate_ned
+from stokeseig.spaces import (ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor,
+                              interpolate_ned)
 from stokeseig.sparselin import SparseMatrix, factorize
 
 SCHEMES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
@@ -79,6 +80,29 @@ def test_pencil_symmetry_and_blocks():
     assert np.allclose(N[s:s + dm.n_u, s:s + dm.n_u], -forms.M.toarray())
     N[s:s + dm.n_u, s:s + dm.n_u] = 0.0
     assert np.abs(N).max() == 0.0
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1.0, 7.3])
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_a_and_k_are_symmetric_bit_for_bit(ell, k, bc, mu):
+    if bc == MIXED_BOTTOM_FIXED:
+        mesh = mm.tag_bottom_fixed(build_square_mesh(3, mm.UNIT_SQUARE))
+    else:
+        mesh = build_square_mesh(3, mm.BI_UNIT_SQUARE)
+    forms = assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k)), mu)
+    K = build_pencil(forms).K.sp
+    assert (forms.A != forms.A.T).nnz == 0
+    assert (K != K.T).nnz == 0
+
+
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_a_and_k_are_symmetric_bit_for_bit_on_a_graded_mesh(ell, k):
+    mesh = refined_lshape()
+    forms = assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k)), 7.3)
+    K = build_pencil(forms).K.sp
+    assert (forms.A != forms.A.T).nnz == 0
+    assert (K != K.T).nnz == 0
 
 
 def test_block_definiteness():

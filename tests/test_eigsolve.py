@@ -62,6 +62,20 @@ def test_small_velocity_space_reports_too_few_pairs(capsys):
     assert json.loads(capsys.readouterr().err)["category"] == "solver"
 
 
+def test_nev_beyond_the_velocity_space_fails_before_factorizing(monkeypatch):
+    from stokeseig import eigsolve
+    from stokeseig.errors import UnconvergedError
+
+    def no_factorize(*args):
+        raise AssertionError("factorize must not run")
+
+    monkeypatch.setattr(eigsolve, "factorize", no_factorize)
+    pencil = square_pencil(2, 1, N=2)
+    n_u = pencil.layout.n_u
+    with pytest.raises(UnconvergedError, match=f"only {n_u} of {n_u + 1} eigenpairs"):
+        solve_eig(pencil, EigConfig(nev=n_u + 1))
+
+
 def test_square_lowest_eigenvalue_against_published_values():
     # coarse and fine resolutions of the (-1,1)^2 benchmark
     mesh = build_square_mesh(20, mm.BI_UNIT_SQUARE)

@@ -9,6 +9,22 @@ DIMS = {(NED1, 0): 3, (NED1, 1): 8, (NED1, 2): 15,
         (NED2, 1): 6, (NED2, 2): 12, (NED2, 3): 20}
 
 
+@pytest.mark.parametrize("make", [lambda: ned_basis(NED1, 1.0), lambda: ned_basis(NED2, 2.0),
+                                  lambda: ned_basis(NED1, True), lambda: pk_basis(1.0),
+                                  lambda: pk_basis(True), lambda: pk_basis("1")],
+                         ids=["ned1-float", "ned2-float", "ned1-bool", "pk-float", "pk-bool",
+                              "pk-str"])
+def test_non_integer_orders_are_configuration_errors(make):
+    ned_basis(NED1, 1), ned_basis(NED2, 2), pk_basis(1), pk_basis(0)   # cached int orders
+    with pytest.raises(ConfigurationError):
+        make()
+
+
+def test_numpy_integer_orders_are_accepted():
+    assert ned_basis(NED1, np.int64(1)).dim == 8
+    assert pk_basis(np.int32(2)).dim == 6
+
+
 @pytest.mark.parametrize("family,order", sorted(DIMS))
 def test_dimension_formulas(family, order):
     basis = ned_basis(family, order)

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import stokeseig.mesh as mm
 from helpers import dense_gauss_solve, square_pencil
 from stokeseig import sparselin
-from stokeseig.assembly import _interior_groups, assemble_forms, build_pencil
+from stokeseig.assembly import assemble_forms, build_pencil
 from stokeseig.errors import SingularMatrixError
 from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
 from stokeseig.sparselin import SparseMatrix, factorize
@@ -186,14 +186,34 @@ def test_interior_groups_per_scheme(ell, k, width):
         assert np.unique(pencil.K.local).size == pencil.K.local.size
 
 
-def test_triangle_holding_the_pinned_dof_keeps_its_unknowns():
-    mesh = mm.build_square_mesh(2, mm.BI_UNIT_SQUARE)
-    dofmap = DofMap(mesh, SpaceDescriptor(2, 1))
-    B = assemble_forms(mesh, dofmap).B
-    keep = np.arange(dofmap.n_sigma)
-    groups = _interior_groups(dofmap, B, keep, None)
-    pinned = dofmap.stress_gmap[3, 1, -1]           # an interior dof of triangle 3
-    assert np.array_equal(_interior_groups(dofmap, B, keep, pinned), np.delete(groups, 3, axis=0))
+def _randomly_refined_lshape():
+    rng = np.random.default_rng(17)
+    mesh = mm.build_lshape_mesh(2)
+    for _ in range(3):
+        mesh = mm.refine(mesh, np.flatnonzero(rng.random(mesh.num_triangles) < 0.3))
+    return mesh
+
+
+@pytest.mark.parametrize("ell,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+@pytest.mark.parametrize("build", [lambda: mm.build_square_mesh(4, mm.BI_UNIT_SQUARE),
+                                   lambda: mm.build_circle_mesh(3), _randomly_refined_lshape],
+                         ids=["square", "disk", "random_lshape"])
+def test_pinned_dof_is_an_edge_dof_outside_every_group(build, ell, k):
+    mesh = build()
+    dofmap = DofMap(mesh, SpaceDescriptor(ell, k))
+    pencil = build_pencil(assemble_forms(mesh, dofmap))
+    pin_row = pencil.K.sp[-1]
+    assert pin_row.nnz == 1
+    pinned = pin_row.indices[0]
+    n_edge = dofmap.ned.dim - dofmap.interior_dofs_per_tri
+    assert np.isin(pinned, dofmap.stress_gmap[:, :, :n_edge])
+    if pencil.K.local is not None:
+        assert not np.isin(pinned, pencil.K.local)
+        # why: on every triangle each interior moment of the constant J is at
+        # most half the triangle's largest edge moment
+        z = np.abs(pencil.layout.kernel[0])[dofmap.stress_gmap].reshape(mesh.num_triangles, 2, -1)
+        edge, interior = z[:, :, :n_edge], z[:, :, n_edge:]
+        assert np.all(interior.max(axis=(1, 2)) <= 0.5 * (1 + 1e-12) * edge.max(axis=(1, 2)))
 
 
 @pytest.mark.parametrize("factor", [0.0, 1e-14], ids=["singular", "ill_conditioned"])
