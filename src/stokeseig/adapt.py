@@ -76,9 +76,12 @@ def _track(lambdas, previous):
     return int(order[0])
 
 
-def check_loop_parameters(target_index, max_iterations, dof_cap, mark_fraction, lambda_ref):
+def check_loop_parameters(target_index, max_iterations, dof_cap, mark_fraction, lambda_ref,
+                          mu):
     """Raise :class:`ConfigurationError` for a parameter :func:`afem_loop`
     cannot run with; ``ExperimentConfig`` applies the same rules."""
+    if not (is_finite(mu) and mu > 0):
+        raise ConfigurationError(f"mu must be a finite positive number, got {mu!r}")
     for name, value, low in (("target_index", target_index, 0),
                              ("max_iterations", max_iterations, 0), ("dof_cap", dof_cap, 1)):
         check_int(name, value, low)
@@ -101,7 +104,7 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
     """
     if descriptor.k != 0:
         raise UnsupportedSchemeError("adaptive refinement requires the lowest-order scheme")
-    check_loop_parameters(target_index, max_iterations, dof_cap, mark_fraction, lambda_ref)
+    check_loop_parameters(target_index, max_iterations, dof_cap, mark_fraction, lambda_ref, mu)
     eig = eig or EigConfig(nev=max(target_index + 3, 5))
     if eig.nev < target_index + 2:
         raise ConfigurationError(f"tracking eigenvalue {target_index} needs nev >= "

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError, IOFailureError
+from .errors import AssemblyError, IOFailureError, is_finite
 from .quadrature import quadrature
 from .sparselin import SparseMatrix
 from .spaces import DofMap
@@ -86,7 +86,8 @@ class PencilLayout:
 @dataclass
 class Pencil:
     """Matrix pair (K, N) whose finite eigenvalues solve the discrete problem;
-    K carries the interior groups that ``factorize`` eliminates, N is CSR."""
+    K is stored as its upper triangle and carries the interior groups that
+    ``factorize`` eliminates, N is CSR."""
     K: SparseMatrix
     N: sp.csr_matrix
     layout: PencilLayout
@@ -109,8 +110,8 @@ def _scatter(shape, blocks, rows, cols):
 
 def assemble_forms(mesh, dofmap, mu=1.0):
     """Assemble A, B, M and the constraint vector j."""
-    if not 0.0 < mu < np.inf:
-        raise AssemblyError(f"viscosity must be finite and positive, got {mu}")
+    if not (is_finite(mu) and mu > 0):
+        raise AssemblyError(f"viscosity must be finite and positive, got {mu!r}")
     ned, pk = dofmap.ned, dofmap.pk
     rule = quadrature(_quad_degree(dofmap))
     w = rule.weights
@@ -197,7 +198,8 @@ def build_pencil(forms):
     N = sp.block_diag((sp.csr_matrix((len(keep),) * 2), -M, sp.csr_matrix((n_c, n_c))),
                       format="csr")
     layout = PencilLayout(n_sigma, keep, n_u, n_c, kernel)
-    return Pencil(SparseMatrix(K, _interior_groups(dofmap, B, keep)), N, layout, dofmap)
+    return Pencil(SparseMatrix.symmetric(K, _interior_groups(dofmap, B, keep)), N, layout,
+                  dofmap)
 
 
 def _interior_groups(dofmap, B, keep):

@@ -87,6 +87,7 @@ def solve_eig(pencil, cfg):
             f"shift {cfg.shift} is (numerically) an eigenvalue of the pencil or of an "
             f"eliminated element block: {exc}") from exc
     op = _VelocityOperator(pencil, fact)
+    del fact        # op.extract frees the factors once it has lifted the Ritz vectors
 
     k = cfg.nev + _SPARE_RITZ
     ncv = max(_KRYLOV_DIM, 2 * k + 1)
@@ -121,8 +122,8 @@ def _shifted(K, N, shift):
     if shift == 0.0:
         return K
     # theta N couples a triangle's velocity modes only with each other, so
-    # K's interior groups stay valid
-    return SparseMatrix(K.sp - shift * N, K.local)
+    # K's interior groups stay valid; K and N are symmetric, and so is F
+    return SparseMatrix.symmetric(K.sp - shift * N, K.local)
 
 
 def _dominant(nu, W, count):
@@ -151,19 +152,21 @@ class _VelocityOperator:
         return (L @ W.reshape(len(L), L.shape[1], -1)).reshape(W.shape)
 
     def _solve_lifted(self, W):
-        """F^{-1} E L W: one LU solve per column of W."""
-        rhs = np.zeros((self.pencil.layout.size,) + W.shape[1:])
-        rhs[self.vel] = self._mul_L(W)
-        return self.fact.solve(rhs)
+        """F^{-1} E L W, written over the right-hand sides E L W."""
+        X = np.zeros((self.pencil.layout.size,) + W.shape[1:])
+        X[self.vel] = self._mul_L(W)
+        return self.fact.solve(X, out=X)
 
     def apply(self, W):
         return -self._mul_L(self._solve_lifted(W)[self.vel], transpose=True)
 
     def extract(self, nu, W):
-        """Rayleigh-Ritz on (-K, -N), -N positive definite, over the lifted vectors."""
+        """Rayleigh-Ritz on (-K, -N), -N positive definite, over the lifted
+        vectors; the lift is the last solve, so the factors are freed after it."""
         X = self._solve_lifted(W)
+        self.fact = None
         X /= -nu                             # N E u = -E M u = -E L w
-        Kr = -(X.T @ (self.pencil.K.sp @ X))
+        Kr = -(X.T @ self.pencil.K.matvec(X))
         Nr = -(X.T @ (self.pencil.N @ X))
         lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
         vectors = X @ Y
@@ -178,17 +181,15 @@ class _VelocityOperator:
 
 
 def _residuals(pencil, lams, vectors):
-    """|K x - lambda N x| / |x| for every column x of ``vectors``, one at a time
-    so that no temporary has the size of ``vectors``."""
-    K, N = pencil.K.sp, pencil.N
-    return np.array([np.linalg.norm(K @ x - (N @ x) * lam) / np.linalg.norm(x)
-                     for lam, x in zip(lams, vectors.T)])
+    """|K x - lambda N x| / |x| for every column x of ``vectors``."""
+    R = pencil.K.matvec(vectors) - (pencil.N @ vectors) * lams
+    return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
 def eigen_residuals(pencil, solution):
     """Recompute |K x - lambda N x| / |x| for every stored eigenpair."""
     x = solution.vectors
-    if x.shape[0] != pencil.K.sp.shape[0]:
+    if x.shape[0] != pencil.K.shape[0]:
         raise ValueError(f"eigenvectors have wrong dimension {x.shape[0]}")
     zero = np.flatnonzero(~np.any(x, axis=0))
     if zero.size:

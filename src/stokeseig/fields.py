@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import J, skew_free_part
-from .errors import KindMismatchError
+from .errors import KindMismatchError, is_finite
 from .quadrature import quadrature
 from .spaces import DofMap
 
@@ -171,8 +171,8 @@ def vorticity_from_stress(sigma, pressure, mu):
         raise KindMismatchError(f"expected a stress field, got {sigma.kind}")
     if pressure.kind != PRESSURE or pressure._d["stress"] is not sigma:
         raise KindMismatchError("pressure field does not belong to this stress field")
-    if not 0.0 < mu < np.inf:
-        raise KindMismatchError(f"viscosity must be finite and positive, got {mu}")
+    if not (is_finite(mu) and mu > 0):
+        raise KindMismatchError(f"viscosity must be finite and positive, got {mu!r}")
     return DiscreteField(VORTICITY, sigma.mesh, {"stress": sigma, "mu": float(mu)})
 
 

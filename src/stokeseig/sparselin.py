@@ -20,13 +20,14 @@ dof numbering is blocked by entity type and carries no mesh locality, and
 the RCM preorder supplies it.  Singular systems are reported as errors
 instead of producing garbage solutions; numerical singularity is judged
 from a 1-norm estimate of the inverse, so only the LU factors are kept in
-memory.  While SuperLU allocates them, only the input matrix, the scaled
-matrix handed to it and the inverted blocks are alive besides.  The
-condensed solve couples E and R through the input's own block K[E, R],
-sliced after SuperLU returns, and keeps no product with Q^-1.  SuperLU runs
-without relaxed supernodes and with 8-column panels (``_RELAX``,
-``_PANEL_SIZE``): on these matrices its defaults cost memory and save no
-fill.
+memory.  The pencil's K, and the shifted K - theta N, are stored as their
+upper triangle.  While SuperLU allocates its factors, only that triangle and
+the scaled matrix handed to it are alive besides: the inverted blocks Q^-1
+and the coupling block K[E, R] of the condensed solve are read off the
+triangle again after SuperLU returns, and the solve keeps no product with
+Q^-1.  SuperLU runs without relaxed supernodes and with 8-column panels
+(``_RELAX``, ``_PANEL_SIZE``): on these matrices its defaults cost memory and
+save no fill.
 """
 
 from __future__ import annotations
@@ -51,33 +52,97 @@ _PANEL_SIZE = 8
 
 
 class SparseMatrix:
-    """A matrix in canonical CSR (``sp``) with the groups ``factorize`` may
-    eliminate.
+    """A square matrix with the groups ``factorize`` may eliminate.
+
+    The constructor keeps the matrix as canonical CSR.  :meth:`symmetric`
+    takes a matrix that is symmetric bit for bit, as the pencil's K is, and
+    keeps only its upper triangle with the diagonal, about half the memory;
+    ``sp`` then rebuilds the full CSR on demand, bit for bit, and ``matvec``
+    and ``factorize`` read the triangle.  ``nnz`` and ``norm_inf()`` are
+    those of the full matrix; the norm is computed from its rows, once, so
+    that the residual check after a solve makes no ``abs`` copy next to the
+    LU factors.
 
     ``local`` is None or an (n_groups, g) index array of disjoint groups of
     unknowns of a symmetric matrix: within the rows of all groups, entries
-    lie only inside a row's own group or in the columns of no group.
-    Duplicates are summed here because ``_condense`` fills its blocks by
-    assignment and would keep only one of them.  ``sp`` is not to be changed
-    in place: its infinity norm is computed here, once, so that the residual
-    check after a solve makes no ``abs`` copy next to the LU factors.
+    lie only inside a row's own group or in the columns of no group.  Only
+    the upper triangle of a matrix with groups is read.  Duplicates are
+    summed here because ``_blocks`` fills Q by assignment and would keep
+    only one of them.
     """
 
     def __init__(self, matrix, local=None):
         csr = sp.csr_matrix(matrix)
         csr.sum_duplicates()
         csr.sort_indices()
-        self.sp = csr
         self.local = local
+        # nnz and norm_inf are read by the benchmark (perfbench/)
+        self.shape, self.nnz = csr.shape, csr.nnz
         self._norm_inf = float(abs(csr).sum(axis=1).max()) if csr.nnz else 0.0
+        self._csr, self._upper = csr, None       # exactly one of them is kept
 
-    # nnz and norm_inf stay because the benchmark (perfbench/) reads them
+    @classmethod
+    def symmetric(cls, matrix, local=None):
+        """The symmetric ``matrix``, stored as its upper triangle."""
+        K = cls(matrix, local)
+        K._csr, K._upper = None, _upper_triangle(K._csr)
+        return K
+
     @property
-    def nnz(self):
-        return self.sp.nnz
+    def sp(self):
+        """The full matrix in canonical CSR; rebuilt from the triangle on each call."""
+        if self._csr is not None:
+            return self._csr
+        coo = self._upper.tocoo(copy=False)
+        return _symmetric_csr(coo.row, coo.col, coo.data, self.shape[0])
+
+    @property
+    def upper(self):
+        """The upper triangle with the diagonal, in canonical CSR."""
+        return self._upper if self._csr is None else _upper_triangle(self._csr)
 
     def norm_inf(self):
         return self._norm_inf
+
+    def matvec(self, x):
+        """The product with a vector or a block of columns x; from the
+        triangle U, U x + U^T x - d x."""
+        if self._csr is not None:
+            return self._csr @ x
+        U = self._upper
+        y = U @ x
+        y += U.T @ x
+        y -= (U.diagonal() * x.T).T
+        return y
+
+    def row_max(self):
+        """max |a_ij| over j, for every row i of the full matrix."""
+        if self._csr is not None:
+            return abs(self._csr).max(axis=1).toarray().ravel()
+        U = abs(self._upper)
+        column_max = np.zeros(self.shape[0])
+        np.maximum.at(column_max, U.indices, U.data)   # no CSC copy, unlike U.max(axis=0)
+        return np.maximum(U.max(axis=1).toarray().ravel(), column_max)
+
+
+def _upper_triangle(csr):
+    """The upper triangle, with the diagonal, of a canonical CSR matrix: the
+    tail of each row, kept in place of sp.triu's round trip through COO."""
+    n = csr.shape[0]
+    rows = np.repeat(np.arange(n, dtype=csr.indices.dtype), np.diff(csr.indptr))
+    keep = csr.indices >= rows
+    indptr = np.zeros_like(csr.indptr)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return sp.csr_matrix((csr.data[keep], csr.indices[keep], indptr), shape=csr.shape)
+
+
+def _symmetric_csr(row, col, data, n):
+    """The full n x n canonical CSR of a symmetric matrix from the entries of
+    one triangle: an entry off the diagonal stands for itself and its mirror."""
+    off = row != col
+    return sp.csr_matrix((np.concatenate([data[off], data]),
+                          (np.concatenate([col[off], row]), np.concatenate([row[off], col]))),
+                         shape=(n, n))
 
 
 class Factorization:
@@ -111,15 +176,21 @@ class Factorization:
         x *= d
         return x
 
-    def solve(self, b):
+    def solve(self, b, out=None):
+        """x with K x = b, for a vector or a block of columns b; ``out``, when
+        given, receives x and may be b itself."""
         b = np.asarray(b, dtype=float)
-        if self._blocks is None:
-            return self._solve_lu(b)
-        if b.ndim == 1:
+        if self._blocks is None:        # SuperLU solves a block at once
+            x = self._solve_lu(b)
+            if out is None:
+                return x
+            out[...] = x
+            return out
+        if b.ndim == 1 and out is None:
             return self._solve_condensed(b)
         # one column at a time, so that the block temporaries next to b and x
         # have the size of one column
-        x = np.empty(b.shape)
+        x = np.empty(b.shape) if out is None else out
         for col in np.ndindex(b.shape[1:]):
             x[(slice(None),) + col] = self._solve_condensed(b[(slice(None),) + col])
         return x
@@ -138,25 +209,37 @@ class Factorization:
         return x
 
 
-def _condense(K, local):
-    """Eliminate the groups ``local`` of the symmetric CSR matrix K; returns
-    the Schur complement S in CSR, E, R and the inverted blocks Q^-1."""
+def _condense(U, local):
+    """The Schur complement S, in CSR, that eliminating the groups ``local``
+    leaves of the symmetric matrix whose upper triangle is the CSR U."""
+    _, R, Qinv, KER = _blocks(U, local)
+    RR = U[R][:, R].tocoo(copy=False)       # R is sorted, so RR stays upper
+    KRR = _symmetric_csr(RR.row, RR.col, RR.data, R.size)
+    return (KRR - _coupling(KER, Qinv) @ KER).tocsr()
+
+
+def _blocks(U, local):
+    """E, R, the inverted diagonal blocks Q^-1 and K_ER in CSR of the groups
+    ``local`` of the symmetric matrix whose upper triangle is the CSR U:
+    entry (i, j) of U is also entry (j, i)."""
     n_blocks, g = local.shape
     E = local.ravel()
-    R = np.setdiff1d(np.arange(K.shape[0]), E)
-    rows_E = K[E]
-    KEE = rows_E[:, E].tocoo()
-    KER = rows_E[:, R]
-    del rows_E
-    block = KEE.row // g
-    outside = block != KEE.col // g
+    in_R = np.ones(U.shape[0], dtype=bool)
+    in_R[E] = False
+    R = np.flatnonzero(in_R)
+    EE = U[E][:, E].tocoo()
+    block = EE.row // g
+    outside = block != EE.col // g
     if outside.any():
         i = int(np.argmax(outside))
         raise SingularMatrixError(
-            f"entry ({E[KEE.row[i]]}, {E[KEE.col[i]]}) couples two eliminated groups",
+            f"entry ({E[EE.row[i]]}, {E[EE.col[i]]}) couples two eliminated groups",
             kind="structural")
     Q = np.zeros((n_blocks, g, g))
-    Q[block, KEE.row % g, KEE.col % g] = KEE.data
+    Q[block, EE.row % g, EE.col % g] = EE.data
+    Q[block, EE.col % g, EE.row % g] = EE.data
+    # freed as soon as possible: after splu this runs next to the LU factors
+    del EE, block, outside
     try:
         Qinv = np.linalg.inv(Q)
     except np.linalg.LinAlgError:
@@ -170,8 +253,12 @@ def _condense(K, local):
         raise SingularMatrixError(
             f"block of unknowns {local[t].tolist()}: |Q^-1|_1 max|q| = {cond[t]:.3e} "
             f"reaches {_COND_LIMIT:.0e}", kind="numerical")
-    S = K[R][:, R] - _coupling(KER, Qinv) @ KER
-    return S.tocsr(), E, R, Qinv
+    del Q
+    # an entry of K_ER lies in U's row e or, mirrored, in its column e; a sum
+    # with a missing entry adds an exact zero.  Columns first: U[:, E] is half
+    # the size of U[R]
+    mirrored = U[:, E][R].T.tocsr()
+    return E, R, Qinv, U[E][:, R] + mirrored
 
 
 def _coupling(KER, Qinv):
@@ -190,7 +277,10 @@ def factorize(A):
     Schur complement S = A_RR - A_RE Q^-1 A_ER in place of A; the block-free
     path is A's own.  On the (2,1) pencils at N = 30 this condenses 38,161
     unknowns to 20,161 (dirichlet) and cuts LU fill from 5.7M to 4.2M.  A
-    block counts as singular by the rule below, with its exact inverse.
+    block counts as singular by the rule below, with its exact inverse.  The
+    blocks are read off A's upper triangle; Q^-1 and A_ER, which the solves
+    need, are read again once SuperLU has returned, so that neither is alive
+    next to it.
 
     Rows and columns with an exactly zero diagonal are scaled by
     s = 2^round(log2(16 max|other rows| / max|zero-diagonal rows|)).  Partial
@@ -227,15 +317,16 @@ def factorize(A):
     solves with the factors and, unlike reading SuperLU's ``L`` or ``U``,
     copies neither of them.
     """
-    csr = A.sp
-    if csr.shape[0] != csr.shape[1]:
-        raise SingularMatrixError(f"matrix is not square: {csr.shape}", kind="structural")
-    rowmax = abs(csr).max(axis=1).toarray().ravel()
+    if A.shape[0] != A.shape[1]:
+        raise SingularMatrixError(f"matrix is not square: {A.shape}", kind="structural")
+    rowmax = A.row_max()
     if np.any(rowmax == 0.0):
         idx = int(np.argmin(rowmax))
         raise SingularMatrixError(f"row {idx} has no nonzero entry", kind="structural")
-    if A.local is not None:
-        csr, E, R, Qinv = _condense(csr, A.local)
+    if A.local is None:
+        csr = A.sp
+    else:
+        csr = _condense(A.upper, A.local)
         rowmax = abs(csr).max(axis=1).toarray().ravel()
 
     scale = np.ones(csr.shape[0])
@@ -275,8 +366,5 @@ def factorize(A):
         raise SingularMatrixError(
             f"estimated |A^-1|_1 max|a| = {cond:.3e} reaches {_COND_LIMIT:.0e}",
             kind="numerical")
-    blocks = None
-    if A.local is not None:
-        # sliced now that the factors exist, so that it was not alive next to them
-        blocks = (E, R, Qinv, A.sp[E][:, R])
+    blocks = None if A.local is None else _blocks(A.upper, A.local)
     return Factorization(lu, perm, scale, blocks)

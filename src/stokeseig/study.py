@@ -19,7 +19,7 @@ from . import mesh as meshmod
 from .adapt import afem_loop, check_loop_parameters
 from .assembly import assemble_forms, build_pencil
 from .eigsolve import EigConfig, solve_eig
-from .errors import ConfigurationError, IOFailureError, check_int, is_finite, is_int
+from .errors import ConfigurationError, IOFailureError, check_int, is_int
 from .spaces import (ALL_DIRICHLET, BOUNDARY_CONDITIONS, MIXED_BOTTOM_FIXED, DofMap,
                      SpaceDescriptor)
 
@@ -69,10 +69,8 @@ class ExperimentConfig:
         if not N or not all(is_int(n) and n >= 1 for n in N):
             raise ConfigurationError(f"mesh resolutions must be positive integers, got {self.N!r}")
         self.N = tuple(int(n) for n in N)
-        if not (is_finite(self.mu) and self.mu > 0):
-            raise ConfigurationError(f"mu must be a finite positive number, got {self.mu!r}")
         check_loop_parameters(self.target_index, self.max_iterations, self.dof_cap,
-                              self.mark_fraction, self.lambda_ref)
+                              self.mark_fraction, self.lambda_ref, self.mu)
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ConfigurationError(f"out must be a directory path, got {self.out!r}")
         self.descriptor = SpaceDescriptor(self.ell, self.k)

@@ -1,6 +1,7 @@
 """Shared helpers and independent oracles for the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from stokeseig.assembly import assemble_forms, build_pencil
 from stokeseig.eigsolve import EigConfig, solve_eig
@@ -35,14 +36,36 @@ def solve_problem(mesh, ell, k, nev=5, bc=ALL_DIRICHLET, mu=1.0, seed=20240901, 
     return solution, pencil, dofmap
 
 
-def square_pencil(ell, k, bc=ALL_DIRICHLET, N=8):
-    """Pencil on the bi-unit square (all-Dirichlet) or the unit square with its
-    bottom fixed (mixed)."""
+def _square_forms(ell, k, bc, N):
     if bc == MIXED_BOTTOM_FIXED:
         mesh = tag_bottom_fixed(build_square_mesh(N, UNIT_SQUARE))
     else:
         mesh = build_square_mesh(N, BI_UNIT_SQUARE)
-    return build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k), bc)))
+    return assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k), bc))
+
+
+def square_pencil(ell, k, bc=ALL_DIRICHLET, N=8):
+    """Pencil on the bi-unit square (all-Dirichlet) or the unit square with its
+    bottom fixed (mixed)."""
+    return build_pencil(_square_forms(ell, k, bc, N))
+
+
+def block_pencil(ell, k, bc=ALL_DIRICHLET, N=8):
+    """K and N of :func:`square_pencil`, both whole CSR assembled from the
+    forms' blocks: an oracle for the pencil, which keeps K as a triangle."""
+    forms = _square_forms(ell, k, bc, N)
+    layout = build_pencil(forms).layout
+    keep = layout.keep
+    A, B = forms.A[keep][:, keep], forms.B[:, keep]
+    if layout.n_c:
+        pin = sp.csr_matrix(([1.0], ([0], [np.argmax(np.abs(layout.kernel[0]))])),
+                            shape=(1, len(keep)))
+        K = sp.bmat([[A, B.T, pin.T], [B, None, None], [pin, None, None]], format="csr")
+    else:
+        K = sp.bmat([[A, B.T], [B, None]], format="csr")
+    N = sp.block_diag((sp.csr_matrix((len(keep),) * 2), -forms.M,
+                       sp.csr_matrix((layout.n_c,) * 2)), format="csr")
+    return K, N
 
 
 def dense_gauss_solve(A, b):

@@ -167,6 +167,7 @@ def test_nev_too_small_for_the_target_is_a_configuration_error():
 @pytest.mark.parametrize("kwargs", [
     {"target_index": -1}, {"mark_fraction": float("nan")}, {"mark_fraction": 2.0},
     {"max_iterations": -1}, {"dof_cap": "x"}, {"lambda_ref": -1.0},
+    {"mu": float("nan")}, {"mu": "x"}, {"mu": True},
 ], ids=repr)
 def test_bad_loop_parameters_fail_before_the_first_solve(monkeypatch, kwargs):
     def no_solve(*args):

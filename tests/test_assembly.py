@@ -4,8 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import stokeseig.mesh as mm
-from helpers import (permute_edges, refined_lshape, single_triangle_mesh, solve_problem,
-                     square_pencil)
+from helpers import (block_pencil, permute_edges, refined_lshape, single_triangle_mesh,
+                     solve_problem, square_pencil)
 from stokeseig.assembly import (J, assemble_forms, build_pencil, export_matrix,
                                 skew_free_part)
 from stokeseig.eigsolve import EigConfig, solve_eig
@@ -80,6 +80,19 @@ def test_pencil_symmetry_and_blocks():
     assert np.allclose(N[s:s + dm.n_u, s:s + dm.n_u], -forms.M.toarray())
     N[s:s + dm.n_u, s:s + dm.n_u] = 0.0
     assert np.abs(N).max() == 0.0
+
+
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_pencil_k_is_the_block_assembled_k_bit_for_bit(ell, k, bc):
+    # the pencil keeps K's upper triangle; K.sp rebuilds the whole of it
+    pencil = square_pencil(ell, k, bc, N=3)
+    K, N = block_pencil(ell, k, bc, N=3)
+    for got, want in ((pencil.K.sp, K), (pencil.N, N)):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert pencil.K.nnz == K.nnz
+    assert pencil.K.norm_inf() == float(abs(K).sum(axis=1).max())
 
 
 @pytest.mark.parametrize("mu", [1e-3, 1.0, 7.3])
@@ -210,7 +223,7 @@ def test_scaled_pin_row_adds_no_lu_fill_to_a_shifted_pencil():
     assert _fill(factorize(shifted)._lu) <= 1.1 * _fill(plain)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf, "x", None, True], ids=repr)
 def test_viscosity_must_be_positive(mu):
     mesh = build_square_mesh(1, mm.UNIT_SQUARE)
     desc = SpaceDescriptor(1, 0)

@@ -111,9 +111,9 @@ def test_lu_solve_count(monkeypatch, domain, bc, limit):
     columns = []
     real_solve = Factorization.solve
 
-    def solve(self, b):
+    def solve(self, b, **kw):
         columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
-        return real_solve(self, b)
+        return real_solve(self, b, **kw)
 
     monkeypatch.setattr(Factorization, "solve", solve)
     mesh = build_square_mesh(10, domain)

@@ -265,11 +265,13 @@ def _numpy_bytes():
     return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(numpy_only).traces)
 
 
-def test_only_the_scaled_matrix_and_inverted_blocks_alive_during_splu(monkeypatch):
-    # at its memory peak SuperLU shares the process with K, the matrix it
-    # factorizes and Q^-1; K_ER is sliced from K after it returns
+def test_only_the_scaled_matrix_alive_during_splu(monkeypatch):
+    # at its memory peak SuperLU shares the process with the pencil's K, kept
+    # as its upper triangle, and the matrix it factorizes; Q^-1 and K_ER are
+    # read off the triangle after it returns
     K = square_pencil(2, 1).K
-    n = K.sp.shape[0]
+    n = K.shape[0]
+    assert K._csr is None and K._upper.nnz <= (K.nnz + n) / 2
     seen = {}
     real_splu = spla.splu
 
@@ -285,12 +287,40 @@ def test_only_the_scaled_matrix_and_inverted_blocks_alive_during_splu(monkeypatc
     finally:
         tracemalloc.stop()
     E, R, Qinv, KER = fact._blocks
-    # E, R, the RCM order, the scale and the column counts: at most 4 x 8 bytes per row
-    allowed = seen["csc"] + Qinv.nbytes + 4 * 8 * n
+    # the RCM order, the scale and the column counts: at most 4 x 8 bytes per row
+    allowed = seen["csc"] + 4 * 8 * n
     assert seen["alive"] <= allowed
-    assert KER.data.nbytes > 4 * 8 * n     # the bound would see it
-    # the coupling is K's own block, not a product kept beside the factors
-    assert (KER != K.sp[E][:, R]).nnz == 0
+    # the bound would see either block
+    assert seen["alive"] + min(Qinv.nbytes, KER.data.nbytes) > allowed
+
+
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", [(1, 0), (1, 2), (2, 1)])
+def test_reads_of_the_triangle_equal_those_of_the_full_matrix(ell, k, bc):
+    K = square_pencil(ell, k, bc, N=4).K
+    full = K.sp
+    assert sp.isspmatrix_csr(full) and full.has_canonical_format and full.nnz == K.nnz
+    assert (full != full.T).nnz == 0
+    assert np.array_equal(K.row_max(), abs(full).max(axis=1).toarray().ravel())
+    # products: U x + U^T x - d x sums each row in another order than K x, so
+    # the two differ by at most the rounding bound of a sum of m terms, twice
+    x = np.random.default_rng(3).standard_normal(K.shape[0])
+    bound = (np.diff(full.indptr) + 2) * np.finfo(float).eps * (abs(full) @ np.abs(x))
+    assert np.all(np.abs(K.matvec(x) - full @ x) <= bound)
+    if K.local is None:
+        return
+    # blocks, bit for bit: Q^-1 of the full blocks, K_ER and S from slices of the full K
+    E, R, Qinv, KER = sparselin._blocks(K.upper, K.local)
+    n_blocks, g = K.local.shape
+    Q = full[E][:, E].toarray().reshape(n_blocks, g, n_blocks, g)
+    assert np.array_equal(Qinv, np.linalg.inv(Q[np.arange(n_blocks), :, np.arange(n_blocks)]))
+    sliced = full[E][:, R]
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(KER, attr), getattr(sliced, attr))
+    S = (full[R][:, R] - sparselin._coupling(sliced, Qinv) @ sliced).tocsr()
+    condensed = sparselin._condense(K.upper, K.local)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(condensed, attr), getattr(S, attr))
 
 
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])

@@ -3,9 +3,11 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import block_pencil
 from stokeseig import study
 from stokeseig.cli import main
 from stokeseig.errors import ConfigurationError
@@ -218,6 +220,20 @@ def test_cli_bad_resolutions_and_deep_config_exit_with_config_code(tmp_path, cap
     for argv in (["solve", "--N", "abc"], ["solve", "--config", str(deep)]):
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["category"] == "config"
+
+
+@pytest.mark.parametrize("ell,k", [(1, 0), (2, 1)])
+def test_dump_matrices_writes_the_pencil_bit_for_bit(tmp_path, capsys, ell, k):
+    # %.17g round-trips every double, and the pencil rebuilds the full K
+    # from its triangle for the dump
+    assert main(["solve", "--N", "3", "--scheme", f"{ell},{k}", "--nev", "2",
+                 "--dump-matrices", "--out", str(tmp_path)]) == 0
+    for name, want in zip(("pencil_K.txt", "pencil_N.txt"), block_pencil(ell, k, N=3)):
+        i, j, v = np.loadtxt(tmp_path / name, unpack=True)
+        assert len(v) == want.nnz
+        got = sp.csr_matrix((v, (i.astype(int), j.astype(int))), shape=want.shape)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 @pytest.mark.parametrize("argv", [
