@@ -101,6 +101,8 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
     iteration and dof budgets allow.  The tracked eigenvalue starts as the
     ``target_index``-th lowest and is followed across meshes by value
     proximity.  Boundary conditions come from the initial mesh's edge tags.
+    Every solve and estimate runs at unit viscosity; ``mu`` scales only the
+    recorded ``lambda_h``, and with it the effectivity against ``lambda_ref``.
     """
     if descriptor.k != 0:
         raise UnsupportedSchemeError("adaptive refinement requires the lowest-order scheme")
@@ -115,7 +117,7 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
         # call, so the solution, fields and pencil of one mesh are freed
         # before the next mesh is assembled and factorized
         dofmap = DofMap(mesh, descriptor)
-        pencil = build_pencil(assemble_forms(mesh, dofmap, mu))
+        pencil = build_pencil(assemble_forms(mesh, dofmap))
         solution = solve_eig(pencil, eig)
 
         idx = target_index if tracked is None else _track(solution.eigenvalues, tracked)
@@ -124,12 +126,13 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
         sigma = fd.stress_from_solution(mesh, descriptor, solution, idx, dofmap=dofmap)
         u = fd.velocity_from_solution(mesh, descriptor, solution, idx)
         theta = fd.theta_postprocess(u, patches(mesh))
-        ind = compute_indicators(mesh, sigma, u, theta, mu)
+        ind = compute_indicators(mesh, sigma, u, theta)
         marked = mark(ind, mark_fraction)
 
-        eff = None if lambda_ref is None else effectivity(lambda_ref, tracked, ind.eta)
+        lambda_h = mu * tracked
+        eff = None if lambda_ref is None else effectivity(lambda_ref, lambda_h, ind.eta)
         record = IterationRecord(
-            dof=pencil.layout.size, lambda_h=tracked, eta_sq=float(ind.eta ** 2),
+            dof=pencil.layout.size, lambda_h=lambda_h, eta_sq=float(ind.eta ** 2),
             effectivity=eff, marked=len(marked), num_triangles=mesh.num_triangles,
             num_vertices=mesh.num_vertices)
         return record, tracked, marked
@@ -150,8 +153,19 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
     return report
 
 
+def fit_order(pairs):
+    """Least-squares slope of log(error) against log(size); returns (slope, residual)."""
+    pts = np.array(list(pairs), dtype=float).reshape(-1, 2)
+    if len(pts) < 2:
+        raise ConfigurationError("order fit needs at least two (h, error) pairs")
+    if (pts <= 0).any():
+        raise ConfigurationError("order fit needs positive mesh sizes and errors")
+    coef, res = np.polyfit(*np.log(pts).T, 1, full=True)[:2]
+    return float(coef[0]), float(res[0]) if len(res) else 0.0
+
+
 def fit_decay_order(dofs, errors, min_dof=_FIT_MIN_DOF):
-    """Least-squares slope of log error against log dof (asymptotic window)."""
+    """:func:`fit_order` of error against dof, from ``min_dof`` on if 3 points remain."""
     dofs = np.asarray(dofs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     sel = (dofs >= min_dof) & (errors > 0.0)
@@ -159,5 +173,4 @@ def fit_decay_order(dofs, errors, min_dof=_FIT_MIN_DOF):
         sel = errors > 0.0
     if sel.sum() < 2:
         return None
-    slope = np.polyfit(np.log(dofs[sel]), np.log(errors[sel]), 1)[0]
-    return float(slope)
+    return fit_order(zip(dofs[sel], errors[sel]))[0]

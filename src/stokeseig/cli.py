@@ -55,11 +55,8 @@ def _build_config(args, **extra):
             overrides["N"] = tuple(int(v) for v in args.N.split(","))
         except ValueError as exc:
             raise ConfigurationError(f"N must be comma-separated integers, got {args.N!r}") from exc
-    for key in ("nev", "mu", "bc", "out", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    for key in ("max_iterations", "dof_cap", "lambda_ref", "target_index", "initial_N"):
+    for key in ("nev", "mu", "bc", "out", "seed",
+                "max_iterations", "dof_cap", "lambda_ref", "target_index", "initial_N"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
@@ -81,20 +78,21 @@ def _cmd_mesh(args):
 
 def _cmd_solve(args):
     cfg = _build_config(args)
+    out = output_dir(cfg.out or ".") if args.dump_matrices else None
     mesh = cfg.build_mesh(cfg.N[0])
-    solution, pencil, _ = solve_on_mesh(cfg, mesh)
+    solution, pencil, dofmap = solve_on_mesh(cfg, mesh)
     result = {
         "domain": cfg.domain,
         "scheme": {"ell": cfg.ell, "k": cfg.k},
         "N": cfg.N[0],
         "dof": pencil.layout.size,
-        "eigenvalues": [float(v) for v in solution.eigenvalues],
+        "eigenvalues": [float(cfg.mu * v) for v in solution.eigenvalues],
         "residuals": [float(v) for v in solution.residuals],
     }
     print(json.dumps(result, indent=2, sort_keys=True))
-    if args.dump_matrices:
-        from .assembly import export_matrix
-        out = output_dir(cfg.out or ".")
+    if out:
+        from .assembly import assemble_forms, build_pencil, export_matrix
+        pencil = build_pencil(assemble_forms(mesh, dofmap, cfg.mu))
         export_matrix(pencil.K.sp, os.path.join(out, "pencil_K.txt"))
         export_matrix(pencil.N, os.path.join(out, "pencil_N.txt"))
     return 0
@@ -131,14 +129,14 @@ def _cmd_export(args):
     idx = args.eigenindex
     if not 0 <= idx < len(solution.eigenvalues):
         raise ConfigurationError(f"eigenindex {idx} out of range")
-    sigma = fd.stress_from_solution(mesh, cfg.descriptor, solution, idx, dofmap=dofmap)
+    sigma = fd.DiscreteField.stress(mesh, cfg.descriptor, cfg.mu * solution.sigma[idx], dofmap)
     u = fd.velocity_from_solution(mesh, cfg.descriptor, solution, idx)
     p = fd.pressure_from_stress(sigma)
     vort = fd.vorticity_from_stress(sigma, p, cfg.mu)
     theta = fd.theta_postprocess(u, meshmod.patches(mesh))
     path = args.path or f"{cfg.domain}_mode{idx}.vtk"
     export_vtk([u, p, vort, theta], path)
-    print(f"wrote {path} (lambda = {solution.eigenvalues[idx]:.7g})")
+    print(f"wrote {path} (lambda = {cfg.mu * solution.eigenvalues[idx]:.7g})")
     return 0
 
 

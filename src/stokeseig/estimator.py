@@ -3,10 +3,12 @@
 For each triangle T the squared indicator sums five nonnegative pieces:
 
 1. the distance between the velocity and its patch-averaged recovery on T,
-2. h_T^2 times the constitutive residual curl(u_h) - sigma_h^r / mu,
-3. h_T^2 times the strong divergence of sigma_h^r / mu,
-4. h_e times the normal jump of sigma_h^r / mu over each interior edge of T,
-5. h_e times sigma_h^r / mu n_e over each boundary edge of T.
+2. h_T^2 times the constitutive residual curl(u_h) - sigma_h^r,
+3. h_T^2 times the strong divergence of sigma_h^r,
+4. h_e times the normal jump of sigma_h^r over each interior edge of T,
+5. h_e times sigma_h^r n_e over each boundary edge of T.
+
+sigma_h is the unit-viscosity stress that every solve computes: no term carries mu.
 
 Interior edge terms enter the indicator of both adjacent triangles.  Edges
 with an essential stress condition (Neumann tag) are excluded from piece 5.
@@ -41,8 +43,8 @@ class LocalIndicators:
         return np.sqrt(self.eta_sq)
 
 
-def compute_indicators(mesh, sigma, u, theta_u, mu=1.0):
-    """Evaluate the local indicators for one normalized eigenpair."""
+def compute_indicators(mesh, sigma, u, theta_u):
+    """Evaluate the local indicators for one normalized unit-viscosity eigenpair."""
     if sigma.kind != fd.STRESS or u.kind != fd.VELOCITY or theta_u.kind != fd.NODAL_P1:
         raise KindMismatchError("expected (stress, velocity, recovered velocity) fields")
     if u.order != 0 or sigma._d["dofmap"].ned.degree > 1:
@@ -62,7 +64,7 @@ def compute_indicators(mesh, sigma, u, theta_u, mu=1.0):
     diff = theta_u.values_at(rule.points) - u.values_at(rule.points)
     addends[:, 0] = np.einsum("eqc,q->e", diff ** 2, w) * det
 
-    sr = skew_free_part(sigma.values_at(rule.points)) / mu           # (nt, q, 2, 2)
+    sr = skew_free_part(sigma.values_at(rule.points))                # (nt, q, 2, 2)
     ju = u.jacobian_at(rule.points)                                  # (nt, q, 2, 2)
     curl_u = np.empty_like(ju)
     curl_u[..., 0] = -ju[..., 1]     # column 0: -d(comp)/dy
@@ -72,17 +74,17 @@ def compute_indicators(mesh, sigma, u, theta_u, mu=1.0):
 
     js = sigma.jacobian_at(rule.points)                              # (nt, q, 2, 2, 2)
     div_sym = 0.5 * (js[..., 0, 0] + js[..., 1, 1]
-                     + js[:, :, 0, :, 0] + js[:, :, 1, :, 1]) / mu
+                     + js[:, :, 0, :, 0] + js[:, :, 1, :, 1])
     addends[:, 2] = h_t ** 2 * np.einsum("eqi,q->e", div_sym ** 2, w) * det
 
-    # edge terms: evaluate sigma^r / mu at the edge Gauss points of every
+    # edge terms: evaluate sigma^r at the edge Gauss points of every
     # (triangle, local edge) slot; the Gauss set is symmetric, so a flipped
     # local direction is just the reversed point order
     s_param, w_edge = rule.edge_points, rule.edge_weights
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tangents = np.roll(ref, -1, axis=0) - ref      # local edges (0,1), (1,2), (2,0)
     local_pts = (ref[:, None] + s_param[:, None] * tangents[:, None]).reshape(-1, 2)
-    sv = skew_free_part(sigma.values_at(local_pts)) / mu
+    sv = skew_free_part(sigma.values_at(local_pts))
     sv = sv.reshape(nt, 3, len(s_param), 2, 2)
     flipped = mesh.tri_local_edge_flipped()
     sv[flipped] = sv[flipped][:, ::-1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as meshmod
-from .adapt import afem_loop, check_loop_parameters
+from .adapt import afem_loop, check_loop_parameters, fit_order
 from .assembly import assemble_forms, build_pencil
 from .eigsolve import EigConfig, solve_eig
 from .errors import ConfigurationError, IOFailureError, check_int, is_int
@@ -130,20 +130,6 @@ class ConvergenceReport:
         return np.abs(self.lambdas - self.extrapolated[None, :]) / np.abs(self.extrapolated)
 
 
-def fit_order(pairs):
-    """Least-squares slope of log(error) against log(h); returns (slope, residual)."""
-    pairs = [(float(h), float(e)) for h, e in pairs]
-    if len(pairs) < 2:
-        raise ConfigurationError("order fit needs at least two (h, error) pairs")
-    if any(h <= 0 or e <= 0 for h, e in pairs):
-        raise ConfigurationError("order fit needs positive mesh sizes and errors")
-    lh = np.log([h for h, _ in pairs])
-    le = np.log([e for _, e in pairs])
-    coef, res = np.polyfit(lh, le, 1, full=True)[:2]
-    residual = float(res[0]) if len(res) else 0.0
-    return float(coef[0]), residual
-
-
 def extrapolate(pairs):
     """Fit lambda(h) ~ lambda_inf + C h^t; returns (lambda_inf, C, t).
 
@@ -193,9 +179,11 @@ def extrapolate(pairs):
 
 
 def solve_on_mesh(cfg, mesh):
-    """Assemble and solve one mesh; returns (solution, pencil, dofmap)."""
+    """Assemble and solve one mesh at unit viscosity; returns (solution, pencil,
+    dofmap) of that problem, whose pairs ``eigen_residuals`` measures.  The
+    pairs at ``cfg.mu`` are (mu lambda, mu sigma, u): callers scale what they report."""
     dofmap = DofMap(mesh, cfg.descriptor, cfg.bc)
-    pencil = build_pencil(assemble_forms(mesh, dofmap, cfg.mu))
+    pencil = build_pencil(assemble_forms(mesh, dofmap))
     eig = EigConfig(nev=cfg.nev, seed=cfg.seed)
     return solve_eig(pencil, eig), pencil, dofmap
 
@@ -212,7 +200,7 @@ def run_study(cfg):
     for i, N in enumerate(cfg.N):
         mesh = cfg.build_mesh(N)
         solution, pencil, _ = solve_on_mesh(cfg, mesh)
-        lambdas[i] = solution.eigenvalues[:cfg.nev]
+        lambdas[i] = cfg.mu * solution.eigenvalues[:cfg.nev]
         dofs[i] = pencil.layout.size
     h = np.array([cfg.h_of(N) for N in cfg.N])
 

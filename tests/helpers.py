@@ -36,12 +36,12 @@ def solve_problem(mesh, ell, k, nev=5, bc=ALL_DIRICHLET, mu=1.0, seed=20240901, 
     return solution, pencil, dofmap
 
 
-def _square_forms(ell, k, bc, N):
+def _square_forms(ell, k, bc, N, mu=1.0):
     if bc == MIXED_BOTTOM_FIXED:
         mesh = tag_bottom_fixed(build_square_mesh(N, UNIT_SQUARE))
     else:
         mesh = build_square_mesh(N, BI_UNIT_SQUARE)
-    return assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k), bc))
+    return assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k), bc), mu)
 
 
 def square_pencil(ell, k, bc=ALL_DIRICHLET, N=8):
@@ -50,10 +50,11 @@ def square_pencil(ell, k, bc=ALL_DIRICHLET, N=8):
     return build_pencil(_square_forms(ell, k, bc, N))
 
 
-def block_pencil(ell, k, bc=ALL_DIRICHLET, N=8):
-    """K and N of :func:`square_pencil`, both whole CSR assembled from the
-    forms' blocks: an oracle for the pencil, which keeps K as a triangle."""
-    forms = _square_forms(ell, k, bc, N)
+def block_pencil(ell, k, bc=ALL_DIRICHLET, N=8, mu=1.0):
+    """K and N of :func:`square_pencil` at viscosity ``mu``, both whole CSR
+    assembled from the forms' blocks: an oracle for the pencil, which keeps K
+    as a triangle."""
+    forms = _square_forms(ell, k, bc, N, mu)
     layout = build_pencil(forms).layout
     keep = layout.keep
     A, B = forms.A[keep][:, keep], forms.B[:, keep]

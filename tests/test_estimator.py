@@ -28,7 +28,7 @@ def test_zero_residual_input_gives_zero():
     sigma = DiscreteField.stress(mesh, desc, interpolate_ned(mesh, desc, lambda p: 2.5 * J))
     u = _constant_velocity(mesh, [0.4, -0.2])
     theta = theta_postprocess(u, patches(mesh))
-    ind = compute_indicators(mesh, sigma, u, theta, mu=1.0)
+    ind = compute_indicators(mesh, sigma, u, theta)
     assert np.abs(ind.addends).max() < 1e-24
     assert ind.eta < 1e-12
 
@@ -68,7 +68,7 @@ def test_constant_normal_jump_hand_integral():
     sigma = DiscreteField.stress(mesh, desc, interpolate_ned(mesh, desc, tau))
     u = _constant_velocity(mesh, [0.0, 0.0])
     theta = theta_postprocess(u, patches(mesh))
-    ind = compute_indicators(mesh, sigma, u, theta, mu=1.0)
+    ind = compute_indicators(mesh, sigma, u, theta)
 
     D = skew_free_part(jump_tensor)
     expected = length ** 2 * float(np.sum((D @ normal) ** 2))  # h_e * |e| * |D n|^2

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import block_pencil
-from stokeseig import study
+from stokeseig import cli, study
 from stokeseig.cli import main
 from stokeseig.errors import ConfigurationError
 from stokeseig.mesh import NEUMANN
@@ -225,15 +225,18 @@ def test_cli_bad_resolutions_and_deep_config_exit_with_config_code(tmp_path, cap
 @pytest.mark.parametrize("ell,k", [(1, 0), (2, 1)])
 def test_dump_matrices_writes_the_pencil_bit_for_bit(tmp_path, capsys, ell, k):
     # %.17g round-trips every double, and the pencil rebuilds the full K
-    # from its triangle for the dump
-    assert main(["solve", "--N", "3", "--scheme", f"{ell},{k}", "--nev", "2",
-                 "--dump-matrices", "--out", str(tmp_path)]) == 0
-    for name, want in zip(("pencil_K.txt", "pencil_N.txt"), block_pencil(ell, k, N=3)):
-        i, j, v = np.loadtxt(tmp_path / name, unpack=True)
-        assert len(v) == want.nnz
-        got = sp.csr_matrix((v, (i.astype(int), j.astype(int))), shape=want.shape)
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    # from its triangle for the dump; the solve runs at mu = 1, the dump is K(mu)
+    for mu in (1.0, 2.0):
+        out = tmp_path / f"mu{mu}"
+        assert main(["solve", "--N", "3", "--scheme", f"{ell},{k}", "--nev", "2", "--mu",
+                     str(mu), "--dump-matrices", "--out", str(out)]) == 0
+        for name, want in zip(("pencil_K.txt", "pencil_N.txt"),
+                              block_pencil(ell, k, N=3, mu=mu)):
+            i, j, v = np.loadtxt(out / name, unpack=True)
+            assert len(v) == want.nnz
+            got = sp.csr_matrix((v, (i.astype(int), j.astype(int))), shape=want.shape)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 @pytest.mark.parametrize("argv", [
@@ -253,6 +256,7 @@ def test_cli_output_dir_under_a_file_exits_with_io_code(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["study", "--N", "3,4,5", "--nev", "2"],
     ["adapt", "--domain", "lshape", "--initial-N", "2", "--max-iterations", "1"],
+    ["solve", "--N", "3", "--nev", "2", "--dump-matrices"],
 ])
 def test_unusable_out_fails_before_the_first_solve(tmp_path, capsys, monkeypatch, argv):
     def no_solve(*args, **kwargs):
@@ -260,6 +264,7 @@ def test_unusable_out_fails_before_the_first_solve(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(study, "solve_on_mesh", no_solve)
     monkeypatch.setattr(study, "afem_loop", no_solve)
+    monkeypatch.setattr(cli, "solve_on_mesh", no_solve)
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main([*argv, "--scheme", "1,0", "--out", str(blocker / "out")]) == 6
