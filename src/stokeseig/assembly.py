@@ -12,7 +12,11 @@ Blocks, in the order (stress, velocity, kernel-pinning multiplier):
   stress dof; adding a multiple of it afterwards makes j . sigma = 0.
 
 The eigenvalue problem is K x = lambda N x with N = diag(0, -M, 0): its
-finite eigenvalues are the discrete Stokes eigenvalues.  A and K are
+finite eigenvalues are the discrete Stokes eigenvalues, all positive.  The
+pencil stores K at the origin of shift-invert, K - THETA0 N with THETA0 = -1,
+whose velocity block is THETA0 M: eliminating each triangle's velocity (and
+interior stress) dofs leaves the edge-stress part of A - THETA0^-1 B^T M^-1 B,
+which is positive definite once the kernel is pinned.  A and K are
 symmetric bit for bit by construction: each triangle's A block is
 symmetrized before the blocks are summed.
 
@@ -37,6 +41,10 @@ from .refbasis import pk_reference_mass
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J.flags.writeable = False
+
+# the pencil stores K - THETA0 N; every solve runs at unit viscosity, so one
+# negative origin serves every shift at or below 0
+THETA0 = -1.0
 
 
 def skew_free_part(tau):
@@ -85,13 +93,15 @@ class PencilLayout:
 
 @dataclass
 class Pencil:
-    """Matrix pair (K, N) whose finite eigenvalues solve the discrete problem;
-    K is stored as its upper triangle and carries the interior groups that
-    ``factorize`` eliminates, N is CSR."""
+    """Matrix pair (K - theta0 N, N) whose finite eigenvalues plus theta0
+    solve the discrete problem.  ``K`` holds the shifted K, stored as its
+    upper triangle, with the element groups that ``factorize`` eliminates;
+    N is CSR."""
     K: SparseMatrix
     N: sp.csr_matrix
     layout: PencilLayout
     dofmap: DofMap
+    theta0: float = 0.0
 
 
 def _quad_degree(dofmap):
@@ -160,7 +170,8 @@ def assemble_forms(mesh, dofmap, mu=1.0):
 
 
 def build_pencil(forms):
-    """Combine assembled forms into the pencil (K, N), applying constraints.
+    """Combine assembled forms into the pencil (K - THETA0 N, N), applying
+    constraints.
 
     With all-Dirichlet boundary conditions the constant-J interpolant z
     (A z = B z = 0) spans the kernel left in the stress.  One multiplier row
@@ -168,7 +179,7 @@ def build_pencil(forms):
     :meth:`PencilLayout.split` restores the zero mean of sigma : J by adding a
     multiple of z.  That dof is always an edge dof: on every triangle each
     interior moment of J is at most half the triangle's largest edge moment,
-    so the pin never falls in an interior group.  With mixed conditions the
+    so the pin never falls in an element group.  With mixed conditions the
     Neumann tangential-trace dofs are eliminated instead and no multiplier is
     needed.
     """
@@ -176,49 +187,41 @@ def build_pencil(forms):
     n_sigma, n_u = dofmap.n_sigma, dofmap.n_u
     A, B, M = forms.A, forms.B, forms.M
 
-    if dofmap.has_mean_constraint:
+    n_c = int(dofmap.has_mean_constraint)
+    if n_c:
         keep = np.arange(n_sigma)
-        n_c = 1
-        # one entry, unlike a dense border row, fills nothing wherever the LU
-        # pivots on it, so factorize may scale it with the velocity rows
         z = _constant_j_interpolant(dofmap)
         pin = sp.csr_matrix(([1.0], ([0], [np.argmax(np.abs(z))])), shape=(1, n_sigma))
-        K = sp.bmat([[A, B.T, pin.T],
-                     [B, None, None],
-                     [pin, None, None]], format="csr")
         kernel = (z, forms.j)
     else:
         keep = np.setdiff1d(np.arange(n_sigma), dofmap.constrained)
-        n_c = 0
-        Ak = A[keep][:, keep]
-        Bk = B[:, keep]
-        K = sp.bmat([[Ak, Bk.T], [Bk, None]], format="csr")
+        B = B[:, keep]
+        pin = sp.csr_matrix((0, len(keep)))
         kernel = None
 
+    def slabs():
+        # the stress, velocity and multiplier rows of K - THETA0 N, in turn:
+        # SparseMatrix.symmetric keeps the triangle of each, so that only one
+        # whole slab is alive at a time; A's constrained copy dies with its slab
+        yield sp.hstack([A if n_c else A[keep][:, keep], B.T.tocsr(), pin.T.tocsr()],
+                        format="csr")
+        yield sp.hstack([B, THETA0 * M, sp.csr_matrix((n_u, n_c))], format="csr")
+        yield sp.hstack([pin, sp.csr_matrix((n_c, n_u + n_c))], format="csr")
+
+    K = SparseMatrix.symmetric(slabs(), _element_groups(dofmap, keep), definite=True)
     N = sp.block_diag((sp.csr_matrix((len(keep),) * 2), -M, sp.csr_matrix((n_c, n_c))),
                       format="csr")
-    layout = PencilLayout(n_sigma, keep, n_u, n_c, kernel)
-    return Pencil(SparseMatrix.symmetric(K, _interior_groups(dofmap, B, keep)), N, layout,
-                  dofmap)
+    return Pencil(K, N, PencilLayout(n_sigma, keep, n_u, n_c, kernel), dofmap, THETA0)
 
 
-def _interior_groups(dofmap, B, keep):
+def _element_groups(dofmap, keep):
     """Pencil indices of the unknowns that couple only within their triangle,
-    one row per triangle (``SparseMatrix.local``); None without interior dofs.
-
-    A triangle's group is its interior stress dofs (both tensor rows) and the
-    velocity dofs whose curl moments against them are nonzero: the curl of a
-    bubble has zero mean, so the constant velocity is not one of them and
-    stays coupled to the edges.
-    """
-    n_int = dofmap.interior_dofs_per_tri
-    if n_int == 0:
-        return None
-    nt, p = dofmap.mesh.num_triangles, dofmap.pk.dim
-    interior = dofmap.stress_gmap[:, :, -n_int:].reshape(nt, 2 * n_int)
-    seen = np.diff(B[:, interior.ravel()].indptr) > 0
-    modes = np.flatnonzero(seen.reshape(-1, p).any(axis=0))
-    vel = len(keep) + np.arange(dofmap.n_u).reshape(nt, 2, p)[:, :, modes].reshape(nt, -1)
+    one row per triangle (``SparseMatrix.local``): the triangle's interior
+    stress dofs (both tensor rows) and all of its velocity dofs, which are
+    discontinuous."""
+    nt, nd = dofmap.mesh.num_triangles, dofmap.ned.dim
+    interior = dofmap.stress_gmap[:, :, nd - dofmap.interior_dofs_per_tri:].reshape(nt, -1)
+    vel = len(keep) + np.arange(dofmap.n_u).reshape(nt, -1)
     return np.hstack([np.searchsorted(keep, interior), vel])
 
 

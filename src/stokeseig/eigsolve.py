@@ -7,6 +7,13 @@ discrete solution operator, self-adjoint in the M inner product.  Symmetric
 Lanczos runs on S = L^T G L (M = L L^T element by element, w = L^T u); each
 u lifts to x = F^{-1} N E u / nu, and Rayleigh-Ritz on (K, N) over the lifted
 vectors gives the eigenvalues with M-orthonormal velocities.
+
+The pencil stores K - theta0 N (theta0 = -1).  Every finite eigenvalue is
+positive, so for a shift at or below 0 the wanted pairs are the lowest and F
+is the stored matrix, positive definite once the velocity is condensed; a
+positive shift factorizes the indefinite K - theta N with partial pivoting.
+The Rayleigh-Ritz values and the residuals add theta0 back, so what is
+reported is that of K x = lambda N x.
 """
 
 from __future__ import annotations
@@ -72,14 +79,14 @@ def solve_eig(pencil, cfg):
     with small residuals raises :class:`UnconvergedError`, whose ``partial``
     holds the pairs that could be extracted.
     """
-    K, N, n_u = pencil.K, pencil.N, pencil.layout.n_u
+    K, n_u = pencil.K, pencil.layout.n_u
     if cfg.nev > n_u:
         # the pencil has n_u finite eigenvalues; fail before the dense path's
         # n_u right-hand sides are allocated
         raise UnconvergedError(f"only {n_u} of {cfg.nev} eigenpairs exist: the velocity "
                                f"space has {n_u} dofs")
     try:
-        fact = factorize(_shifted(K, N, cfg.shift))
+        fact = factorize(_shifted(pencil, cfg.shift))
     except SingularMatrixError as exc:
         # a singular element block need not make the shift an eigenvalue of the
         # pencil, but another shift is the remedy in both cases
@@ -118,12 +125,17 @@ def solve_eig(pencil, cfg):
     return sol
 
 
-def _shifted(K, N, shift):
-    if shift == 0.0:
-        return K
-    # theta N couples a triangle's velocity modes only with each other, so
-    # K's interior groups stay valid; K and N are symmetric, and so is F
-    return SparseMatrix.symmetric(K.sp - shift * N, K.local)
+def _shifted(pencil, shift):
+    """F = K - theta N for the shift theta that is factorized.  Every finite
+    eigenvalue is positive, so for any shift at or below 0 the wanted pairs
+    are the lowest, and the stored K - theta0 N, positive definite once
+    condensed, serves; a positive shift makes F indefinite."""
+    if shift <= 0.0:
+        return pencil.K
+    # theta N couples a triangle's velocity dofs only with each other, so K's
+    # element groups stay valid; K and N are symmetric, and so is F
+    K = pencil.K
+    return SparseMatrix.symmetric([K.sp - (shift - pencil.theta0) * pencil.N], K.local)
 
 
 def _dominant(nu, W, count):
@@ -169,6 +181,7 @@ class _VelocityOperator:
         Kr = -(X.T @ self.pencil.K.matvec(X))
         Nr = -(X.T @ (self.pencil.N @ X))
         lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
+        lams += self.pencil.theta0          # K = (K - theta0 N) + theta0 N
         vectors = X @ Y
         del X
         residuals = _residuals(self.pencil, lams, vectors)
@@ -181,8 +194,9 @@ class _VelocityOperator:
 
 
 def _residuals(pencil, lams, vectors):
-    """|K x - lambda N x| / |x| for every column x of ``vectors``."""
-    R = pencil.K.matvec(vectors) - (pencil.N @ vectors) * lams
+    """|K x - lambda N x| / |x| for every column x of ``vectors``, from the
+    stored K - theta0 N."""
+    R = pencil.K.matvec(vectors) - (pencil.N @ vectors) * (lams - pencil.theta0)
     return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
 
 

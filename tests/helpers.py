@@ -51,10 +51,14 @@ def square_pencil(ell, k, bc=ALL_DIRICHLET, N=8):
 
 
 def block_pencil(ell, k, bc=ALL_DIRICHLET, N=8, mu=1.0):
-    """K and N of :func:`square_pencil` at viscosity ``mu``, both whole CSR
-    assembled from the forms' blocks: an oracle for the pencil, which keeps K
-    as a triangle."""
-    forms = _square_forms(ell, k, bc, N, mu)
+    """The unshifted K and N of :func:`square_pencil` at viscosity ``mu``."""
+    return unshifted_pencil(_square_forms(ell, k, bc, N, mu))
+
+
+def unshifted_pencil(forms):
+    """K and N of ``build_pencil(forms)``, both whole CSR assembled from the
+    forms' blocks, with K unshifted: an oracle for the pencil, which keeps
+    K - theta0 N as a triangle."""
     layout = build_pencil(forms).layout
     keep = layout.keep
     A, B = forms.A[keep][:, keep], forms.B[:, keep]
@@ -92,9 +96,13 @@ def dense_gauss_solve(A, b):
 
 
 def dense_pencil_eigenvalues(pencil):
-    """Finite positive generalized eigenvalues by a dense QZ-style solve."""
+    """Finite positive generalized eigenvalues, at unit viscosity, of the
+    pencil's unshifted K and N assembled again from the blocks on its mesh, by
+    a dense QZ-style solve."""
     from scipy.linalg import eig
-    w, _ = eig(pencil.K.sp.toarray(), pencil.N.toarray(), homogeneous_eigvals=True)
+    dofmap = pencil.dofmap
+    K, N = unshifted_pencil(assemble_forms(dofmap.mesh, dofmap))
+    w, _ = eig(K.toarray(), N.toarray(), homogeneous_eigvals=True)
     alphas, betas = w[0], w[1]
     lam = []
     scale = np.abs(alphas).max()
