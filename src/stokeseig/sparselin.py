@@ -230,21 +230,27 @@ class Factorization:
         x[E] = qE.reshape(-1)
 
 
-def _condense(U, local):
+def _condense(U, local, definite=False):
     """The Schur complement S, in CSR, that eliminating the groups ``local``
     leaves of the symmetric matrix whose upper triangle is the CSR U."""
-    _, R, Qinv, KER = _blocks(U, local)
+    _, R, Qinv, KER = _blocks(U, local, definite)
     RR = U[R][:, R].tocoo(copy=False)       # R is sorted, so RR stays upper
     KRR = _symmetric_csr(RR.row, RR.col, RR.data, R.size)
+    del RR
     S = (KRR - _coupling(KER, Qinv) @ KER).tocsr()
+    S.sort_indices()
     # S on the pattern of |K_RR| + |K_RE| |Q^-1| |K_ER|, which holds S's: an
     # entry that cancels to 0.0 is kept, so that the pattern, and with it the
-    # ordering and the fill, does not follow the rounding
-    pattern = abs(KRR) + _coupling(abs(KER), np.abs(Qinv)) @ abs(KER)
+    # ordering and the fill, does not follow the rounding.  The sizes are
+    # taken in place: the blocks are read again after splu
+    for block in (KRR.data, KER.data, Qinv):
+        np.abs(block, out=block)
+    pattern = KRR + _coupling(KER, Qinv) @ KER
+    del KRR, KER, Qinv
     pattern.sort_indices()
-    S.sort_indices()
+    at = np.searchsorted(_keys(pattern), _keys(S))
     pattern.data[:] = 0.0
-    pattern.data[np.searchsorted(_keys(pattern), _keys(S))] = S.data
+    pattern.data[at] = S.data
     return pattern
 
 
@@ -254,10 +260,12 @@ def _keys(csr):
     return np.repeat(starts, np.diff(csr.indptr)) + csr.indices
 
 
-def _blocks(U, local):
+def _blocks(U, local, definite=False):
     """E, R, the inverted diagonal blocks Q^-1 and K_ER in CSR of the groups
     ``local`` of the symmetric matrix whose upper triangle is the CSR U:
-    entry (i, j) of U is also entry (j, i)."""
+    entry (i, j) of U is also entry (j, i).  A block counts as singular by
+    factorize's rule, judged for a ``definite`` matrix after its symmetric
+    scaling to a unit diagonal."""
     n_blocks, g = local.shape
     E = local.ravel()
     in_R = np.ones(U.shape[0], dtype=bool)
@@ -283,7 +291,15 @@ def _blocks(U, local):
         t = int(np.argmin(np.abs(np.linalg.det(Q))))
         raise SingularMatrixError(f"block of unknowns {local[t].tolist()} is singular",
                                   kind="numerical") from None
-    cond = np.abs(Qinv).sum(axis=1).max(axis=1) * np.abs(Q).max(axis=(1, 2))
+    scaled = 1.0
+    if definite:
+        # [[A_ii, B_i^T], [B_i, theta0 M_T]] is never singular, but M_T scales
+        # with the triangle's area: judge D Q D, D = |diag Q|^-1/2
+        d = np.abs(np.diagonal(Q, axis1=1, axis2=2)) ** -0.5
+        scaled = d[:, :, None] * d[:, None, :]
+    cond = (np.abs(Qinv / scaled).sum(axis=1).max(axis=1)
+            * np.abs(Q * scaled).max(axis=(1, 2)))
+    del scaled
     if not np.all(cond < _COND_LIMIT):      # also a NaN or infinite inverse
         t = int(np.argmin(cond < _COND_LIMIT))
         raise SingularMatrixError(
@@ -332,8 +348,12 @@ def factorize(A):
     rounding; on the condensed (2,1) pencils at N = 30 this also gives MMD
     the ordering with 15-17% less fill.  The dirichlet one condenses 38,161
     unknowns to 16,561 and keeps 1.58M entries in the factors, against
-    11.4M for the whole matrix under partial pivoting.  Q^-1 and A_ER are
-    read again after SuperLU returns, so that neither is alive next to it.
+    11.4M for the whole matrix under partial pivoting.  A block counts as
+    singular by the rule below, with its exact inverse; for a ``definite`` A
+    after scaling it to a unit diagonal, since a triangle's velocity mass,
+    alone on the diagonal of its constant modes, scales with its area.
+    Q^-1 and A_ER are read again after SuperLU returns, so that neither is
+    alive next to it.
 
     A ``definite`` S is scaled by powers of two to a diagonal within a
     factor 2 of 1, its pin rows to an entry near 16, and SuperLU pivots on
@@ -373,7 +393,7 @@ def factorize(A):
         idx = int(np.argmin(rowmax))
         raise SingularMatrixError(f"row {idx} has no nonzero entry", kind="structural")
     largest = rowmax.max()      # of A, for the estimate through the condensed solve
-    csr = A.sp if A.local is None else _condense(A.upper, A.local)
+    csr = A.sp if A.local is None else _condense(A.upper, A.local, A.definite)
 
     if A.definite:
         scale = _jacobi_scale(csr)
@@ -418,7 +438,7 @@ def factorize(A):
         inverse = spla.LinearOperator(shape, matvec=lu.solve, dtype=float,
                                       rmatvec=lambda b: lu.solve(b, trans="T"))
     else:
-        E, R, Qinv, KER = _blocks(A.upper, A.local)
+        E, R, Qinv, KER = _blocks(A.upper, A.local, A.definite)
         # K_ER's columns into factorized order, in place
         KER.indices = np.argsort(perm).astype(KER.indices.dtype)[KER.indices]
         KER.has_sorted_indices = False

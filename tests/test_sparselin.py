@@ -9,6 +9,7 @@ import stokeseig.mesh as mm
 from helpers import dense_gauss_solve, square_pencil
 from stokeseig import sparselin
 from stokeseig.assembly import assemble_forms, build_pencil
+from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.errors import SingularMatrixError
 from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
 from stokeseig.sparselin import SparseMatrix, factorize
@@ -352,17 +353,23 @@ def test_fill_does_not_follow_the_last_bit(bc):
     assert fills[0] == fills[1]
 
 
-def test_graded_mesh_keeps_the_inverse_estimate_small():
-    # the Schur complement's own condition grows as the smallest triangle's
-    # size to the power -2 (3e8 to 7e8 here); the check reads K's inverse
+def test_deeply_graded_mesh_solves():
+    # 35 bisections at the reentrant corner, h_min = 1.9e-6.  The Schur
+    # complement's own condition grows as h_min^-2 (1.5e13 here), so the
+    # check reads the inverse of K - theta0 N itself; its residuals grow the
+    # same way, so the lift is refined once ((1,0) reads 3.7e-8 |K| without);
+    # and the element blocks are judged after scaling, since theta0 M_T
+    # scales with the triangle's area ((2,2) reads 1.4e12 unscaled)
     mesh = mm.build_lshape_mesh(2)
-    for _ in range(20):
+    for _ in range(35):
         at_corner = np.all(mesh.vertices[mesh.tri_vertices] == 0.0, axis=2).any(axis=1)
         mesh = mm.refine(mesh, np.flatnonzero(at_corner))
-    assert mesh.tri_areas.min() < 1e-6
-    for ell, k in [(1, 0), (2, 1)]:
+    assert np.sqrt(mesh.tri_areas.min()) < 2e-6
+    for ell, k in [(1, 0), (2, 1), (2, 2)]:
         pencil = build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k))))
         assert factorize(pencil.K).condition < 1e10
+        sol = solve_eig(pencil, EigConfig(nev=2))
+        assert sol.residuals.max() <= 1e-8 * pencil.K.norm_inf()
 
 
 def test_norm_inf_is_computed_once():
