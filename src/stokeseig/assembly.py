@@ -13,12 +13,13 @@ Blocks, in the order (stress, velocity, kernel-pinning multiplier):
 
 The eigenvalue problem is K x = lambda N x with N = diag(0, -M, 0): its
 finite eigenvalues are the discrete Stokes eigenvalues, all positive.  The
-pencil stores K at the origin of shift-invert, K - THETA0 N with THETA0 = -1,
-whose velocity block is THETA0 M: eliminating each triangle's velocity (and
-interior stress) dofs leaves the edge-stress part of A - THETA0^-1 B^T M^-1 B,
-which is positive definite once the kernel is pinned.  A and K are
-symmetric bit for bit by construction: each triangle's A block is
-symmetrized before the blocks are summed.
+pencil keeps K at the origin of shift-invert, K - THETA0 N with THETA0 = -1,
+whose velocity block is THETA0 M, as a view of the forms that assembles
+nothing: eliminating each triangle's velocity (and interior stress) dofs
+from its element blocks leaves the edge-stress part of
+A - THETA0^-1 B^T M^-1 B, which is positive definite once the kernel is
+pinned.  A and K are symmetric bit for bit by construction: each triangle's
+A block is symmetrized before the blocks are summed.
 
 On an affine triangle every form is a reference integral mapped by B^-T and
 det B (the tensor representation of Kirby and Logg, ACM TOMS 32, 2006): each
@@ -29,13 +30,14 @@ array pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, IOFailureError, is_finite
 from .quadrature import quadrature
-from .sparselin import SparseMatrix
+from .sparselin import ElementBlocks
 from .spaces import DofMap
 from .refbasis import pk_reference_mass
 
@@ -45,6 +47,9 @@ J.flags.writeable = False
 # the pencil stores K - THETA0 N; every solve runs at unit viscosity, so one
 # negative origin serves every shift at or below 0
 THETA0 = -1.0
+# stress rows per slab of PencilMatrix's pass over its rows: at (2,1) N=30 a
+# slab of 8192 rows holds about 2.5 MB, where the whole stress block took 24 MB
+_SLAB_ROWS = 8192
 
 
 def skew_free_part(tau):
@@ -56,12 +61,21 @@ def skew_free_part(tau):
 
 @dataclass
 class Forms:
-    """Assembled bilinear forms (CSR) on the full (unconstrained) numbering."""
+    """Assembled bilinear forms (CSR) on the full (unconstrained) numbering,
+    and the element blocks they are summed from.  ``A_T`` holds the upper
+    triangle, row by row (see :func:`upper_positions`), of each triangle's
+    symmetric 2 nd x 2 nd block at its stress dofs ``dofmap.stress_gmap``;
+    ``B_T`` (nt, p, nd) is a triangle's block for either velocity component
+    and its tensor row, and ``M_T`` (2 nt, p, p) the mass block of velocity
+    component c of triangle t at 2 t + c."""
     A: sp.csr_matrix
     B: sp.csr_matrix
     M: sp.csr_matrix
     j: np.ndarray
     dofmap: DofMap
+    A_T: np.ndarray
+    B_T: np.ndarray
+    M_T: np.ndarray
 
 
 @dataclass
@@ -80,6 +94,16 @@ class PencilLayout:
     def size(self):
         return self.n_sigma_active + self.n_u + self.n_c
 
+    @property
+    def velocity(self):
+        """The velocity slice of a pencil vector."""
+        return slice(self.n_sigma_active, self.n_sigma_active + self.n_u)
+
+    @property
+    def pin(self):
+        """The stress dof that the multiplier row pins: where |z| is largest."""
+        return int(np.argmax(np.abs(self.kernel[0])))
+
     def split(self, x):
         """Split a pencil vector into (sigma_full, u), with j . sigma_full = 0."""
         ns, nu = self.n_sigma_active, self.n_u
@@ -91,17 +115,145 @@ class PencilLayout:
         return sigma, x[ns:ns + nu].copy()
 
 
+class PencilMatrix:
+    """F = K - theta N = [[A, B^T, p^T], [B, theta M, 0], [p, 0, 0]] on the
+    pencil's numbering (p the pin row), kept as the forms it is made of.
+
+    Nothing is assembled: ``matvec`` multiplies with A, B and M,
+    :meth:`element_blocks` hands ``factorize`` each triangle's blocks, and
+    ``sp`` builds the CSR on each call.  ``nnz``, ``norm_inf()`` and the
+    largest entry are those of ``sp``, computed once from its rows, one slab
+    at a time; the norm sums each row the way ``abs(sp).sum(axis=1)`` does.
+    """
+
+    def __init__(self, forms, layout, theta):
+        self.forms, self.layout, self.theta = forms, layout, theta
+        self.shape = (layout.size, layout.size)
+
+    def at(self, theta):
+        """K - theta N of the same pencil."""
+        return PencilMatrix(self.forms, self.layout, theta)
+
+    def _slabs(self):
+        """F's rows as CSR slabs, in turn: the stress rows ``_SLAB_ROWS`` at a
+        time, then the velocity and the multiplier rows."""
+        f, lay = self.forms, self.layout
+        keep, ns, nu, nc = lay.keep, lay.n_sigma_active, lay.n_u, lay.n_c
+        B = f.B if nc else f.B[:, keep]
+        pin = sp.csr_matrix((np.ones(nc), (np.zeros(nc, dtype=int), [lay.pin] if nc else [])),
+                            shape=(nc, ns))
+        BT, pinT = B.T.tocsr(), pin.T.tocsr()
+        for r in range(0, ns, _SLAB_ROWS):
+            A = f.A[keep[r:r + _SLAB_ROWS]]
+            yield sp.hstack([A if nc else A[:, keep], BT[r:r + _SLAB_ROWS],
+                             pinT[r:r + _SLAB_ROWS]], format="csr")
+        uu = self.theta * f.M if self.theta else sp.csr_matrix((nu, nu))
+        yield sp.hstack([B, uu, sp.csr_matrix((nu, nc))], format="csr")
+        yield sp.hstack([pin, sp.csr_matrix((nc, nu + nc))], format="csr")
+
+    @property
+    def sp(self):
+        """F in canonical CSR, built on each call."""
+        return sp.vstack(list(self._slabs()), format="csr")
+
+    @cached_property
+    def _sizes(self):
+        nnz, norm, amax = 0, 0.0, 0.0
+        for slab in self._slabs():
+            nnz += slab.nnz
+            rows = np.flatnonzero(np.diff(slab.indptr))
+            if rows.size:
+                size = np.abs(slab.data)
+                norm = max(norm, float(np.add.reduceat(size, slab.indptr[rows]).max()))
+                amax = max(amax, float(size.max()))
+        return nnz, norm, amax
+
+    @property
+    def nnz(self):
+        return self._sizes[0]
+
+    def norm_inf(self):
+        return self._sizes[1]
+
+    def matvec(self, x):
+        """F x for a vector or a block of columns x: A sigma + B^T u + p^T c,
+        B sigma + theta M u and p sigma."""
+        f, lay = self.forms, self.layout
+        ns, vel = lay.n_sigma_active, lay.velocity
+        sigma = np.zeros((lay.n_sigma_full,) + x.shape[1:])
+        sigma[lay.keep] = x[:ns]
+        y = np.empty(x.shape)
+        y[:ns] = (f.A @ sigma + f.B.T @ x[vel])[lay.keep]
+        y[vel] = f.B @ sigma
+        if self.theta:
+            y[vel] += self.theta * (f.M @ x[vel])
+        if lay.n_c:
+            y[lay.pin] += x[-1]
+            y[-1] = x[lay.pin]
+        return y
+
+    def element_blocks(self):
+        """F by triangles (:class:`ElementBlocks`): each triangle's group is
+        its interior stress dofs (both tensor rows) and all of its velocity
+        dofs, which are discontinuous; its rest is its edge stress dofs, and
+        the pin lies outside every triangle."""
+        f, lay, dofmap = self.forms, self.layout, self.forms.dofmap
+        amax = self._sizes[2]       # its pass over F's rows runs before the blocks exist
+        nt, nd, p = dofmap.mesh.num_triangles, dofmap.ned.dim, dofmap.pk.dim
+        ni = dofmap.interior_dofs_per_tri
+        ne = nd - ni
+        local = np.arange(2 * nd).reshape(2, nd)
+        inner, edge = local[:, ne:].ravel(), local[:, :ne].ravel()
+        up = upper_positions(2 * nd)
+        a, b = f.A_T, f.B_T
+        # Q_T = [[A_II, B_I^T], [B_I, theta M_T]], C_T = [A_IE; B_E]: velocity
+        # component c sees tensor row c only
+        Q = np.zeros((nt, 2 * (ni + p), 2 * (ni + p)))
+        C = np.zeros((nt, 2 * (ni + p), 2 * ne))
+        Q[:, :2 * ni, :2 * ni] = a[:, up[inner[:, None], inner]]
+        C[:, :2 * ni] = a[:, up[inner[:, None], edge]]
+        for c in range(2):
+            vel = slice(2 * ni + c * p, 2 * ni + (c + 1) * p)
+            Q[:, vel, c * ni:(c + 1) * ni] = b[:, :, ne:]
+            Q[:, c * ni:(c + 1) * ni, vel] = np.swapaxes(b[:, :, ne:], 1, 2)
+            Q[:, vel, vel] = self.theta * f.M_T[c::2]
+            C[:, vel, c * ne:(c + 1) * ne] = b[:, :, :ne]
+        # pencil index of every stress dof, -1 for the constrained ones
+        at = np.full(lay.n_sigma_full, -1)
+        at[lay.keep] = np.arange(lay.n_sigma_active)
+        stress = at[dofmap.stress_gmap]
+        velocity = lay.n_sigma_active + np.arange(lay.n_u).reshape(nt, 2 * p)
+        mult = lay.size - 1
+        extra = (np.array([lay.pin, mult] if lay.n_c else [], dtype=int),
+                 np.array([mult, lay.pin] if lay.n_c else [], dtype=int), np.ones(2 * lay.n_c))
+        return ElementBlocks(
+            lay.size, np.hstack([stress[:, :, ne:].reshape(nt, -1), velocity]),
+            stress[:, :, :ne].reshape(nt, -1), Q, C, a[:, up[edge[:, None], edge]], extra,
+            amax, self.theta < 0)
+
+
 @dataclass
 class Pencil:
     """Matrix pair (K - theta0 N, N) whose finite eigenvalues plus theta0
-    solve the discrete problem.  ``K`` holds the shifted K, stored as its
-    upper triangle, with the element groups that ``factorize`` eliminates;
-    N is CSR."""
-    K: SparseMatrix
-    N: sp.csr_matrix
+    solve the discrete problem.  ``K`` is the view :class:`PencilMatrix` of
+    the forms at theta0; N = diag(0, -M, 0) is built on each read."""
+    K: PencilMatrix
     layout: PencilLayout
     dofmap: DofMap
-    theta0: float = 0.0
+
+    @property
+    def theta0(self):
+        return self.K.theta
+
+    @property
+    def forms(self):
+        return self.K.forms
+
+    @property
+    def N(self):
+        lay = self.layout
+        return sp.block_diag((sp.csr_matrix((lay.n_sigma_active,) * 2), -self.forms.M,
+                              sp.csr_matrix((lay.n_c, lay.n_c))), format="csr")
 
 
 def _quad_degree(dofmap):
@@ -145,6 +297,7 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     ablock = (np.einsum("rs,edf->erdsf", np.eye(2), np.einsum("edfaa->edf", C))
               + np.einsum("edfsr->erdsf", C)).reshape(nt, 2 * nd, 2 * nd)
     ablock = (ablock + ablock.transpose(0, 2, 1)) * (0.25 / mu)
+    del C           # freed before the scatters: it is as large as ablock
     sd = sdofs.reshape(nt, 2 * nd)
     A = _scatter((dofmap.n_sigma,) * 2, ablock, sd, sd)
 
@@ -154,8 +307,9 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     # leaves below 1e-12 of the largest is rounding of exact zeros.
     bhat = np.einsum("pq,dq,q->pd", pk.eval(rule.points), ned.eval_curl(rule.points), w)
     bhat[np.abs(bhat) < 1e-12 * np.abs(bhat).max()] = 0.0
-    bblock = np.repeat(bhat[None] * signs[:, None, :], 2, axis=0)
-    B = _scatter((dofmap.n_u, dofmap.n_sigma), bblock, udofs, sdofs.reshape(2 * nt, nd))
+    bblock = bhat[None] * signs[:, None, :]
+    B = _scatter((dofmap.n_u, dofmap.n_sigma), np.repeat(bblock, 2, axis=0), udofs,
+                 sdofs.reshape(2 * nt, nd))
 
     # velocity mass: det-scaled reference Gram, block diagonal
     mblock = np.repeat(det[:, None, None] * pk_reference_mass(pk.order), 2, axis=0)
@@ -166,12 +320,20 @@ def assemble_forms(mesh, dofmap, mu=1.0):
                         det, signs)
     jvals = np.stack([phi_int[..., 1], -phi_int[..., 0]], axis=1)
     jvec = np.bincount(sdofs.ravel(), jvals.ravel(), minlength=dofmap.n_sigma)
-    return Forms(A, B, M, jvec, dofmap)
+    upper = np.triu_indices(2 * nd)
+    return Forms(A, B, M, jvec, dofmap, ablock[:, upper[0], upper[1]], bblock, mblock)
+
+
+def upper_positions(n):
+    """Position of every entry (i, j) of a symmetric n x n matrix in its upper
+    triangle stored row by row, as ``np.triu_indices(n)`` lists it."""
+    at = np.zeros((n, n), dtype=np.intp)
+    at[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    return at + np.triu(at, 1).T
 
 
 def build_pencil(forms):
-    """Combine assembled forms into the pencil (K - THETA0 N, N), applying
-    constraints.
+    """The pencil (K - THETA0 N, N) of the forms, with the constraints applied.
 
     With all-Dirichlet boundary conditions the constant-J interpolant z
     (A z = B z = 0) spans the kernel left in the stress.  One multiplier row
@@ -181,48 +343,17 @@ def build_pencil(forms):
     interior moment of J is at most half the triangle's largest edge moment,
     so the pin never falls in an element group.  With mixed conditions the
     Neumann tangential-trace dofs are eliminated instead and no multiplier is
-    needed.
+    needed.  Nothing is assembled: K is a view of the forms.
     """
     dofmap = forms.dofmap
-    n_sigma, n_u = dofmap.n_sigma, dofmap.n_u
-    A, B, M = forms.A, forms.B, forms.M
-
-    n_c = int(dofmap.has_mean_constraint)
-    if n_c:
-        keep = np.arange(n_sigma)
-        z = _constant_j_interpolant(dofmap)
-        pin = sp.csr_matrix(([1.0], ([0], [np.argmax(np.abs(z))])), shape=(1, n_sigma))
-        kernel = (z, forms.j)
+    n_sigma = dofmap.n_sigma
+    if dofmap.has_mean_constraint:
+        layout = PencilLayout(n_sigma, np.arange(n_sigma), dofmap.n_u, 1,
+                              (_constant_j_interpolant(dofmap), forms.j))
     else:
-        keep = np.setdiff1d(np.arange(n_sigma), dofmap.constrained)
-        B = B[:, keep]
-        pin = sp.csr_matrix((0, len(keep)))
-        kernel = None
-
-    def slabs():
-        # the stress, velocity and multiplier rows of K - THETA0 N, in turn:
-        # SparseMatrix.symmetric keeps the triangle of each, so that only one
-        # whole slab is alive at a time; A's constrained copy dies with its slab
-        yield sp.hstack([A if n_c else A[keep][:, keep], B.T.tocsr(), pin.T.tocsr()],
-                        format="csr")
-        yield sp.hstack([B, THETA0 * M, sp.csr_matrix((n_u, n_c))], format="csr")
-        yield sp.hstack([pin, sp.csr_matrix((n_c, n_u + n_c))], format="csr")
-
-    K = SparseMatrix.symmetric(slabs(), _element_groups(dofmap, keep), definite=True)
-    N = sp.block_diag((sp.csr_matrix((len(keep),) * 2), -M, sp.csr_matrix((n_c, n_c))),
-                      format="csr")
-    return Pencil(K, N, PencilLayout(n_sigma, keep, n_u, n_c, kernel), dofmap, THETA0)
-
-
-def _element_groups(dofmap, keep):
-    """Pencil indices of the unknowns that couple only within their triangle,
-    one row per triangle (``SparseMatrix.local``): the triangle's interior
-    stress dofs (both tensor rows) and all of its velocity dofs, which are
-    discontinuous."""
-    nt, nd = dofmap.mesh.num_triangles, dofmap.ned.dim
-    interior = dofmap.stress_gmap[:, :, nd - dofmap.interior_dofs_per_tri:].reshape(nt, -1)
-    vel = len(keep) + np.arange(dofmap.n_u).reshape(nt, -1)
-    return np.hstack([np.searchsorted(keep, interior), vel])
+        layout = PencilLayout(n_sigma, np.setdiff1d(np.arange(n_sigma), dofmap.constrained),
+                              dofmap.n_u, 0)
+    return Pencil(PencilMatrix(forms, layout, THETA0), layout, dofmap)
 
 
 def _constant_j_interpolant(dofmap):

@@ -93,10 +93,8 @@ def _cmd_solve(args):
     if out:
         from .assembly import assemble_forms, build_pencil, export_matrix
         pencil = build_pencil(assemble_forms(mesh, dofmap, cfg.mu))
-        # the unshifted K: its velocity block theta0 M - theta0 M cancels exactly
-        K = pencil.K.sp + pencil.theta0 * pencil.N
-        K.eliminate_zeros()
-        export_matrix(K, os.path.join(out, "pencil_K.txt"))
+        # the unshifted K, at theta = 0, made from the forms
+        export_matrix(pencil.K.at(0.0).sp, os.path.join(out, "pencil_K.txt"))
         export_matrix(pencil.N, os.path.join(out, "pencil_N.txt"))
     return 0
 

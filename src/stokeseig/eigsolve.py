@@ -8,12 +8,14 @@ Lanczos runs on S = L^T G L (M = L L^T element by element, w = L^T u); each
 u lifts to x = F^{-1} N E u / nu, and Rayleigh-Ritz on (K, N) over the lifted
 vectors gives the eigenvalues with M-orthonormal velocities.
 
-The pencil stores K - theta0 N (theta0 = -1).  Every finite eigenvalue is
-positive, so for a shift at or below 0 the wanted pairs are the lowest and F
-is the stored matrix, positive definite once the velocity is condensed; a
-positive shift factorizes the indefinite K - theta N with partial pivoting.
-The Rayleigh-Ritz values and the residuals add theta0 back, so what is
-reported is that of K x = lambda N x.
+The pencil keeps K - theta0 N (theta0 = -1) as a view of the forms.  Every
+finite eigenvalue is positive, so for a shift at or below 0 the wanted pairs
+are the lowest and F is that matrix, positive definite once the velocity is
+condensed; a positive shift factorizes the indefinite K - theta N, made from
+the same element blocks, with partial pivoting.  N enters only as -M on the
+velocity: Rayleigh-Ritz and the residuals multiply with M, and L comes from
+the element mass blocks.  The Rayleigh-Ritz values and the residuals add
+theta0 back, so what is reported is that of K x = lambda N x.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.linalg import eigh
 
 from .errors import (ConfigurationError, ShiftAtEigenvalueError, SingularMatrixError,
                      UnconvergedError, check_int, is_finite)
-from .sparselin import SparseMatrix, factorize
+from .sparselin import factorize
 
 # ARPACK settings (symmetric mode, largest |nu|).  A single Lanczos vector sees
 # each eigenspace through one direction: the second copy of a double
@@ -85,6 +87,7 @@ def solve_eig(pencil, cfg):
         # n_u right-hand sides are allocated
         raise UnconvergedError(f"only {n_u} of {cfg.nev} eigenpairs exist: the velocity "
                                f"space has {n_u} dofs")
+    bound = 1e-8 * K.norm_inf()
     try:
         fact = factorize(_shifted(pencil, cfg.shift))
     except SingularMatrixError as exc:
@@ -93,7 +96,6 @@ def solve_eig(pencil, cfg):
         raise ShiftAtEigenvalueError(
             f"shift {cfg.shift} is (numerically) an eigenvalue of the pencil or of an "
             f"eliminated element block: {exc}") from exc
-    bound = 1e-8 * K.norm_inf()
     op = _VelocityOperator(pencil, cfg.shift, fact, bound)
     del fact        # op.extract frees the factors once it has lifted the Ritz vectors
 
@@ -128,14 +130,11 @@ def solve_eig(pencil, cfg):
 def _shifted(pencil, shift):
     """F = K - theta N for the shift theta that is factorized.  Every finite
     eigenvalue is positive, so for any shift at or below 0 the wanted pairs
-    are the lowest, and the stored K - theta0 N, positive definite once
-    condensed, serves; a positive shift makes F indefinite."""
-    if shift <= 0.0:
-        return pencil.K
-    # theta N couples a triangle's velocity dofs only with each other, so K's
-    # element groups stay valid; K and N are symmetric, and so is F
-    K = pencil.K
-    return SparseMatrix.symmetric([K.sp - (shift - pencil.theta0) * pencil.N], K.local)
+    are the lowest, and the pencil's K - theta0 N, positive definite once
+    condensed, serves; a positive shift makes F indefinite.  theta N couples
+    a triangle's velocity dofs only with each other, so F has the same
+    element groups."""
+    return pencil.K if shift <= 0.0 else pencil.K.at(shift)
 
 
 def _dominant(nu, W, count):
@@ -150,14 +149,9 @@ class _VelocityOperator:
 
     def __init__(self, pencil, shift, fact, bound):
         self.pencil, self.shift, self.fact, self.bound = pencil, shift, fact, bound
-        layout = pencil.layout
-        self.vel = slice(layout.n_sigma_active, layout.n_sigma_active + layout.n_u)
+        self.vel = pencil.layout.velocity
         # M = -N_uu has one dense pk.dim^2 block per (triangle, component)
-        p = pencil.dofmap.pk.dim
-        Muu = (-pencil.N[self.vel, self.vel]).tocoo()
-        blocks = np.zeros((layout.n_u // p, p, p))
-        blocks[Muu.row // p, Muu.row % p, Muu.col % p] = Muu.data
-        self.L = np.linalg.cholesky(blocks)
+        self.L = np.linalg.cholesky(pencil.forms.M_T)
 
     def _mul_L(self, W, transpose=False):
         L = self.L.transpose(0, 2, 1) if transpose else self.L
@@ -201,7 +195,8 @@ class _VelocityOperator:
 
     def _rayleigh_ritz(self, X):
         Kr = -(X.T @ self.pencil.K.matvec(X))
-        Nr = -(X.T @ (self.pencil.N @ X))
+        Xu = X[self.vel]
+        Nr = Xu.T @ (self.pencil.forms.M @ Xu)      # -N = M on the velocity
         lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
         lams += self.pencil.theta0          # K = (K - theta0 N) + theta0 N
         vectors = X @ Y
@@ -217,8 +212,9 @@ class _VelocityOperator:
 
 def _residuals(pencil, lams, vectors):
     """|K x - lambda N x| / |x| for every column x of ``vectors``, from the
-    stored K - theta0 N."""
-    R = pencil.K.matvec(vectors) - (pencil.N @ vectors) * (lams - pencil.theta0)
+    pencil's K - theta0 N and -N = M on the velocity."""
+    R, vel = pencil.K.matvec(vectors), pencil.layout.velocity
+    R[vel] += (pencil.forms.M @ vectors[vel]) * (lams - pencil.theta0)
     return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
 
 

@@ -58,7 +58,7 @@ def block_pencil(ell, k, bc=ALL_DIRICHLET, N=8, mu=1.0):
 def unshifted_pencil(forms):
     """K and N of ``build_pencil(forms)``, both whole CSR assembled from the
     forms' blocks, with K unshifted: an oracle for the pencil, which keeps
-    K - theta0 N as a triangle."""
+    K - theta0 N as a view of the forms."""
     layout = build_pencil(forms).layout
     keep = layout.keep
     A, B = forms.A[keep][:, keep], forms.B[:, keep]

@@ -7,8 +7,8 @@ import stokeseig.mesh as mm
 from helpers import (block_pencil, permute_edges, refined_lshape, single_triangle_mesh,
                      solve_problem, square_pencil)
 from stokeseig import sparselin
-from stokeseig.assembly import (THETA0, J, assemble_forms, build_pencil, export_matrix,
-                                skew_free_part)
+from stokeseig.assembly import (THETA0, J, PencilLayout, PencilMatrix, assemble_forms,
+                                build_pencil, export_matrix, skew_free_part)
 from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.errors import AssemblyError, KindMismatchError
 from stokeseig.fields import DiscreteField, pressure_from_stress, vorticity_from_stress
@@ -17,7 +17,7 @@ from stokeseig.quadrature import quadrature
 from stokeseig.refbasis import ned_basis, pk_basis
 from stokeseig.spaces import (ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor,
                               interpolate_ned)
-from stokeseig.sparselin import SparseMatrix, factorize
+from stokeseig.sparselin import factorize
 
 SCHEMES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
@@ -86,7 +86,7 @@ def test_pencil_symmetry_and_blocks():
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 @pytest.mark.parametrize("ell,k", SCHEMES)
 def test_pencil_k_is_the_block_assembled_k_bit_for_bit(ell, k, bc):
-    # the pencil keeps the upper triangle of K - theta0 N; K.sp rebuilds the
+    # the pencil keeps K - theta0 N as a view of the forms; K.sp builds the
     # whole of it
     pencil = square_pencil(ell, k, bc, N=3)
     assert pencil.theta0 == THETA0 < 0.0
@@ -157,12 +157,9 @@ def test_multiplier_border_adds_little_lu_fill(ell, k):
     forms = assemble_forms(mesh, DofMap(mesh, desc))
     pencil = build_pencil(forms)
     z = interpolate_ned(mesh, desc, lambda p: J)
-    pinned_dof = np.argmax(np.abs(z))
-    keep = np.delete(np.arange(z.size), pinned_dof)
-    A, B = forms.A[keep][:, keep], forms.B[:, keep]
-    groups = pencil.K.local - (pencil.K.local > pinned_dof)
-    pinned = factorize(SparseMatrix.symmetric(
-        [sp.bmat([[A, B.T], [B, THETA0 * forms.M]], format="csr")], groups, definite=True))
+    keep = np.delete(np.arange(z.size), np.argmax(np.abs(z)))
+    layout = PencilLayout(z.size, keep, pencil.layout.n_u, 0)
+    pinned = factorize(PencilMatrix(forms, layout, THETA0))
     assert _fill(factorize(pencil.K)._lu) < 1.5 * _fill(pinned._lu)
 
 
@@ -200,8 +197,8 @@ def test_kernel_pin_keeps_stress_and_pressure(ell, k):
 def test_constraint_scaling_cuts_lu_fill(bc):
     # the saddle-point K, unshifted and without groups, goes the partial
     # pivoting path, where the zero-diagonal rows are scaled
-    K = SparseMatrix(block_pencil(2, 1, bc)[0])
-    plain = spla.splu(K.sp.tocsc(), permc_spec="COLAMD")
+    K = block_pencil(2, 1, bc)[0]
+    plain = spla.splu(K.tocsc(), permc_spec="COLAMD")
     assert _fill(factorize(K)._lu) <= 0.75 * _fill(plain)
 
 
@@ -229,7 +226,7 @@ def test_preorder_cuts_lu_fill(monkeypatch, bc):
 @pytest.mark.parametrize("bc", ["dirichlet", MIXED_BOTTOM_FIXED])
 def test_condensation_cuts_lu_fill(bc):
     K = square_pencil(2, 1, bc).K
-    whole = factorize(SparseMatrix(K.sp))
+    whole = factorize(K.sp)
     assert _fill(factorize(K)._lu) <= 0.8 * _fill(whole._lu)
 
 
@@ -237,8 +234,8 @@ def test_scaled_pin_row_adds_no_lu_fill_to_a_shifted_pencil():
     # shifted, only the multiplier row has a zero diagonal; scaling it must not
     # move its pivot early, as it did for a dense border
     pencil = square_pencil(2, 1)
-    shifted = SparseMatrix(pencil.K.sp - 5.0 * pencil.N)
-    plain = spla.splu(shifted.sp.tocsc(), permc_spec="COLAMD")
+    shifted = pencil.K.sp - 5.0 * pencil.N
+    plain = spla.splu(shifted.tocsc(), permc_spec="COLAMD")
     assert _fill(factorize(shifted)._lu) <= 1.1 * _fill(plain)
 
 

@@ -41,10 +41,13 @@ def perfbench(monkeypatch):
     ("solve_square_dirichlet_p2", "bi_unit_square", 2, 1, "dirichlet"),
     ("solve_square_mixed_p2", "unit_square", 2, 1, "mixed_bottom_fixed"),
     ("solve_square_dirichlet_p2", "bi_unit_square", 1, 0, "dirichlet"),
-], ids=["dirichlet-2-1", "mixed-2-1", "dirichlet-1-0"])
+    ("solve_square_dirichlet_p2", "bi_unit_square", 2, 2, "dirichlet"),
+    ("solve_square_mixed_p2", "unit_square", 1, 0, "mixed_bottom_fixed"),
+], ids=["dirichlet-2-1", "mixed-2-1", "dirichlet-1-0", "dirichlet-2-2", "mixed-1-0"])
 def test_traced_solve_passes_check_trace(perfbench, name, domain, ell, k, bc):
-    # check_trace refactorizes K: a condensed pencil under both conditions and
-    # a (1,0) one factorized whole
+    # check_trace refactorizes K from its element blocks and compares the
+    # fill: under both conditions, with the largest groups (2,2), and with
+    # velocity-only groups beside constrained edge dofs (mixed (1,0))
     tracer_mod, worker, workloads = perfbench
     cfg = ExperimentConfig(domain=domain, ell=ell, k=k, N=(6,), nev=5, bc=bc, seed=301)
     mesh = cfg.build_mesh(cfg.N[0])

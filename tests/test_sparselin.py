@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,24 +7,26 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import stokeseig.mesh as mm
-from helpers import dense_gauss_solve, square_pencil
+from helpers import block_pencil, dense_gauss_solve, square_pencil
 from stokeseig import sparselin
-from stokeseig.assembly import assemble_forms, build_pencil
+from stokeseig.assembly import THETA0, assemble_forms, build_pencil, upper_positions
 from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.errors import SingularMatrixError
 from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
-from stokeseig.sparselin import SparseMatrix, factorize
+from stokeseig.sparselin import factorize
+
+SCHEMES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
 def test_identity_solve():
-    A = SparseMatrix(np.eye(4))
+    A = sp.csr_matrix(np.eye(4))
     fact = factorize(A)
     b = np.array([1.0, -2.0, 3.0, 0.5])
     assert np.allclose(fact.solve(b), b, atol=1e-14)
 
 
 def test_antidiagonal_needs_pivoting():
-    A = SparseMatrix([[0.0, 1.0], [1.0, 0.0]])
+    A = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])
     fact = factorize(A)
     assert np.allclose(fact.solve(np.array([1.0, 2.0])), [2.0, 1.0], atol=1e-14)
 
@@ -38,12 +41,12 @@ def test_random_saddle_point_residual():
     # sparsify: zero small entries while keeping symmetry and full rank
     K[np.abs(K) < 0.4] = 0.0
     K = (K + K.T) / 2.0
-    A = SparseMatrix(K)
+    A = sp.csr_matrix(K)
     x = rng.standard_normal(n + m)
-    b = A.sp @ x
+    b = A @ x
     got = factorize(A).solve(b)
-    denom = A.norm_inf() * np.abs(got).max() + np.abs(b).max()
-    assert np.abs(A.sp @ got - b).max() / denom <= 1e-10
+    denom = abs(A).sum(axis=1).max() * np.abs(got).max() + np.abs(b).max()
+    assert np.abs(A @ got - b).max() / denom <= 1e-10
 
 
 def test_scaled_solve_of_many_right_hand_sides():
@@ -52,7 +55,7 @@ def test_scaled_solve_of_many_right_hand_sides():
     Ablk = rng.standard_normal((n, n))
     Ablk = Ablk + Ablk.T + 2.0 * n * np.eye(n)
     Bblk = 1e-3 * rng.standard_normal((m, n))
-    A = SparseMatrix(np.block([[Ablk, Bblk.T], [Bblk, np.zeros((m, m))]]))
+    A = sp.csr_matrix(np.block([[Ablk, Bblk.T], [Bblk, np.zeros((m, m))]]))
     fact = factorize(A)
     assert fact._scale[n:].min() > 1.0     # the zero-diagonal rows are scaled
     rhs = rng.standard_normal((n + m, 3))
@@ -60,7 +63,7 @@ def test_scaled_solve_of_many_right_hand_sides():
     for c in range(3):
         x = fact.solve(rhs[:, c])
         assert np.abs(X[:, c] - x).max() <= 1e-14 * np.abs(x).max()
-        assert np.abs(A.sp @ x - rhs[:, c]).max() <= 1e-10 * np.abs(rhs[:, c]).max()
+        assert np.abs(A @ x - rhs[:, c]).max() <= 1e-10 * np.abs(rhs[:, c]).max()
 
 
 def test_preordered_solve_round_trip():
@@ -76,7 +79,7 @@ def test_preordered_solve_round_trip():
     dense = np.block([[Ablk, Cblk], [Bblk, np.zeros((m, m))]])
     q = rng.permutation(n + m)
     dense = dense[q][:, q]
-    A = SparseMatrix(dense)
+    A = sp.csr_matrix(dense)
     fact = factorize(A)
     assert np.any(fact._scale != 1.0)
     assert not np.array_equal(fact._perm, np.arange(n + m))
@@ -96,7 +99,7 @@ def test_matches_dense_elimination_oracle(n):
     dense[np.abs(dense) < 0.5] = 0.0
     dense += n * np.eye(n) * 0.0
     b = rng.standard_normal(n)
-    A = SparseMatrix(dense)
+    A = sp.csr_matrix(dense)
     x_sparse = factorize(A).solve(b)
     x_oracle = dense_gauss_solve(dense, b)
     assert np.abs(x_sparse - x_oracle).max() <= 1e-9 * max(1.0, np.abs(x_oracle).max())
@@ -106,14 +109,14 @@ def test_structurally_singular_reported():
     dense = np.eye(4)
     dense[2, 2] = 0.0
     with pytest.raises(SingularMatrixError) as info:
-        factorize(SparseMatrix(dense))
+        factorize(sp.csr_matrix(dense))
     assert info.value.kind in ("structural", "numerical")
 
 
 def test_numerically_singular_reported():
     dense = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError) as info:
-        factorize(SparseMatrix(dense))
+        factorize(sp.csr_matrix(dense))
     assert info.value.kind == "numerical"
 
 
@@ -125,8 +128,8 @@ def test_numerically_singular_reported():
     np.diag([1.0, 1e-320]),
 ], ids=["rank_deficient_product", "denormal_pivot"])
 def test_nearly_singular_without_zero_pivot_reported(dense):
-    A = SparseMatrix(dense)
-    spla.splu(A.sp.tocsc(), permc_spec="COLAMD")   # SuperLU itself accepts it
+    A = sp.csr_matrix(dense)
+    spla.splu(A.tocsc(), permc_spec="COLAMD")   # SuperLU itself accepts it
     with pytest.raises(SingularMatrixError) as info:
         factorize(A)
     assert info.value.kind == "numerical"
@@ -151,7 +154,7 @@ class _FactorsUnreadable:
 def test_factorize_never_reads_the_factors(monkeypatch):
     mesh = mm.build_square_mesh(4, mm.BI_UNIT_SQUARE)
     K = build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(2, 1)))).K
-    b = np.random.default_rng(5).standard_normal(K.sp.shape[0])
+    b = np.random.default_rng(5).standard_normal(K.shape[0])
     expect = factorize(K).solve(b)
     real_splu = spla.splu
     monkeypatch.setattr(sparselin.spla, "splu",
@@ -163,9 +166,9 @@ def test_factorize_never_reads_the_factors(monkeypatch):
 @pytest.mark.parametrize("ell,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_condensed_solve_matches_block_free(ell, k, bc):
     K = square_pencil(ell, k, bc).K
-    fact, whole = factorize(K), factorize(SparseMatrix(K.sp))
-    n = K.sp.shape[0]
-    assert fact._lu.shape[0] == n - K.local.size
+    fact, whole = factorize(K), factorize(K.sp)
+    n = K.shape[0]
+    assert fact._lu.shape[0] == n - K.element_blocks().groups.size
     rng = np.random.default_rng(8)
     for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         x, want = fact.solve(b), whole.solve(b)
@@ -183,7 +186,7 @@ def test_interior_groups_per_scheme(ell, k, width):
     # through the curl (None: no interior dofs).  Each group holds them and
     # the two constant velocity modes, which the curl of a bubble does not see
     pencil = square_pencil(ell, k, N=2)
-    local, K = pencil.K.local, pencil.K.sp
+    local, K = pencil.K.element_blocks().groups, pencil.K.sp
     assert local.shape == (pencil.dofmap.mesh.num_triangles, (width or 0) + 2)
     assert np.unique(local).size == local.size
     n_stress = 2 * pencil.dofmap.interior_dofs_per_tri
@@ -213,7 +216,7 @@ def test_pinned_dof_is_an_edge_dof_outside_every_group(build, ell, k):
     pinned = pin_row.indices[0]
     n_edge = dofmap.ned.dim - dofmap.interior_dofs_per_tri
     assert np.isin(pinned, dofmap.stress_gmap[:, :, :n_edge])
-    assert not np.isin(pinned, pencil.K.local)
+    assert not np.isin(pinned, pencil.K.element_blocks().groups)
     if dofmap.interior_dofs_per_tri:
         # why: on every triangle each interior moment of the constant J is at
         # most half the triangle's largest edge moment
@@ -222,31 +225,37 @@ def test_pinned_dof_is_an_edge_dof_outside_every_group(build, ell, k):
         assert np.all(interior.max(axis=(1, 2)) <= 0.5 * (1 + 1e-12) * edge.max(axis=(1, 2)))
 
 
-@pytest.mark.parametrize("factor", [0.0, 1e-14], ids=["singular", "ill_conditioned"])
-def test_singular_interior_block_reported(factor):
+@pytest.mark.parametrize("factor,theta", [(0.0, THETA0), (1e-14, 5.0)],
+                         ids=["singular", "ill_conditioned"])
+def test_singular_interior_block_reported(factor, theta):
     # (2,1): six interior stress dofs against four velocity modes, so one
-    # triangle's block is singular without its A_II part
-    K = square_pencil(2, 1, N=2).K
-    coo = K.sp.tocoo()
-    stress = K.local[0, :6]
-    coo.data[np.isin(coo.row, stress) & np.isin(coo.col, stress)] *= factor
+    # triangle's block is singular without its A_II part.  At theta0 < 0 the
+    # blocks are judged after scaling to a unit diagonal, which leaves the
+    # 1e-14 block well conditioned; the indefinite blocks of a positive shift
+    # are judged as they are
+    pencil = square_pencil(2, 1, N=2)
+    nd, ni = pencil.dofmap.ned.dim, pencil.dofmap.interior_dofs_per_tri
+    inner = np.r_[nd - ni:nd, 2 * nd - ni:2 * nd]
+    pencil.forms.A_T[0, np.unique(upper_positions(2 * nd)[np.ix_(inner, inner)])] *= factor
     with pytest.raises(SingularMatrixError) as info:
-        factorize(SparseMatrix(coo, K.local))
+        factorize(pencil.K.at(theta))
     assert info.value.kind == "numerical"
-    assert f"block of unknowns {K.local[0].tolist()}" in str(info.value)
+    assert f"block of unknowns {pencil.K.element_blocks().groups[0].tolist()}" in str(info.value)
 
 
-def test_entry_coupling_two_groups_reported():
-    K = square_pencil(2, 1, N=2).K
-    i, j = K.local[0, 0], K.local[1, 0]
-    link = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=K.sp.shape)
-    with pytest.raises(SingularMatrixError) as info:
-        factorize(SparseMatrix(K.sp + link, K.local))
-    assert info.value.kind == "structural"
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_groups_couple_only_within_their_triangle(ell, k, bc):
+    # condense reads a group's rows off its triangle's blocks alone: in the
+    # assembled K - theta0 N they reach only the group and the triangle's rest
+    pencil = square_pencil(ell, k, bc, N=3)
+    F, K = pencil.K.element_blocks(), pencil.K.sp
+    for group, rest in zip(F.groups, F.rest):
+        assert set(K[group].indices) <= set(group) | set(rest[rest >= 0])
 
 
 def test_rejects_non_square():
-    A = SparseMatrix(sp.csr_matrix(([1.0, 1.0], ([0, 1], [0, 2])), shape=(2, 3)))
+    A = sp.csr_matrix(([1.0, 1.0], ([0, 1], [0, 2])), shape=(2, 3))
     with pytest.raises(SingularMatrixError):
         factorize(A)
 
@@ -254,7 +263,7 @@ def test_rejects_non_square():
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 @pytest.mark.parametrize("ell,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
 def test_forms_and_pencil_are_canonical_csr(ell, k, bc):
-    # sorted, duplicate-free CSR: _condense fills its blocks by assignment
+    # sorted, duplicate-free CSR, as every caller of the forms expects
     mesh = mm.build_square_mesh(3, mm.UNIT_SQUARE)
     if bc == MIXED_BOTTOM_FIXED:
         mesh = mm.tag_bottom_fixed(mesh)
@@ -271,13 +280,12 @@ def _numpy_bytes():
     return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(numpy_only).traces)
 
 
-def test_only_the_scaled_matrix_alive_during_splu(monkeypatch):
-    # at its memory peak SuperLU shares the process with the pencil's K, kept
-    # as its upper triangle, and the matrix it factorizes; Q^-1 and K_ER are
-    # read off the triangle after it returns
+def test_only_the_solve_blocks_alive_during_splu(monkeypatch):
+    # at its memory peak SuperLU shares the process with the pencil's forms,
+    # the matrix it factorizes and what the condensed solve keeps, Q^-1 and
+    # K_ER, made once; the triangles' blocks and S are gone
     K = square_pencil(2, 1).K
     n = K.shape[0]
-    assert K._csr is None and K._upper.nnz <= (K.nnz + n) / 2
     seen = {}
     real_splu = spla.splu
 
@@ -293,63 +301,86 @@ def test_only_the_scaled_matrix_alive_during_splu(monkeypatch):
     finally:
         tracemalloc.stop()
     E, R, Qinv, KER = fact._blocks
+    kept = sum(a.nbytes for a in (E, R, Qinv, KER.data, KER.indices, KER.indptr))
     # the RCM order, the scale and the column counts: at most 4 x 8 bytes per row
-    allowed = seen["csc"] + 4 * 8 * n
+    allowed = seen["csc"] + kept + 4 * 8 * n
     assert seen["alive"] <= allowed
-    # the bound would see either block
-    assert seen["alive"] + min(Qinv.nbytes, KER.data.nbytes) > allowed
+    # the bound would see the smallest of the triangles' blocks
+    assert seen["alive"] + K.element_blocks().Q.nbytes > allowed
 
 
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 @pytest.mark.parametrize("ell,k", [(1, 0), (1, 2), (2, 1)])
-def test_reads_of_the_triangle_equal_those_of_the_full_matrix(ell, k, bc):
-    K = square_pencil(ell, k, bc, N=4).K
-    full = K.sp
-    assert sp.isspmatrix_csr(full) and full.has_canonical_format and full.nnz == K.nnz
-    assert (full != full.T).nnz == 0
-    assert np.array_equal(K.row_max(), abs(full).max(axis=1).toarray().ravel())
-    # products: U x + U^T x - d x sums each row in another order than K x, so
-    # the two differ by at most the rounding bound of a sum of m terms, twice
-    x = np.random.default_rng(3).standard_normal(K.shape[0])
-    bound = (np.diff(full.indptr) + 2) * np.finfo(float).eps * (abs(full) @ np.abs(x))
-    assert np.all(np.abs(K.matvec(x) - full @ x) <= bound)
-    if K.local is None:
-        return
-    # blocks, bit for bit: Q^-1 of the full blocks, K_ER and S from slices of the full K
-    E, R, Qinv, KER = sparselin._blocks(K.upper, K.local)
-    n_blocks, g = K.local.shape
-    Q = full[E][:, E].toarray().reshape(n_blocks, g, n_blocks, g)
-    assert np.array_equal(Qinv, np.linalg.inv(Q[np.arange(n_blocks), :, np.arange(n_blocks)]))
-    sliced = full[E][:, R]
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(KER, attr), getattr(sliced, attr))
-    S = (full[R][:, R] - sparselin._coupling(sliced, Qinv) @ sliced).tocsr()
-    S.sort_indices()
-    # _condense keeps the entries that cancel to 0.0 as well
-    condensed = sparselin._condense(K.upper, K.local)
-    condensed.eliminate_zeros()
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(condensed, attr), getattr(S, attr))
+def test_reads_of_the_view_equal_those_of_the_full_matrix(ell, k, bc):
+    # at theta0, at 0 (the dump's K) and at a positive shift
+    pencil = square_pencil(ell, k, bc, N=4)
+    rng = np.random.default_rng(3)
+    for theta in (THETA0, 0.0, 5.0):
+        K = pencil.K.at(theta)
+        full = K.sp
+        assert sp.isspmatrix_csr(full) and full.has_canonical_format and full.shape == K.shape
+        assert (full != full.T).nnz == 0
+        assert K.norm_inf() == float(abs(full).sum(axis=1).max())
+        assert K.element_blocks().amax == abs(full).max()
+        # products: A sigma + B^T u sums each row in another order than K x,
+        # so the two differ by at most the rounding bound of a sum of m terms, twice
+        for x in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 3))):
+            terms = (np.diff(full.indptr) + 2).reshape((-1,) + (1,) * (x.ndim - 1))
+            bound = terms * np.finfo(float).eps * (abs(full) @ np.abs(x))
+            assert np.all(np.abs(K.matvec(x) - full @ x) <= bound)
+
+
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_view_nnz_is_that_of_its_csr(ell, k, bc):
+    pencil = square_pencil(ell, k, bc, N=3)
+    assert pencil.K.nnz == pencil.K.sp.nnz
+
+
+@pytest.mark.parametrize("theta", [THETA0, 5.0])
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_element_schur_complement_is_the_dense_condensation(ell, k, bc, theta):
+    # oracle: K - theta N assembled whole from the forms, its groups
+    # eliminated densely
+    pencil = square_pencil(ell, k, bc, N=3)
+    K, N = block_pencil(ell, k, bc, N=3)
+    F = (K - theta * N).toarray()
+    E, R, _, cols, S = sparselin.condense(pencil.K.at(theta).element_blocks())
+    want = F[np.ix_(R, R)] - F[np.ix_(R, E)] @ np.linalg.solve(F[np.ix_(E, E)], F[np.ix_(E, R)])
+    assert np.abs(S.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+    # the pattern is the union of the triangles' blocks on the rest plus the
+    # pin, with the entries that cancel to 0.0
+    pattern = set()
+    for c in cols:
+        pattern.update(itertools.product(c[c >= 0].tolist(), repeat=2))
+    if pencil.layout.n_c:
+        pin, mult = np.searchsorted(R, [pencil.layout.pin, pencil.layout.size - 1]).tolist()
+        pattern.update([(pin, mult), (mult, pin)])
+    coo = S.tocoo()
+    assert S.has_canonical_format and S.nnz == len(pattern)
+    assert set(zip(coo.row.tolist(), coo.col.tolist())) == pattern
 
 
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 def test_fill_does_not_follow_the_last_bit(bc):
     # diagonal pivots: the fill depends only on the pattern and the ordering
     # (partial pivoting breaks near-ties by the last bit of the matrix), and
-    # the condensed pattern keeps the entries that cancel to 0.0.  SuperLU's
-    # nnz counts the stored entries; L.nnz + U.nnz skips those that are 0.0
+    # S keeps the entries that cancel to 0.0.  SuperLU's nnz counts the
+    # stored entries; L.nnz + U.nnz skips those that are 0.0
     if bc == MIXED_BOTTOM_FIXED:
         mesh = mm.tag_bottom_fixed(mm.build_square_mesh(8, mm.UNIT_SQUARE))
     else:
         mesh = mm.build_square_mesh(8, mm.BI_UNIT_SQUARE)
     forms = assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(2, 1), bc))
-    fills = []
+    fills, condensed = [], []
     for _ in range(2):
         K = build_pencil(forms).K
-        fact = factorize(K)
-        fills.append(fact._lu.nnz)
-        forms.A.data = np.nextafter(forms.A.data, np.inf)    # A stays symmetric
-    assert not np.array_equal(K.sp.data, build_pencil(forms).K.sp.data)
+        fills.append(factorize(K)._lu.nnz)
+        condensed.append(sparselin.condense(K.element_blocks())[-1])
+        forms.A_T[:] = np.nextafter(forms.A_T, np.inf)    # A stays symmetric
+    assert not np.array_equal(condensed[0].data, condensed[1].data)
+    assert np.array_equal(condensed[0].indices, condensed[1].indices)
     assert fills[0] == fills[1]
 
 
@@ -373,12 +404,15 @@ def test_deeply_graded_mesh_solves():
 
 
 def test_norm_inf_is_computed_once():
+    # factorize reads the largest entry from the same pass over K's rows,
+    # before SuperLU runs, so the residual bound read after it copies nothing
     K = square_pencil(2, 1).K
+    factorize(K)
     tracemalloc.start()
     try:
-        value = K.norm_inf()
+        value, nnz = K.norm_inf(), K.nnz
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1024
-    assert value == K.norm_inf()
+    assert value == K.norm_inf() and nnz == K.sp.nnz
