@@ -30,7 +30,6 @@ array pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,13 +121,22 @@ class PencilMatrix:
     Nothing is assembled: ``matvec`` multiplies with A, B and M,
     :meth:`element_blocks` hands ``factorize`` each triangle's blocks, and
     ``sp`` builds the CSR on each call.  ``nnz``, ``norm_inf()`` and the
-    largest entry are those of ``sp``, computed once from its rows, one slab
-    at a time; the norm sums each row the way ``abs(sp).sum(axis=1)`` does.
+    largest entry ``amax`` are those of ``sp``, computed when the view is
+    built from its rows, one slab at a time; the norm sums each row the way
+    ``abs(sp).sum(axis=1)`` does.
     """
 
     def __init__(self, forms, layout, theta):
         self.forms, self.layout, self.theta = forms, layout, theta
         self.shape = (layout.size, layout.size)
+        self.nnz, self._norm, self.amax = 0, 0.0, 0.0
+        for slab in self._slabs():
+            self.nnz += slab.nnz
+            rows = np.flatnonzero(np.diff(slab.indptr))
+            if rows.size:
+                size = np.abs(slab.data)
+                self._norm = max(self._norm, float(np.add.reduceat(size, slab.indptr[rows]).max()))
+                self.amax = max(self.amax, float(size.max()))
 
     def at(self, theta):
         """K - theta N of the same pencil."""
@@ -156,24 +164,8 @@ class PencilMatrix:
         """F in canonical CSR, built on each call."""
         return sp.vstack(list(self._slabs()), format="csr")
 
-    @cached_property
-    def _sizes(self):
-        nnz, norm, amax = 0, 0.0, 0.0
-        for slab in self._slabs():
-            nnz += slab.nnz
-            rows = np.flatnonzero(np.diff(slab.indptr))
-            if rows.size:
-                size = np.abs(slab.data)
-                norm = max(norm, float(np.add.reduceat(size, slab.indptr[rows]).max()))
-                amax = max(amax, float(size.max()))
-        return nnz, norm, amax
-
-    @property
-    def nnz(self):
-        return self._sizes[0]
-
     def norm_inf(self):
-        return self._sizes[1]
+        return self._norm
 
     def matvec(self, x):
         """F x for a vector or a block of columns x: A sigma + B^T u + p^T c,
@@ -198,7 +190,6 @@ class PencilMatrix:
         dofs, which are discontinuous; its rest is its edge stress dofs, and
         the pin lies outside every triangle."""
         f, lay, dofmap = self.forms, self.layout, self.forms.dofmap
-        amax = self._sizes[2]       # its pass over F's rows runs before the blocks exist
         nt, nd, p = dofmap.mesh.num_triangles, dofmap.ned.dim, dofmap.pk.dim
         ni = dofmap.interior_dofs_per_tri
         ne = nd - ni
@@ -229,17 +220,16 @@ class PencilMatrix:
         return ElementBlocks(
             lay.size, np.hstack([stress[:, :, ne:].reshape(nt, -1), velocity]),
             stress[:, :, :ne].reshape(nt, -1), Q, C, a[:, up[edge[:, None], edge]], extra,
-            amax, self.theta < 0)
+            self.amax, self.theta < 0)
 
 
 @dataclass
 class Pencil:
     """Matrix pair (K - theta0 N, N) whose finite eigenvalues plus theta0
     solve the discrete problem.  ``K`` is the view :class:`PencilMatrix` of
-    the forms at theta0; N = diag(0, -M, 0) is built on each read."""
+    the forms at theta0, and everything else is read from it; N = diag(0,
+    -M, 0) is built on each read."""
     K: PencilMatrix
-    layout: PencilLayout
-    dofmap: DofMap
 
     @property
     def theta0(self):
@@ -248,6 +238,14 @@ class Pencil:
     @property
     def forms(self):
         return self.K.forms
+
+    @property
+    def layout(self):
+        return self.K.layout
+
+    @property
+    def dofmap(self):
+        return self.K.forms.dofmap
 
     @property
     def N(self):
@@ -353,7 +351,7 @@ def build_pencil(forms):
     else:
         layout = PencilLayout(n_sigma, np.setdiff1d(np.arange(n_sigma), dofmap.constrained),
                               dofmap.n_u, 0)
-    return Pencil(PencilMatrix(forms, layout, THETA0), layout, dofmap)
+    return Pencil(PencilMatrix(forms, layout, THETA0))
 
 
 def _constant_j_interpolant(dofmap):

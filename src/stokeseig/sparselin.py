@@ -1,13 +1,14 @@
-"""Direct LU solves of sparse matrices, with static condensation of element groups.
+"""Direct LU solves of sparse symmetric matrices, with static condensation.
 
-``factorize`` takes a square scipy matrix, or a symmetric matrix given by its
-triangles' blocks (:class:`ElementBlocks`), as the pencil's K - theta N is:
-each triangle's interior stress moments and velocity dofs couple only with
-each other and its edge stress dofs, so the element Schur complements are
-summed into the Schur complement on the edge dofs (static condensation;
-Arnold & Brezzi, M2AN 19, 1985).  Singular systems are reported as errors,
-judged from a 1-norm estimate of the inverse, so only the LU factors are
-kept in memory.
+``factorize`` takes a symmetric matrix F given by its triangles' blocks
+(:class:`ElementBlocks`), as the pencil's K - theta N is: each triangle's
+interior stress moments and velocity dofs couple only with each other and
+its edge stress dofs, so the element Schur complements are summed into the
+Schur complement on the edge dofs (static condensation; Arnold & Brezzi,
+M2AN 19, 1985).  A plain symmetric scipy matrix enters the same path as
+blocks of no triangles (:meth:`ElementBlocks.whole`).  Singular systems are
+reported as errors, judged from a 1-norm estimate of F's inverse, so only
+the LU factors are kept in memory.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .errors import SingularMatrixError
 
 # a matrix whose estimated |A^-1|_1 times its largest entry reaches this is singular
 _COND_LIMIT = 1e12
-# zero-diagonal rows are scaled so that their largest entry is about this many
-# times the largest entry of the other rows (or the unit diagonal)
-_CONSTRAINT_WEIGHT = 16.0
 # SuperLU's panel width (see factorize)
 _PANEL_SIZE = 8
 
@@ -39,8 +37,8 @@ class ElementBlocks:
     ``C[t]`` (-1 marks one that F does not have).  F[R, R] sums the ``D[t]``
     at (rest[t], rest[t]) and the ``extra`` (rows, columns, values) that
     belong to no triangle.  ``amax`` is max |F_ij|; ``definite`` marks an F
-    whose Schur complement on R is positive definite but for rows with a
-    zero diagonal and a single entry (a pin).
+    whose Schur complement on R is positive definite but for the pin: a
+    multiplier row with a zero diagonal and a single entry, and its column.
     """
     n: int
     groups: np.ndarray
@@ -52,43 +50,52 @@ class ElementBlocks:
     amax: float
     definite: bool
 
+    @classmethod
+    def whole(cls, A):
+        """The square symmetric scipy matrix A as blocks of no triangles, every
+        entry in ``extra``; not ``definite``.  The groups have one column, so
+        that no reduction over the empty blocks has size 0."""
+        csr = sp.csr_matrix(A, dtype=float)
+        if csr.shape[0] != csr.shape[1]:
+            raise SingularMatrixError(f"matrix is not square: {csr.shape}", kind="structural")
+        if (csr != csr.T).nnz:
+            # the singularity estimate and the RCM preorder take F = F^T
+            raise ValueError("matrix is not symmetric")
+        coo = csr.tocoo()
+        none, empty = np.zeros((0, 1), dtype=int), np.zeros((0, 1, 1))
+        return cls(csr.shape[0], none, none, empty, empty, empty,
+                   (coo.row, coo.col, coo.data), float(np.abs(coo.data).max(initial=0.0)), False)
+
 
 class Factorization:
-    """Reusable factors of a matrix K: LU factors of P D K D P^T, D diagonal
-    (``scale``), P a permutation (``perm``, the original index of each
-    factorized row); ``condition`` is the estimate ``factorize`` judged.
+    """Reusable factors of the :class:`ElementBlocks` F: LU factors of
+    P D S D P^T, S the Schur complement of :func:`condense`, D diagonal
+    (``scale``, 1 unless F is ``definite``), P a permutation (``perm``);
+    ``condition`` is the estimate ``factorize`` judged.
 
-    With groups, ``blocks`` holds E, R, Q^-1 and K_ER = K[E, R] with its
-    columns in factorized order, and the factors are those of S.  A solve is
-    x_R = S^-1 (b_R - K_RE (Q^-1 b_E)), x_E = Q^-1 b_E - Q^-1 (K_ER x_R),
-    one column at a time through work vectors allocated once.
+    ``blocks`` holds E, R, Q^-1 and F_ER = F[E, R] with its columns in
+    factorized order.  A solve is x_R = S^-1 (b_R - F_RE (Q^-1 b_E)),
+    x_E = Q^-1 b_E - Q^-1 (F_ER x_R), one column at a time through work
+    vectors allocated once; with no triangles E is empty and it is the solve
+    with S = F.  The pin is pivoted off the diagonal (see :func:`factorize`).
     """
 
-    def __init__(self, lu, perm, scale, blocks=None):
+    def __init__(self, lu, perm, scale, blocks):
         self._lu = lu
         self.condition = None       # set by factorize
         self._perm = perm
-        self._scale = scale
         self._blocks = blocks
-        # the unknown of K behind each factorized row, and D in that order
-        self._order, self._d = perm, scale[perm]
-        if blocks is not None:
-            E, R, Qinv, KER = blocks
-            self._order = R[perm]
-            self._KRE = KER.T
-            self._work = (np.empty(Qinv.shape[:2]), np.empty(Qinv.shape[:2]), np.empty(R.size))
+        E, R, Qinv, KER = blocks
+        # the unknown of F behind each factorized row, and D in that order
+        self._order, self._d = R[perm], scale[perm]
+        self._KRE = KER.T
+        self._work = (np.empty(Qinv.shape[:2]), np.empty(Qinv.shape[:2]), np.empty(R.size))
 
     def solve(self, b, out=None):
-        """x with K x = b, for a vector or a block of columns b; ``out``, when
+        """x with F x = b, for a vector or a block of columns b; ``out``, when
         given, receives x and may be b itself."""
         b = np.asarray(b, dtype=float)
         x = np.empty(b.shape) if out is None else out
-        if self._blocks is None:        # SuperLU solves a block at once
-            d = self._d.reshape((-1,) + (1,) * (b.ndim - 1))
-            y = self._lu.solve(d * b[self._order])
-            y *= d
-            x[self._order] = y
-            return x
         for col in np.ndindex(b.shape[1:]):
             self._solve_condensed(b[(slice(None),) + col], x[(slice(None),) + col])
         return x
@@ -183,91 +190,64 @@ def _invert(Q, groups, definite):
     return Qinv
 
 
-def _jacobi_scale(csr):
-    """Powers of two that bring the nonzero diagonal of D A D within a factor 2
-    of 1, so no entry of a positive definite A exceeds 2, and the largest entry
-    of a zero-diagonal row (a pin) near 16, which pivoting then always picks."""
-    diag = np.abs(csr.diagonal())
-    zero = diag == 0.0
-    scale = np.ones(len(diag))
-    scale[~zero] = 2.0 ** -np.round(0.5 * np.log2(diag[~zero]))
-    if zero.any():
-        pinned = abs(csr[zero] @ sp.diags(scale)).max(axis=1).toarray().ravel()
-        scale[zero] = 2.0 ** np.round(np.log2(_CONSTRAINT_WEIGHT / pinned))
-    return scale
-
-
 def factorize(A):
-    """Factorize a square scipy matrix, or a matrix with ``element_blocks()``,
-    for repeated solves.
+    """Factorize a matrix with ``element_blocks()``, or a square symmetric
+    scipy matrix (:meth:`ElementBlocks.whole`), for repeated solves.
 
-    From element blocks, the matrix factorized is the Schur complement S of
-    :func:`condense` (dirichlet (2,1) at N = 30: 16,561 of 38,161 unknowns,
-    1.58M entries in the factors against 11.4M for the whole matrix), and
-    Q^-1 and F_ER are kept for the solves.  A ``definite`` S is scaled by
-    powers of two to a diagonal within a factor 2 of 1, its pin rows to an
-    entry near 16, and SuperLU pivots on the diagonal in symmetric mode,
-    ordering S + S^T by multiple minimum degree.  Any other matrix has its
-    zero-diagonal rows and columns scaled by s = 2^round(log2(16 max|other
-    rows| / max|zero-diagonal rows|)), so that partial pivoting eliminates a
-    saddle-point matrix through its constraint rows first, and COLAMD orders
-    its columns.  Both orderings start from a symmetric reverse Cuthill-McKee
-    preorder (Cuthill & McKee 1969), since the dof numbering carries no mesh
-    locality and the orderings break ties by position (dirichlet: 1.58M
-    against 2.19M entries with MMD alone).  SuperLU runs with 8-column panels
-    instead of its default 20 (Demmel et al., SIMAX 20, 1999), whose
-    workspace grows with width times n; values above the defaults crashed
-    scipy 1.17's SuperLU.
+    The matrix factorized is the Schur complement S of :func:`condense`
+    (dirichlet (2,1) at N = 30: 16,561 of 38,161 unknowns, 1.58M entries in
+    the factors against 11.4M for the whole matrix), and Q^-1 and F_ER are
+    kept for the solves.  A ``definite`` S is scaled by powers of two to a
+    nonzero diagonal within a factor 2 of 1, and SuperLU pivots on the
+    diagonal in symmetric mode, ordering S + S^T by multiple minimum degree,
+    but for the pin, whose zero diagonal it passes over: the factors'
+    ``perm_r`` and ``perm_c`` differ in 2-3 positions on an all-Dirichlet
+    pencil, so a count of negative pivots must allow for the pin's pair.
+    Any other S is factorized as it is, with partial pivoting and COLAMD.
+    Both orderings start from a symmetric reverse Cuthill-McKee preorder
+    (Cuthill & McKee 1969), since the dof numbering carries no mesh locality
+    and the orderings break ties by position (dirichlet: 1.58M against 2.19M
+    entries with MMD alone).  SuperLU runs with 8-column panels instead of
+    its default 20 (Demmel et al., SIMAX 20, 1999), whose workspace grows
+    with width times n; values above the defaults crashed scipy 1.17's
+    SuperLU.
 
-    Raises :class:`SingularMatrixError` for structurally singular inputs, a
-    singular element block (see :func:`_invert`), and when the estimated
-    1-norm of the inverse times the largest entry is not finite or reaches
-    1e12: of the scaled matrix handed to SuperLU, or, from element blocks,
-    of F itself through the condensed solve, since S's own estimate grows as
-    the smallest triangle's size to the power -2 (3e11 at 1e-5 on a graded
-    L-shape, where F's reads 6e2).  The estimate (Hager 1984; Higham &
-    Tisseur 2000, one column, so deterministic) copies neither L nor U.
+    Raises :class:`SingularMatrixError` for a non-square input or a row of S
+    with no entry, a singular element block (see :func:`_invert`), and when
+    the estimated 1-norm of F's inverse, taken through the condensed solve,
+    times F's largest entry is not finite or reaches 1e12.  S's own estimate
+    would grow as the smallest triangle's size to the power -2 (3e11 at 1e-5
+    on a graded L-shape, where F's reads 6e2).  The estimate (Hager 1984;
+    Higham & Tisseur 2000, one column, so deterministic) copies neither L
+    nor U.  Raises ``ValueError`` for a nonsymmetric plain matrix.
     """
-    F = A.element_blocks() if hasattr(A, "element_blocks") else None
-    if F is None:
-        csr = sp.csr_matrix(A)
-        csr.sum_duplicates()
-        if csr.shape[0] != csr.shape[1]:
-            raise SingularMatrixError(f"matrix is not square: {csr.shape}", kind="structural")
-        empty = abs(csr).max(axis=1).toarray().ravel() == 0.0
-        if empty.any():
-            raise SingularMatrixError(f"row {int(np.argmax(empty))} has no nonzero entry",
-                                      kind="structural")
-        E, definite = None, False
-    else:
-        E, R, Qinv, cols, csr = condense(F)
-        n, amax, definite = F.n, F.amax, F.definite
-
-    if definite:
-        scale = _jacobi_scale(csr)
+    F = A.element_blocks() if hasattr(A, "element_blocks") else ElementBlocks.whole(A)
+    E, R, Qinv, cols, csr = condense(F)
+    n, amax = F.n, F.amax
+    if not np.diff(csr.indptr).all():
+        row = int(R[np.argmin(np.diff(csr.indptr))])
+        raise SingularMatrixError(f"row {row} has no entry", kind="structural")
+    scale = np.ones(R.size)
+    if F.definite:
+        diag = np.abs(csr.diagonal())
+        scale[diag > 0.0] = 2.0 ** -np.round(0.5 * np.log2(diag[diag > 0.0]))
+        del diag
         pivoting = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
     else:
-        rowmax = abs(csr).max(axis=1).toarray().ravel()
-        scale = np.ones(csr.shape[0])
-        zero = csr.diagonal() == 0.0
-        if zero.any() and not zero.all():
-            scale[zero] = 2.0 ** np.round(
-                np.log2(_CONSTRAINT_WEIGHT * rowmax[~zero].max() / rowmax[zero].max()))
         pivoting = dict(permc_spec="COLAMD")
     perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
     at = np.argsort(perm).astype(np.int32)
-    if F is not None:
-        # K_ER from the triangles' C_T, its columns in factorized order, without
-        # the exact zeros, which would only cost time in the solves
-        C, g = F.C, F.groups.shape[1]
-        del F
-        coo = _coo(C, np.arange(E.size, dtype=np.int32).reshape(-1, g), np.append(at, -1)[cols],
-                   drop_zeros=True)
-        del C, cols
-        KER = sp.csr_matrix(coo, shape=(E.size, R.size))
-        del coo
-    # P A P^T: gather the rows, relabel the columns; tocsc sorts the indices,
+    # F_ER from the triangles' C_T, its columns in factorized order, without
+    # the exact zeros, which would only cost time in the solves
+    C, g = F.C, F.groups.shape[1]
+    del F
+    coo = _coo(C, np.arange(E.size, dtype=np.int32).reshape(-1, g), np.append(at, -1)[cols],
+               drop_zeros=True)
+    del C, cols
+    KER = sp.csr_matrix(coo, shape=(E.size, R.size))
+    del coo
+    # P S P^T: gather the rows, relabel the columns; tocsc sorts the indices,
     # and only its copy stays alive during splu
     rows = csr[perm]
     del csr
@@ -276,30 +256,20 @@ def factorize(A):
     del rows, at
     d = scale[perm]
     csc.data *= d[csc.indices] * np.repeat(d, np.diff(csc.indptr))
-    col_counts = np.diff(csc.indptr)
-    if np.any(col_counts == 0):
-        idx = int(perm[np.argmin(col_counts)])
-        raise SingularMatrixError(f"column {idx} is empty", kind="structural")
     try:
         lu = spla.splu(csc, panel_size=_PANEL_SIZE, **pivoting)
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}", kind="numerical") from exc
-
-    if E is None:
-        fact, amax = Factorization(lu, perm, scale), np.abs(csc.data).max()
-        inverse = spla.LinearOperator(csc.shape, matvec=lu.solve, dtype=float,
-                                      rmatvec=lambda b: lu.solve(b, trans="T"))
-    else:
-        fact = Factorization(lu, perm, scale, (E, R, Qinv, KER))
-
-        def solve(b):
-            x = np.empty(n)
-            fact._solve_condensed(np.ravel(b), x)
-            return x
-
-        # F's own inverse, symmetric: S^-1 alone grows with the mesh grading
-        inverse = spla.LinearOperator((n, n), matvec=solve, rmatvec=solve, dtype=float)
     del csc
+    fact = Factorization(lu, perm, scale, (E, R, Qinv, KER))
+
+    def solve(b):
+        x = np.empty(n)
+        fact._solve_condensed(np.ravel(b), x)
+        return x
+
+    # F's own inverse, symmetric: S^-1 alone grows with the mesh grading
+    inverse = spla.LinearOperator((n, n), matvec=solve, rmatvec=solve, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         fact.condition = spla.onenormest(inverse, t=1) * amax
     if not fact.condition < _COND_LIMIT:      # also a NaN or infinite estimate

@@ -49,7 +49,7 @@ def test_random_saddle_point_residual():
     assert np.abs(A @ got - b).max() / denom <= 1e-10
 
 
-def test_scaled_solve_of_many_right_hand_sides():
+def test_block_solve_equals_column_solves():
     rng = np.random.default_rng(7)
     n, m = 40, 15
     Ablk = rng.standard_normal((n, n))
@@ -57,7 +57,6 @@ def test_scaled_solve_of_many_right_hand_sides():
     Bblk = 1e-3 * rng.standard_normal((m, n))
     A = sp.csr_matrix(np.block([[Ablk, Bblk.T], [Bblk, np.zeros((m, m))]]))
     fact = factorize(A)
-    assert fact._scale[n:].min() > 1.0     # the zero-diagonal rows are scaled
     rhs = rng.standard_normal((n + m, 3))
     X = fact.solve(rhs)
     for c in range(3):
@@ -67,21 +66,19 @@ def test_scaled_solve_of_many_right_hand_sides():
 
 
 def test_preordered_solve_round_trip():
-    # nonsymmetric [[A, C], [B, 0]]: the zero-diagonal rows get scaled, and the
-    # reverse Cuthill-McKee preorder moves rows and columns
+    # symmetric [[A, B^T], [B, 0]], its rows and columns shuffled: the reverse
+    # Cuthill-McKee preorder moves them
     rng = np.random.default_rng(11)
     n, m = 50, 12
-    Ablk = sp.random(n, n, density=0.1, random_state=rng).toarray() + 4.0 * np.eye(n)
+    Ablk = sp.random(n, n, density=0.1, random_state=rng).toarray()
+    Ablk = Ablk + Ablk.T + 4.0 * np.eye(n)
     Bblk = sp.random(m, n, density=0.2, random_state=rng).toarray()
-    Cblk = sp.random(n, m, density=0.2, random_state=rng).toarray()
     Bblk[np.arange(m), rng.permutation(n)[:m]] = 1.0    # no empty constraint row
-    Cblk[rng.permutation(n)[:m], np.arange(m)] = 1.0    # nor column
-    dense = np.block([[Ablk, Cblk], [Bblk, np.zeros((m, m))]])
+    dense = np.block([[Ablk, Bblk.T], [Bblk, np.zeros((m, m))]])
     q = rng.permutation(n + m)
     dense = dense[q][:, q]
     A = sp.csr_matrix(dense)
     fact = factorize(A)
-    assert np.any(fact._scale != 1.0)
     assert not np.array_equal(fact._perm, np.arange(n + m))
     for b in (rng.standard_normal(n + m), rng.standard_normal((n + m, 3))):
         x = fact.solve(b)
@@ -95,9 +92,9 @@ def test_preordered_solve_round_trip():
 @pytest.mark.parametrize("n", [5, 17, 50])
 def test_matches_dense_elimination_oracle(n):
     rng = np.random.default_rng(n)
-    dense = rng.standard_normal((n, n)) + n * np.eye(n)
+    dense = rng.standard_normal((n, n))
     dense[np.abs(dense) < 0.5] = 0.0
-    dense += n * np.eye(n) * 0.0
+    dense = dense + dense.T + n * np.eye(n)
     b = rng.standard_normal(n)
     A = sp.csr_matrix(dense)
     x_sparse = factorize(A).solve(b)
@@ -121,9 +118,9 @@ def test_numerically_singular_reported():
 
 
 @pytest.mark.parametrize("dense", [
-    # rank 19 in exact arithmetic, so only rounding keeps the last pivot nonzero
-    np.random.default_rng(3).standard_normal((20, 19))
-    @ np.random.default_rng(4).standard_normal((19, 20)),
+    # X X^T, rank 19 in exact arithmetic, so only rounding keeps the last
+    # pivot nonzero
+    (lambda X: X @ X.T)(np.random.default_rng(3).standard_normal((20, 19))),
     # a pivot so small that the solves overflow
     np.diag([1.0, 1e-320]),
 ], ids=["rank_deficient_product", "denormal_pivot"])
@@ -260,6 +257,16 @@ def test_rejects_non_square():
         factorize(A)
 
 
+def test_rejects_nonsymmetric():
+    # the singularity estimate solves with F for F^T, and the preorder reads
+    # the pattern of F + F^T
+    A = sp.csr_matrix([[2.0, 1.0], [1.0 + 2 ** -52, 2.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        factorize(A)
+    with pytest.raises(ValueError, match="not symmetric"):
+        factorize(sp.csr_matrix([[1.0, 1.0], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 @pytest.mark.parametrize("ell,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
 def test_forms_and_pencil_are_canonical_csr(ell, k, bc):
@@ -302,7 +309,7 @@ def test_only_the_solve_blocks_alive_during_splu(monkeypatch):
         tracemalloc.stop()
     E, R, Qinv, KER = fact._blocks
     kept = sum(a.nbytes for a in (E, R, Qinv, KER.data, KER.indices, KER.indptr))
-    # the RCM order, the scale and the column counts: at most 4 x 8 bytes per row
+    # the RCM order, the scale and its permuted copy: at most 4 x 8 bytes per row
     allowed = seen["csc"] + kept + 4 * 8 * n
     assert seen["alive"] <= allowed
     # the bound would see the smallest of the triangles' blocks
