@@ -18,8 +18,9 @@ whose velocity block is THETA0 M, as a view of the forms that assembles
 nothing: eliminating each triangle's velocity (and interior stress) dofs
 from its element blocks leaves the edge-stress part of
 A - THETA0^-1 B^T M^-1 B, which is positive definite once the kernel is
-pinned.  A and K are symmetric bit for bit by construction: each triangle's
-A block is symmetrized before the blocks are summed.
+pinned.  A is kept once, as its element blocks; its CSR, and K's, are built
+only when asked for.  A and K are symmetric bit for bit by construction:
+each triangle's A block is symmetrized before the blocks are summed.
 
 On an affine triangle every form is a reference integral mapped by B^-T and
 det B (the tensor representation of Kirby and Logg, ACM TOMS 32, 2006): each
@@ -36,7 +37,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, IOFailureError, is_finite
 from .quadrature import quadrature
-from .sparselin import ElementBlocks
+from .sparselin import ElementBlocks, _coo
 from .spaces import DofMap
 from .refbasis import pk_reference_mass
 
@@ -46,9 +47,6 @@ J.flags.writeable = False
 # the pencil stores K - THETA0 N; every solve runs at unit viscosity, so one
 # negative origin serves every shift at or below 0
 THETA0 = -1.0
-# stress rows per slab of PencilMatrix's pass over its rows: at (2,1) N=30 a
-# slab of 8192 rows holds about 2.5 MB, where the whole stress block took 24 MB
-_SLAB_ROWS = 8192
 
 
 def skew_free_part(tau):
@@ -60,14 +58,14 @@ def skew_free_part(tau):
 
 @dataclass
 class Forms:
-    """Assembled bilinear forms (CSR) on the full (unconstrained) numbering,
-    and the element blocks they are summed from.  ``A_T`` holds the upper
-    triangle, row by row (see :func:`upper_positions`), of each triangle's
-    symmetric 2 nd x 2 nd block at its stress dofs ``dofmap.stress_gmap``;
-    ``B_T`` (nt, p, nd) is a triangle's block for either velocity component
-    and its tensor row, and ``M_T`` (2 nt, p, p) the mass block of velocity
-    component c of triangle t at 2 t + c."""
-    A: sp.csr_matrix
+    """The bilinear forms on the full (unconstrained) numbering: B and M in
+    CSR, j, and the element blocks they are summed from.  A is kept only as
+    its blocks: ``A_T`` holds the upper triangle, row by row (see
+    :func:`upper_positions`), of each triangle's symmetric 2 nd x 2 nd block
+    at its stress dofs ``dofmap.stress_gmap``, and :attr:`A` sums them into
+    CSR on each read.  ``B_T`` (nt, p, nd) is a triangle's block for either
+    velocity component and its tensor row, and ``M_T`` (2 nt, p, p) the
+    mass block of velocity component c of triangle t at 2 t + c."""
     B: sp.csr_matrix
     M: sp.csr_matrix
     j: np.ndarray
@@ -75,6 +73,12 @@ class Forms:
     A_T: np.ndarray
     B_T: np.ndarray
     M_T: np.ndarray
+
+    @property
+    def A(self):
+        """A in canonical CSR, summed from ``A_T`` on each read."""
+        n = self.dofmap.n_sigma
+        return _stiffness_csr(self, np.arange(n, dtype=np.int32), (n, n))
 
 
 @dataclass
@@ -99,6 +103,13 @@ class PencilLayout:
         return slice(self.n_sigma_active, self.n_sigma_active + self.n_u)
 
     @property
+    def index(self):
+        """The pencil index of every stress dof, -1 for the constrained ones."""
+        at = np.full(self.n_sigma_full, -1, dtype=np.int32)
+        at[self.keep] = np.arange(self.n_sigma_active, dtype=np.int32)
+        return at
+
+    @property
     def pin(self):
         """The stress dof that the multiplier row pins: where |z| is largest."""
         return int(np.argmax(np.abs(self.kernel[0])))
@@ -118,64 +129,68 @@ class PencilMatrix:
     """F = K - theta N = [[A, B^T, p^T], [B, theta M, 0], [p, 0, 0]] on the
     pencil's numbering (p the pin row), kept as the forms it is made of.
 
-    Nothing is assembled: ``matvec`` multiplies with A, B and M,
-    :meth:`element_blocks` hands ``factorize`` each triangle's blocks, and
-    ``sp`` builds the CSR on each call.  ``nnz``, ``norm_inf()`` and the
-    largest entry ``amax`` are those of ``sp``, computed when the view is
-    built from its rows, one slab at a time; the norm sums each row the way
-    ``abs(sp).sum(axis=1)`` does.
+    Nothing is assembled: ``matvec`` multiplies with A's element blocks, B
+    and M, :meth:`element_blocks` hands ``factorize`` each triangle's blocks,
+    and ``sp`` builds the CSR on each call.  ``nnz``, ``norm_inf()`` and the
+    largest entry ``amax`` are those of ``sp``, read when the view is built
+    from its rows, the stress rows summed from the element blocks once and
+    freed; the norm sums each row the way ``abs(sp).sum(axis=1)`` does.  The
+    stress rows do not depend on theta, so :meth:`at` reuses their reads.
     """
 
-    def __init__(self, forms, layout, theta):
+    def __init__(self, forms, layout, theta, stress_reads=None):
         self.forms, self.layout, self.theta = forms, layout, theta
         self.shape = (layout.size, layout.size)
-        self.nnz, self._norm, self.amax = 0, 0.0, 0.0
-        for slab in self._slabs():
-            self.nnz += slab.nnz
-            rows = np.flatnonzero(np.diff(slab.indptr))
-            if rows.size:
-                size = np.abs(slab.data)
-                self._norm = max(self._norm, float(np.add.reduceat(size, slab.indptr[rows]).max()))
-                self.amax = max(self.amax, float(size.max()))
+        self._stress_reads = (_reads(self._stress_rows()) if stress_reads is None
+                              else stress_reads)
+        (n0, norm0, amax0), (n1, norm1, amax1) = self._stress_reads, _reads(self._other_rows())
+        self.nnz, self._norm, self.amax = n0 + n1, max(norm0, norm1), max(amax0, amax1)
 
     def at(self, theta):
         """K - theta N of the same pencil."""
-        return PencilMatrix(self.forms, self.layout, theta)
+        return PencilMatrix(self.forms, self.layout, theta, self._stress_reads)
 
-    def _slabs(self):
-        """F's rows as CSR slabs, in turn: the stress rows ``_SLAB_ROWS`` at a
-        time, then the velocity and the multiplier rows."""
+    def _stress_rows(self):
+        """F's stress rows [A | B^T | p^T] in CSR, from the element blocks."""
+        f, lay, index = self.forms, self.layout, self.layout.index
+        nt, p, nd = f.B_T.shape
+        # tensor row c of a triangle's stress dofs meets its velocity component c
+        velocity = lay.n_sigma_active + np.arange(lay.n_u, dtype=np.int32).reshape(2 * nt, p)
+        pin = ([lay.pin], [lay.size - 1], [1.0]) if lay.n_c else ((), (), ())
+        data, (i, j) = _coo(np.repeat(np.swapaxes(f.B_T, 1, 2), 2, axis=0),
+                            index[f.dofmap.stress_gmap].reshape(2 * nt, nd), velocity, pin,
+                            drop_zeros=True)
+        return _stiffness_csr(f, index, (lay.n_sigma_active, lay.size), (i, j, data))
+
+    def _other_rows(self):
+        """F's velocity and multiplier rows in CSR."""
         f, lay = self.forms, self.layout
         keep, ns, nu, nc = lay.keep, lay.n_sigma_active, lay.n_u, lay.n_c
         B = f.B if nc else f.B[:, keep]
         pin = sp.csr_matrix((np.ones(nc), (np.zeros(nc, dtype=int), [lay.pin] if nc else [])),
                             shape=(nc, ns))
-        BT, pinT = B.T.tocsr(), pin.T.tocsr()
-        for r in range(0, ns, _SLAB_ROWS):
-            A = f.A[keep[r:r + _SLAB_ROWS]]
-            yield sp.hstack([A if nc else A[:, keep], BT[r:r + _SLAB_ROWS],
-                             pinT[r:r + _SLAB_ROWS]], format="csr")
         uu = self.theta * f.M if self.theta else sp.csr_matrix((nu, nu))
-        yield sp.hstack([B, uu, sp.csr_matrix((nu, nc))], format="csr")
-        yield sp.hstack([pin, sp.csr_matrix((nc, nu + nc))], format="csr")
+        return sp.vstack([sp.hstack([B, uu, sp.csr_matrix((nu, nc))], format="csr"),
+                          sp.hstack([pin, sp.csr_matrix((nc, nu + nc))], format="csr")],
+                         format="csr")
 
     @property
     def sp(self):
         """F in canonical CSR, built on each call."""
-        return sp.vstack(list(self._slabs()), format="csr")
+        return sp.vstack([self._stress_rows(), self._other_rows()], format="csr")
 
     def norm_inf(self):
         return self._norm
 
     def matvec(self, x):
         """F x for a vector or a block of columns x: A sigma + B^T u + p^T c,
-        B sigma + theta M u and p sigma."""
+        B sigma + theta M u and p sigma, A sigma triangle by triangle."""
         f, lay = self.forms, self.layout
         ns, vel = lay.n_sigma_active, lay.velocity
         sigma = np.zeros((lay.n_sigma_full,) + x.shape[1:])
         sigma[lay.keep] = x[:ns]
         y = np.empty(x.shape)
-        y[:ns] = (f.A @ sigma + f.B.T @ x[vel])[lay.keep]
+        y[:ns] = (_stiffness_product(f, sigma) + f.B.T @ x[vel])[lay.keep]
         y[vel] = f.B @ sigma
         if self.theta:
             y[vel] += self.theta * (f.M @ x[vel])
@@ -209,10 +224,7 @@ class PencilMatrix:
             Q[:, c * ni:(c + 1) * ni, vel] = np.swapaxes(b[:, :, ne:], 1, 2)
             Q[:, vel, vel] = self.theta * f.M_T[c::2]
             C[:, vel, c * ne:(c + 1) * ne] = b[:, :, :ne]
-        # pencil index of every stress dof, -1 for the constrained ones
-        at = np.full(lay.n_sigma_full, -1)
-        at[lay.keep] = np.arange(lay.n_sigma_active)
-        stress = at[dofmap.stress_gmap]
+        stress = lay.index[dofmap.stress_gmap]
         velocity = lay.n_sigma_active + np.arange(lay.n_u).reshape(nt, 2 * p)
         mult = lay.size - 1
         extra = (np.array([lay.pin, mult] if lay.n_c else [], dtype=int),
@@ -268,8 +280,41 @@ def _scatter(shape, blocks, rows, cols):
     return mat
 
 
+def _reads(csr):
+    """nnz, the largest absolute row sum and the largest |entry| of a CSR
+    matrix, each row summed as ``abs(csr).sum(axis=1)`` sums it."""
+    rows = np.flatnonzero(np.diff(csr.indptr))
+    if not rows.size:
+        return csr.nnz, 0.0, 0.0
+    size = np.abs(csr.data)
+    return csr.nnz, float(np.add.reduceat(size, csr.indptr[rows]).max()), float(size.max())
+
+
+def _stiffness_csr(forms, index, shape, extra=((), (), ())):
+    """Canonical CSR of A's element blocks summed at the rows and columns
+    ``index`` gives each stress dof (-1 drops it), and the ``extra`` entries
+    (rows, columns, values), without the entries that are exactly zero."""
+    sd = index[forms.dofmap.stress_gmap.reshape(len(forms.A_T), -1)]
+    csr = sp.csr_matrix(_coo(forms.A_T[:, upper_positions(sd.shape[1])], sd, sd, extra),
+                        shape=shape)
+    csr.eliminate_zeros()
+    return csr
+
+
+def _stiffness_product(forms, sigma):
+    """A sigma for a vector or a block of columns sigma, triangle by triangle:
+    gathered at each triangle's stress dofs, multiplied by its unpacked block
+    and summed back through the dofs' incidence."""
+    sd = forms.dofmap.stress_gmap.reshape(len(forms.A_T), -1)
+    cols = sigma.reshape(len(sigma), -1)
+    prod = forms.A_T[:, upper_positions(sd.shape[1])] @ cols[sd]
+    m = sd.size
+    incidence = sp.csc_matrix((np.ones(m), sd.ravel(), np.arange(m + 1)), shape=(len(sigma), m))
+    return (incidence @ prod.reshape(m, -1)).reshape(sigma.shape)
+
+
 def assemble_forms(mesh, dofmap, mu=1.0):
-    """Assemble A, B, M and the constraint vector j."""
+    """Assemble A's element blocks, B, M and the constraint vector j."""
     if not (is_finite(mu) and mu > 0):
         raise AssemblyError(f"viscosity must be finite and positive, got {mu!r}")
     ned, pk = dofmap.ned, dofmap.pk
@@ -296,8 +341,8 @@ def assemble_forms(mesh, dofmap, mu=1.0):
               + np.einsum("edfsr->erdsf", C)).reshape(nt, 2 * nd, 2 * nd)
     ablock = (ablock + ablock.transpose(0, 2, 1)) * (0.25 / mu)
     del C           # freed before the scatters: it is as large as ablock
-    sd = sdofs.reshape(nt, 2 * nd)
-    A = _scatter((dofmap.n_sigma,) * 2, ablock, sd, sd)
+    upper = np.triu_indices(2 * nd)
+    ablock = ablock[:, upper[0], upper[1]]
 
     # velocity x curl(stress): the 1/det of the curl cancels the det of the
     # volume element, and row r of the tensor drives component r only.  The
@@ -318,8 +363,7 @@ def assemble_forms(mesh, dofmap, mu=1.0):
                         det, signs)
     jvals = np.stack([phi_int[..., 1], -phi_int[..., 0]], axis=1)
     jvec = np.bincount(sdofs.ravel(), jvals.ravel(), minlength=dofmap.n_sigma)
-    upper = np.triu_indices(2 * nd)
-    return Forms(A, B, M, jvec, dofmap, ablock[:, upper[0], upper[1]], bblock, mblock)
+    return Forms(B, M, jvec, dofmap, ablock, bblock, mblock)
 
 
 def upper_positions(n):

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from stokeseig.assembly import assemble_forms, build_pencil
+from stokeseig.assembly import _scatter, assemble_forms, build_pencil, upper_positions
 from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.mesh import (BI_UNIT_SQUARE, UNIT_SQUARE, Mesh, build_lshape_mesh,
                             build_square_mesh, refine, tag_bottom_fixed)
@@ -58,10 +58,14 @@ def block_pencil(ell, k, bc=ALL_DIRICHLET, N=8, mu=1.0):
 def unshifted_pencil(forms):
     """K and N of ``build_pencil(forms)``, both whole CSR assembled from the
     forms' blocks, with K unshifted: an oracle for the pencil, which keeps
-    K - theta0 N as a view of the forms."""
+    K - theta0 N as a view of the forms.  A is scattered from the unpacked
+    element blocks in one COO pass, independently of the pencil's build."""
     layout = build_pencil(forms).layout
     keep = layout.keep
-    A, B = forms.A[keep][:, keep], forms.B[:, keep]
+    n = 2 * forms.dofmap.ned.dim
+    sd = forms.dofmap.stress_gmap.reshape(-1, n)
+    A = _scatter((forms.dofmap.n_sigma,) * 2, forms.A_T[:, upper_positions(n)], sd, sd)
+    A, B = A[keep][:, keep], forms.B[:, keep]
     if layout.n_c:
         pin = sp.csr_matrix(([1.0], ([0], [np.argmax(np.abs(layout.kernel[0]))])),
                             shape=(1, len(keep)))

@@ -56,13 +56,17 @@ def test_block_solve_equals_column_solves():
     Ablk = Ablk + Ablk.T + 2.0 * n * np.eye(n)
     Bblk = 1e-3 * rng.standard_normal((m, n))
     A = sp.csr_matrix(np.block([[Ablk, Bblk.T], [Bblk, np.zeros((m, m))]]))
-    fact = factorize(A)
-    rhs = rng.standard_normal((n + m, 3))
-    X = fact.solve(rhs)
-    for c in range(3):
-        x = fact.solve(rhs[:, c])
-        assert np.abs(X[:, c] - x).max() <= 1e-14 * np.abs(x).max()
-        assert np.abs(A @ x - rhs[:, c]).max() <= 1e-10 * np.abs(rhs[:, c]).max()
+    # a plain matrix, and the pencil's K given by its triangles' blocks: a
+    # block of columns is solved in one pass, one SuperLU solve for all
+    K = square_pencil(2, 1).K
+    for F, times in ((A, A.dot), (K, K.matvec)):
+        fact = factorize(F)
+        rhs = rng.standard_normal((F.shape[0], 3))
+        X = fact.solve(rhs)
+        for c in range(3):
+            x = fact.solve(rhs[:, c])
+            assert np.abs(X[:, c] - x).max() <= 1e-14 * np.abs(x).max()
+            assert np.abs(times(x) - rhs[:, c]).max() <= 1e-10 * np.abs(rhs[:, c]).max()
 
 
 def test_preordered_solve_round_trip():
@@ -314,6 +318,36 @@ def test_only_the_solve_blocks_alive_during_splu(monkeypatch):
     assert seen["alive"] <= allowed
     # the bound would see the smallest of the triangles' blocks
     assert seen["alive"] + K.element_blocks().Q.nbytes > allowed
+
+
+def test_a_whole_solve_keeps_no_assembled_a_at_splu(monkeypatch):
+    # from assembly on, at SuperLU's memory peak the process holds A only as
+    # its element blocks: with the CSR A the forms kept beside them, the live
+    # bytes exceed this bound by 876,352 (65% of it)
+    mesh = mm.build_square_mesh(8, mm.BI_UNIT_SQUARE)
+    dofmap = DofMap(mesh, SpaceDescriptor(2, 1))
+    seen = {}
+    real_splu = spla.splu
+
+    def splu(csc, **kw):
+        seen["alive"] = _numpy_bytes()
+        seen["csc"] = csc.data.nbytes + csc.indices.nbytes + csc.indptr.nbytes
+        return real_splu(csc, **kw)
+
+    monkeypatch.setattr(sparselin.spla, "splu", splu)
+    tracemalloc.start()
+    try:
+        forms = assemble_forms(mesh, dofmap)
+        K = build_pencil(forms).K
+        fact = factorize(K)
+    finally:
+        tracemalloc.stop()
+    E, R, Qinv, KER = fact._blocks
+    kept = [forms.A_T, forms.B_T, forms.M_T, forms.j, E, R, Qinv]
+    kept += [getattr(m, a) for m in (forms.B, forms.M, KER) for a in ("data", "indices", "indptr")]
+    # the layout, the RCM order and the scale: at most 4 x 8 bytes per row
+    allowed = sum(a.nbytes for a in kept) + seen["csc"] + 4 * 8 * K.shape[0]
+    assert seen["alive"] <= allowed
 
 
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
