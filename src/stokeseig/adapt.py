@@ -9,16 +9,11 @@ import numpy as np
 from . import fields as fd
 from .assembly import assemble_forms, build_pencil
 from .eigsolve import EigConfig, solve_eig
-from .errors import (ConfigurationError, TrackingError, UnsupportedSchemeError, check_int,
-                     is_finite)
+from .errors import ConfigurationError, UnsupportedSchemeError, check_int, is_finite
 from .estimator import compute_indicators, effectivity
 from .mesh import patches, refine
 from .spaces import DofMap
 
-# a new eigenvalue counts as the tracked one only within this relative window
-_TRACK_WINDOW = 0.2
-# abort if a second candidate sits at a comparable distance (cannot disambiguate)
-_TRACK_TIE_RATIO = 0.5
 # iterations below this dof count are left out of the decay-order fit
 _FIT_MIN_DOF = 1200
 
@@ -59,23 +54,6 @@ def mark(indicators, fraction=0.5):
     return set(np.nonzero(eta >= fraction * eta.max())[0].tolist())
 
 
-def _track(lambdas, previous):
-    """Pick the eigenvalue continuing the tracked branch from ``previous``."""
-    dist = np.abs(lambdas - previous)
-    window = _TRACK_WINDOW * abs(previous)
-    inside = np.nonzero(dist <= window)[0]
-    if inside.size == 0:
-        raise TrackingError(
-            f"no eigenvalue within {100 * _TRACK_WINDOW:.0f}% of tracked value {previous:.6g}; "
-            f"candidates: {np.array2string(lambdas, precision=6)}")
-    order = inside[np.argsort(dist[inside])]
-    if order.size > 1 and dist[order[0]] > _TRACK_TIE_RATIO * dist[order[1]]:
-        raise TrackingError(
-            f"ambiguous tracking from {previous:.6g}: candidates "
-            f"{lambdas[order[0]]:.6g} and {lambdas[order[1]]:.6g} are equally close")
-    return int(order[0])
-
-
 def check_loop_parameters(target_index, max_iterations, dof_cap, mark_fraction, lambda_ref,
                           mu):
     """Raise :class:`ConfigurationError` for a parameter :func:`afem_loop`
@@ -98,50 +76,48 @@ def afem_loop(initial_mesh, descriptor, target_index=0, max_iterations=10,
     """Run the adaptive loop; returns the per-iteration report.
 
     The loop records a solve for the initial mesh, then refines while the
-    iteration and dof budgets allow.  The tracked eigenvalue starts as the
-    ``target_index``-th lowest and is followed across meshes by value
-    proximity.  Boundary conditions come from the initial mesh's edge tags.
+    iteration and dof budgets allow.  Every iteration follows the
+    ``target_index``-th lowest eigenvalue (0-based): the method has no
+    spurious modes, so the j-th discrete eigenvalue converges to the j-th
+    exact one (Boffi, Gallistl, Gardini & Gastaldi, Math. Comp. 86, 2017).
+    Boundary conditions come from the initial mesh's edge tags.
     Every solve and estimate runs at unit viscosity; ``mu`` scales only the
     recorded ``lambda_h``, and with it the effectivity against ``lambda_ref``.
     """
     if descriptor.k != 0:
         raise UnsupportedSchemeError("adaptive refinement requires the lowest-order scheme")
     check_loop_parameters(target_index, max_iterations, dof_cap, mark_fraction, lambda_ref, mu)
-    eig = eig or EigConfig(nev=max(target_index + 3, 5))
-    if eig.nev < target_index + 2:
-        raise ConfigurationError(f"tracking eigenvalue {target_index} needs nev >= "
-                                 f"{target_index + 2}, got {eig.nev}")
+    eig = eig or EigConfig(nev=max(target_index + 1, 5))
+    if eig.nev < target_index + 1:
+        raise ConfigurationError(f"eigenvalue {target_index} needs nev >= "
+                                 f"{target_index + 1}, got {eig.nev}")
 
-    def solve_and_mark(mesh, tracked):
-        # only the record, the tracked value and the marked set outlive this
-        # call, so the solution, fields and pencil of one mesh are freed
-        # before the next mesh is assembled and factorized
+    def solve_and_mark(mesh):
+        # only the record and the marked set outlive this call, so the
+        # solution, fields and pencil of one mesh are freed before the next
+        # mesh is assembled and factorized
         dofmap = DofMap(mesh, descriptor)
         pencil = build_pencil(assemble_forms(mesh, dofmap))
         solution = solve_eig(pencil, eig)
 
-        idx = target_index if tracked is None else _track(solution.eigenvalues, tracked)
-        tracked = float(solution.eigenvalues[idx])
-
-        sigma = fd.stress_from_solution(mesh, descriptor, solution, idx, dofmap=dofmap)
-        u = fd.velocity_from_solution(mesh, descriptor, solution, idx)
+        sigma = fd.DiscreteField.stress(mesh, descriptor, solution.sigma[target_index], dofmap)
+        u = fd.DiscreteField.velocity(mesh, descriptor.k, solution.u[target_index])
         theta = fd.theta_postprocess(u, patches(mesh))
         ind = compute_indicators(mesh, sigma, u, theta)
         marked = mark(ind, mark_fraction)
 
-        lambda_h = mu * tracked
+        lambda_h = mu * float(solution.eigenvalues[target_index])
         eff = None if lambda_ref is None else effectivity(lambda_ref, lambda_h, ind.eta)
         record = IterationRecord(
             dof=pencil.layout.size, lambda_h=lambda_h, eta_sq=float(ind.eta ** 2),
             effectivity=eff, marked=len(marked), num_triangles=mesh.num_triangles,
             num_vertices=mesh.num_vertices)
-        return record, tracked, marked
+        return record, marked
 
     report = AdaptReport(lambda_ref=lambda_ref)
     mesh = initial_mesh
-    tracked = None
     for iteration in range(max_iterations + 1):
-        record, tracked, marked = solve_and_mark(mesh, tracked)
+        record, marked = solve_and_mark(mesh)
         report.iterations.append(record)
         if iteration == max_iterations or record.dof >= dof_cap or not marked:
             break

@@ -131,7 +131,7 @@ def _cmd_export(args):
     if not 0 <= idx < len(solution.eigenvalues):
         raise ConfigurationError(f"eigenindex {idx} out of range")
     sigma = fd.DiscreteField.stress(mesh, cfg.descriptor, cfg.mu * solution.sigma[idx], dofmap)
-    u = fd.velocity_from_solution(mesh, cfg.descriptor, solution, idx)
+    u = fd.DiscreteField.velocity(mesh, cfg.descriptor.k, solution.u[idx])
     p = fd.pressure_from_stress(sigma)
     vort = fd.vorticity_from_stress(sigma, p, cfg.mu)
     theta = fd.theta_postprocess(u, meshmod.patches(mesh))

@@ -68,11 +68,6 @@ class UnconvergedError(StokesEigError):
         self.partial = partial
 
 
-class TrackingError(StokesEigError):
-    """The adaptive loop lost (or could not disambiguate) the tracked eigenvalue."""
-    category = "solver"
-
-
 class IOFailureError(StokesEigError):
     category = "io"
 

@@ -195,12 +195,3 @@ def theta_postprocess(u, incidence):
     values = (incidence @ element_integrals(u)) / (incidence @ u.mesh.tri_areas)[:, None]
     return DiscreteField.nodal_p1(u.mesh, values)
 
-
-def stress_from_solution(mesh, descriptor, solution, index, dofmap=None):
-    """Stress field of one computed eigenpair."""
-    return DiscreteField.stress(mesh, descriptor, solution.sigma[index], dofmap=dofmap)
-
-
-def velocity_from_solution(mesh, descriptor, solution, index):
-    """Velocity field of one computed eigenpair."""
-    return DiscreteField.velocity(mesh, descriptor.k, solution.u[index])

@@ -69,9 +69,8 @@ class ElementBlocks:
 
 class Factorization:
     """Reusable factors of the :class:`ElementBlocks` F: LU factors of
-    P D S D P^T, S the Schur complement of :func:`condense`, D diagonal
-    (``scale``, 1 unless F is ``definite``), P a permutation (``perm``);
-    ``condition`` is the estimate ``factorize`` judged.
+    P S P^T, S the Schur complement of :func:`condense`, P a permutation
+    (``perm``); ``condition`` is the estimate ``factorize`` judged.
 
     ``blocks`` holds E, R, Q^-1 and F_ER = F[E, R] with its columns in
     factorized order.  A solve is x_R = S^-1 (b_R - F_RE (Q^-1 b_E)),
@@ -82,14 +81,13 @@ class Factorization:
     :func:`factorize`).
     """
 
-    def __init__(self, lu, perm, scale, blocks):
+    def __init__(self, lu, perm, blocks):
         self._lu = lu
         self.condition = None       # set by factorize
         self._perm = perm
         self._blocks = blocks
         E, R, Qinv, KER = blocks
-        # the unknown of F behind each factorized row, and D in that order
-        self._order, self._d = R[perm], scale[perm][:, None]
+        self._order = R[perm]      # the unknown of F behind each factorized row
         self._KRE = KER.T
         self._work = self._work_arrays(1)
 
@@ -124,9 +122,7 @@ class Factorization:
             np.take(b[:, c], E, out=bE.reshape(-1))
             np.einsum("tij,tj->ti", Qinv, bE, out=qE[c])
             rhs[:, c] -= self._KRE @ qE[c].reshape(-1)
-        rhs *= self._d
         y = self._lu.solve(rhs)
-        y *= self._d
         x[self._order] = y
         for c in range(k):
             np.einsum("tij,tj->ti", Qinv, (KER @ y[:, c]).reshape(bE.shape), out=bE)
@@ -213,13 +209,12 @@ def factorize(A):
     The matrix factorized is the Schur complement S of :func:`condense`
     (dirichlet (2,1) at N = 30: 16,561 of 38,161 unknowns, 1.58M entries in
     the factors against 11.4M for the whole matrix), and Q^-1 and F_ER are
-    kept for the solves.  A ``definite`` S is scaled by powers of two to a
-    nonzero diagonal within a factor 2 of 1, and SuperLU pivots on the
+    kept for the solves.  For a ``definite`` S SuperLU pivots on the
     diagonal in symmetric mode, ordering S + S^T by multiple minimum degree,
     but for the pin, whose zero diagonal it passes over: the factors'
     ``perm_r`` and ``perm_c`` differ in 2-3 positions on an all-Dirichlet
     pencil, so a count of negative pivots must allow for the pin's pair.
-    Any other S is factorized as it is, with partial pivoting and COLAMD.
+    Any other S is factorized with partial pivoting and COLAMD.
     Both orderings start from a symmetric reverse Cuthill-McKee preorder
     (Cuthill & McKee 1969), since the dof numbering carries no mesh locality
     and the orderings break ties by position (dirichlet: 1.58M against 2.19M
@@ -243,11 +238,7 @@ def factorize(A):
     if not np.diff(csr.indptr).all():
         row = int(R[np.argmin(np.diff(csr.indptr))])
         raise SingularMatrixError(f"row {row} has no entry", kind="structural")
-    scale = np.ones(R.size)
     if F.definite:
-        diag = np.abs(csr.diagonal())
-        scale[diag > 0.0] = 2.0 ** -np.round(0.5 * np.log2(diag[diag > 0.0]))
-        del diag
         pivoting = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
     else:
@@ -270,22 +261,14 @@ def factorize(A):
     rows.indices = at.astype(rows.indices.dtype)[rows.indices]
     csc = rows.tocsc().astype(float, copy=False)
     del rows, at
-    d = scale[perm]
-    csc.data *= d[csc.indices] * np.repeat(d, np.diff(csc.indptr))
     try:
         lu = spla.splu(csc, panel_size=_PANEL_SIZE, **pivoting)
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}", kind="numerical") from exc
     del csc
-    fact = Factorization(lu, perm, scale, (E, R, Qinv, KER))
-
-    def solve(b):
-        x = np.empty((n, 1))
-        fact._solve_condensed(np.reshape(b, (n, 1)).astype(float, copy=False), x)
-        return x.ravel()
-
+    fact = Factorization(lu, perm, (E, R, Qinv, KER))
     # F's own inverse, symmetric: S^-1 alone grows with the mesh grading
-    inverse = spla.LinearOperator((n, n), matvec=solve, rmatvec=solve, dtype=float)
+    inverse = spla.LinearOperator((n, n), matvec=fact.solve, rmatvec=fact.solve, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         fact.condition = spla.onenormest(inverse, t=1) * amax
     if not fact.condition < _COND_LIMIT:      # also a NaN or infinite estimate

@@ -276,7 +276,7 @@ def run_adapt(cfg):
                        max_iterations=cfg.max_iterations, dof_cap=cfg.dof_cap,
                        mu=cfg.mu, lambda_ref=cfg.lambda_ref,
                        mark_fraction=cfg.mark_fraction,
-                       eig=EigConfig(nev=max(cfg.nev, cfg.target_index + 3), seed=cfg.seed))
+                       eig=EigConfig(nev=max(cfg.nev, cfg.target_index + 1), seed=cfg.seed))
     if cfg.out:
         write_adapt_outputs(cfg, report)
     return report

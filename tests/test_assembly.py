@@ -195,7 +195,7 @@ def test_kernel_pin_keeps_stress_and_pressure(ell, k):
 
 @pytest.mark.parametrize("bc", ["dirichlet", MIXED_BOTTOM_FIXED])
 def test_preorder_cuts_lu_fill(monkeypatch, bc):
-    # oracle: the matrix factorize hands to SuperLU, the condensed and scaled
+    # oracle: the matrix factorize hands to SuperLU, the condensed
     # K - theta0 N, put back in DofMap order, whose blocks by entity type carry
     # no mesh locality, and ordered by MMD alone.  At N = 30 (the benchmark's
     # size) measured 0.72 (dirichlet) and 0.67 (mixed); below N = 20 the

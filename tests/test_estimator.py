@@ -9,7 +9,7 @@ from helpers import refined_lshape, solve_problem
 from stokeseig.assembly import J, skew_free_part
 from stokeseig.errors import UnsupportedSchemeError
 from stokeseig.estimator import compute_indicators, effectivity, write_indicators_csv
-from stokeseig.fields import DiscreteField, stress_from_solution, theta_postprocess, velocity_from_solution
+from stokeseig.fields import DiscreteField, theta_postprocess
 from stokeseig.mesh import build_square_mesh, patches
 from stokeseig.quadrature import quadrature
 from stokeseig.spaces import SpaceDescriptor, interpolate_ned
@@ -37,8 +37,8 @@ def test_global_eta_consistent_with_locals():
     mesh = build_square_mesh(4, mm.BI_UNIT_SQUARE)
     sol, _, dm = solve_problem(mesh, 1, 0, nev=1)
     desc = SpaceDescriptor(1, 0)
-    sigma = stress_from_solution(mesh, desc, sol, 0, dofmap=dm)
-    u = velocity_from_solution(mesh, desc, sol, 0)
+    sigma = DiscreteField.stress(mesh, desc, sol.sigma[0], dm)
+    u = DiscreteField.velocity(mesh, desc.k, sol.u[0])
     theta = theta_postprocess(u, patches(mesh))
     ind = compute_indicators(mesh, sigma, u, theta)
     assert np.all(ind.addends >= 0.0)
@@ -81,8 +81,8 @@ def test_indicator_rule_is_exact(ell, monkeypatch):
     mesh = refined_lshape()
     desc = SpaceDescriptor(ell, 0)
     sol, _, dm = solve_problem(mesh, ell, 0, nev=1)
-    sigma = stress_from_solution(mesh, desc, sol, 0, dofmap=dm)
-    u = velocity_from_solution(mesh, desc, sol, 0)
+    sigma = DiscreteField.stress(mesh, desc, sol.sigma[0], dm)
+    u = DiscreteField.velocity(mesh, desc.k, sol.u[0])
     theta = theta_postprocess(u, patches(mesh))
     got = compute_indicators(mesh, sigma, u, theta).addends
     monkeypatch.setattr(est, "quadrature", lambda degree: quadrature(8))
@@ -125,8 +125,8 @@ def test_estimator_tracks_true_error_under_uniform_refinement():
         mesh = build_square_mesh(N, mm.BI_UNIT_SQUARE)
         sol, _, dm = solve_problem(mesh, 1, 0, nev=1)
         desc = SpaceDescriptor(1, 0)
-        sigma = stress_from_solution(mesh, desc, sol, 0, dofmap=dm)
-        u = velocity_from_solution(mesh, desc, sol, 0)
+        sigma = DiscreteField.stress(mesh, desc, sol.sigma[0], dm)
+        u = DiscreteField.velocity(mesh, desc.k, sol.u[0])
         theta = theta_postprocess(u, patches(mesh))
         ind = compute_indicators(mesh, sigma, u, theta)
         etas.append(ind.eta ** 2)
@@ -142,8 +142,8 @@ def test_csv_dump(tmp_path):
     mesh = build_square_mesh(2, mm.BI_UNIT_SQUARE)
     sol, _, dm = solve_problem(mesh, 1, 0, nev=1)
     desc = SpaceDescriptor(1, 0)
-    sigma = stress_from_solution(mesh, desc, sol, 0, dofmap=dm)
-    u = velocity_from_solution(mesh, desc, sol, 0)
+    sigma = DiscreteField.stress(mesh, desc, sol.sigma[0], dm)
+    u = DiscreteField.velocity(mesh, desc.k, sol.u[0])
     ind = compute_indicators(mesh, sigma, u, theta_postprocess(u, patches(mesh)))
     path = tmp_path / "eta.csv"
     write_indicators_csv(ind, path)

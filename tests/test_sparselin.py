@@ -313,7 +313,7 @@ def test_only_the_solve_blocks_alive_during_splu(monkeypatch):
         tracemalloc.stop()
     E, R, Qinv, KER = fact._blocks
     kept = sum(a.nbytes for a in (E, R, Qinv, KER.data, KER.indices, KER.indptr))
-    # the RCM order, the scale and its permuted copy: at most 4 x 8 bytes per row
+    # the RCM order and what else factorize holds per row: at most 4 x 8 bytes per row
     allowed = seen["csc"] + kept + 4 * 8 * n
     assert seen["alive"] <= allowed
     # the bound would see the smallest of the triangles' blocks
@@ -345,7 +345,7 @@ def test_a_whole_solve_keeps_no_assembled_a_at_splu(monkeypatch):
     E, R, Qinv, KER = fact._blocks
     kept = [forms.A_T, forms.B_T, forms.M_T, forms.j, E, R, Qinv]
     kept += [getattr(m, a) for m in (forms.B, forms.M, KER) for a in ("data", "indices", "indptr")]
-    # the layout, the RCM order and the scale: at most 4 x 8 bytes per row
+    # the layout and the RCM order: at most 4 x 8 bytes per row
     allowed = sum(a.nbytes for a in kept) + seen["csc"] + 4 * 8 * K.shape[0]
     assert seen["alive"] <= allowed
 
