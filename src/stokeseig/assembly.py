@@ -18,8 +18,8 @@ whose velocity block is THETA0 M, as a view of the forms that assembles
 nothing: eliminating each triangle's velocity (and interior stress) dofs
 from its element blocks leaves the edge-stress part of
 A - THETA0^-1 B^T M^-1 B, which is positive definite once the kernel is
-pinned.  A is kept once, as its element blocks; its CSR, and K's, are built
-only when asked for.  A and K are symmetric bit for bit by construction:
+pinned.  A and B are kept once, as their element blocks; their CSR, and
+K's, are built only when asked for.  A and K are symmetric bit for bit by construction:
 each triangle's A block is symmetrized before the blocks are summed.
 
 On an affine triangle every form is a reference integral mapped by B^-T and
@@ -30,14 +30,14 @@ array pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, IOFailureError, is_finite
 from .quadrature import quadrature
-from .sparselin import ElementBlocks, _coo
+from .sparselin import _CHUNK, ElementBlocks
 from .spaces import DofMap
 from .refbasis import pk_reference_mass
 
@@ -58,15 +58,15 @@ def skew_free_part(tau):
 
 @dataclass
 class Forms:
-    """The bilinear forms on the full (unconstrained) numbering: B and M in
-    CSR, j, and the element blocks they are summed from.  A is kept only as
-    its blocks: ``A_T`` holds the upper triangle, row by row (see
+    """The bilinear forms on the full (unconstrained) numbering: M in CSR, j,
+    and the element blocks they are summed from.  A and B are kept only as
+    their blocks: ``A_T`` holds the upper triangle, row by row (see
     :func:`upper_positions`), of each triangle's symmetric 2 nd x 2 nd block
-    at its stress dofs ``dofmap.stress_gmap``, and :attr:`A` sums them into
-    CSR on each read.  ``B_T`` (nt, p, nd) is a triangle's block for either
-    velocity component and its tensor row, and ``M_T`` (2 nt, p, p) the
-    mass block of velocity component c of triangle t at 2 t + c."""
-    B: sp.csr_matrix
+    at its stress dofs ``dofmap.stress_gmap``, ``B_T`` (nt, p, nd) is a
+    triangle's block for either velocity component and its tensor row, and
+    :attr:`A` and :attr:`B` sum them into CSR on each read.  ``M_T``
+    (2 nt, p, p) is the mass block of velocity component c of triangle t at
+    2 t + c."""
     M: sp.csr_matrix
     j: np.ndarray
     dofmap: DofMap
@@ -77,17 +77,37 @@ class Forms:
     @property
     def A(self):
         """A in canonical CSR, summed from ``A_T`` on each read."""
-        n = self.dofmap.n_sigma
-        return _stiffness_csr(self, np.arange(n, dtype=np.int32), (n, n))
+        n, sd = self.dofmap.n_sigma, self.dofmap.stress_gmap.reshape(len(self.A_T), -1)
+        return _scatter((n, n), self.A_T[:, upper_positions(sd.shape[1])], sd, sd)
+
+    @property
+    def B(self):
+        """B in canonical CSR, summed from ``B_T`` on each read."""
+        dofmap, rows = self.dofmap, 2 * len(self.B_T)
+        return _scatter((dofmap.n_u, dofmap.n_sigma), np.repeat(self.B_T, 2, axis=0),
+                        np.arange(dofmap.n_u).reshape(rows, -1),
+                        dofmap.stress_gmap.reshape(rows, -1))
 
 
 @dataclass
 class PencilLayout:
+    """The pencil's numbering: the active stress dofs ``keep``, then n_u
+    velocity dofs and n_c multipliers.  ``index`` is the pencil index of every
+    stress dof (-1 for the constrained ones) and ``pin`` the stress dof that
+    the multiplier row pins, where |z| is largest (None without a kernel);
+    both are computed once, when the layout is made."""
     n_sigma_full: int
     keep: np.ndarray          # active stress dofs (full numbering)
     n_u: int
     n_c: int
     kernel: tuple | None = None   # (z, j) when a multiplier pins the kernel z
+    index: np.ndarray = field(init=False, repr=False)
+    pin: int | None = field(init=False)
+
+    def __post_init__(self):
+        self.index = np.full(self.n_sigma_full, -1, dtype=np.int32)
+        self.index[self.keep] = np.arange(len(self.keep), dtype=np.int32)
+        self.pin = None if self.kernel is None else int(np.argmax(np.abs(self.kernel[0])))
 
     @property
     def n_sigma_active(self):
@@ -101,18 +121,6 @@ class PencilLayout:
     def velocity(self):
         """The velocity slice of a pencil vector."""
         return slice(self.n_sigma_active, self.n_sigma_active + self.n_u)
-
-    @property
-    def index(self):
-        """The pencil index of every stress dof, -1 for the constrained ones."""
-        at = np.full(self.n_sigma_full, -1, dtype=np.int32)
-        at[self.keep] = np.arange(self.n_sigma_active, dtype=np.int32)
-        return at
-
-    @property
-    def pin(self):
-        """The stress dof that the multiplier row pins: where |z| is largest."""
-        return int(np.argmax(np.abs(self.kernel[0])))
 
     def split(self, x):
         """Split a pencil vector into (sigma_full, u), with j . sigma_full = 0."""
@@ -129,38 +137,28 @@ class PencilMatrix:
     """F = K - theta N = [[A, B^T, p^T], [B, theta M, 0], [p, 0, 0]] on the
     pencil's numbering (p the pin row), kept as the forms it is made of.
 
-    Nothing is assembled: ``matvec`` multiplies with A's element blocks, B
-    and M, :meth:`element_blocks` hands ``factorize`` each triangle's blocks,
-    and ``sp`` builds the CSR on each call.  ``nnz``, ``norm_inf()`` and the
-    largest entry ``amax`` are those of ``sp``, read when the view is built
-    from its rows, the stress rows summed from the element blocks once and
-    freed; the norm sums each row the way ``abs(sp).sum(axis=1)`` does.  The
-    stress rows do not depend on theta, so :meth:`at` reuses their reads.
+    Nothing is assembled: ``matvec`` multiplies with A's and B's element
+    blocks and with M, :meth:`element_blocks` hands ``factorize`` each
+    triangle's blocks, and ``sp`` builds the CSR on each call.  ``nnz``,
+    ``norm_inf()`` and the largest entry ``amax`` are those of ``sp``, bit
+    for bit, read from the element blocks when the view is built
+    (:func:`_stress_reads`, :func:`_other_reads`); the norm sums each row the
+    way ``abs(sp).sum(axis=1)`` does.  The stress rows do not depend on
+    theta, so :meth:`at` reuses their reads.
     """
 
     def __init__(self, forms, layout, theta, stress_reads=None):
         self.forms, self.layout, self.theta = forms, layout, theta
         self.shape = (layout.size, layout.size)
-        self._stress_reads = (_reads(self._stress_rows()) if stress_reads is None
+        self._stress_reads = (_stress_reads(forms, layout) if stress_reads is None
                               else stress_reads)
-        (n0, norm0, amax0), (n1, norm1, amax1) = self._stress_reads, _reads(self._other_rows())
+        n0, norm0, amax0 = self._stress_reads
+        n1, norm1, amax1 = _other_reads(forms, layout, theta)
         self.nnz, self._norm, self.amax = n0 + n1, max(norm0, norm1), max(amax0, amax1)
 
     def at(self, theta):
         """K - theta N of the same pencil."""
         return PencilMatrix(self.forms, self.layout, theta, self._stress_reads)
-
-    def _stress_rows(self):
-        """F's stress rows [A | B^T | p^T] in CSR, from the element blocks."""
-        f, lay, index = self.forms, self.layout, self.layout.index
-        nt, p, nd = f.B_T.shape
-        # tensor row c of a triangle's stress dofs meets its velocity component c
-        velocity = lay.n_sigma_active + np.arange(lay.n_u, dtype=np.int32).reshape(2 * nt, p)
-        pin = ([lay.pin], [lay.size - 1], [1.0]) if lay.n_c else ((), (), ())
-        data, (i, j) = _coo(np.repeat(np.swapaxes(f.B_T, 1, 2), 2, axis=0),
-                            index[f.dofmap.stress_gmap].reshape(2 * nt, nd), velocity, pin,
-                            drop_zeros=True)
-        return _stiffness_csr(f, index, (lay.n_sigma_active, lay.size), (i, j, data))
 
     def _other_rows(self):
         """F's velocity and multiplier rows in CSR."""
@@ -177,23 +175,32 @@ class PencilMatrix:
     @property
     def sp(self):
         """F in canonical CSR, built on each call."""
-        return sp.vstack([self._stress_rows(), self._other_rows()], format="csr")
+        rows = np.arange(self.layout.n_sigma_active)
+        return sp.vstack([_stress_rows(self.forms, self.layout, rows), self._other_rows()],
+                         format="csr")
 
     def norm_inf(self):
         return self._norm
 
     def matvec(self, x):
         """F x for a vector or a block of columns x: A sigma + B^T u + p^T c,
-        B sigma + theta M u and p sigma, A sigma triangle by triangle."""
+        B sigma + theta M u and p sigma, A and B triangle by triangle
+        (:func:`_element_product`)."""
         f, lay = self.forms, self.layout
         ns, vel = lay.n_sigma_active, lay.velocity
-        sigma = np.zeros((lay.n_sigma_full,) + x.shape[1:])
-        sigma[lay.keep] = x[:ns]
+        if ns == lay.n_sigma_full:
+            sigma = x[:ns]
+        else:
+            sigma = np.zeros((lay.n_sigma_full,) + x.shape[1:])
+            sigma[lay.keep] = x[:ns]
         y = np.empty(x.shape)
-        y[:ns] = (_stiffness_product(f, sigma) + f.B.T @ x[vel])[lay.keep]
-        y[vel] = f.B @ sigma
+        stress, y[vel] = _element_product(f, sigma, x[vel])
+        np.take(stress, lay.keep, axis=0, out=y[:ns], mode="clip")     # "clip": unbuffered
+        del stress
         if self.theta:
-            y[vel] += self.theta * (f.M @ x[vel])
+            Mu = f.M @ x[vel]
+            Mu *= self.theta
+            y[vel] += Mu
         if lay.n_c:
             y[lay.pin] += x[-1]
             y[-1] = x[lay.pin]
@@ -280,41 +287,187 @@ def _scatter(shape, blocks, rows, cols):
     return mat
 
 
-def _reads(csr):
-    """nnz, the largest absolute row sum and the largest |entry| of a CSR
-    matrix, each row summed as ``abs(csr).sum(axis=1)`` sums it."""
-    rows = np.flatnonzero(np.diff(csr.indptr))
-    if not rows.size:
-        return csr.nnz, 0.0, 0.0
-    size = np.abs(csr.data)
-    return csr.nnz, float(np.add.reduceat(size, csr.indptr[rows]).max()), float(size.max())
-
-
-def _stiffness_csr(forms, index, shape, extra=((), (), ())):
-    """Canonical CSR of A's element blocks summed at the rows and columns
-    ``index`` gives each stress dof (-1 drops it), and the ``extra`` entries
-    (rows, columns, values), without the entries that are exactly zero."""
-    sd = index[forms.dofmap.stress_gmap.reshape(len(forms.A_T), -1)]
-    csr = sp.csr_matrix(_coo(forms.A_T[:, upper_positions(sd.shape[1])], sd, sd, extra),
-                        shape=shape)
+def _stress_rows(forms, layout, rows):
+    """F's stress rows ``rows`` (ascending pencil indices) [A | B^T | p^T] in
+    canonical CSR without exact zeros, summed from the blocks of the
+    triangles that meet them."""
+    lay = layout
+    nt, p, nd = forms.B_T.shape
+    sd = lay.index[forms.dofmap.stress_gmap].reshape(nt, 2 * nd)
+    at = np.full(lay.n_sigma_active + 1, -1)            # at[-1] stays -1
+    at[rows] = np.arange(len(rows))
+    t, loc = np.nonzero(at[sd] >= 0)
+    row = at[sd[t, loc]]
+    # tensor row r of a triangle's stress dofs meets its velocity component r
+    vel = lay.n_sigma_active + (2 * t + loc // nd)[:, None] * p + np.arange(p)
+    ok = sd[t] >= 0
+    i = [np.broadcast_to(row[:, None], ok.shape)[ok], np.repeat(row, p)]
+    j = [sd[t][ok], vel.ravel()]
+    data = [forms.A_T[t[:, None], upper_positions(2 * nd)[loc]][ok],
+            forms.B_T[t, :, loc % nd].ravel()]
+    if lay.n_c and at[lay.index[lay.pin]] >= 0:
+        i, j, data = i + [[at[lay.index[lay.pin]]]], j + [[lay.size - 1]], data + [[1.0]]
+    csr = sp.csr_matrix((np.concatenate(data), (np.concatenate(i), np.concatenate(j))),
+                        shape=(len(rows), lay.size))
     csr.eliminate_zeros()
     return csr
 
 
-def _stiffness_product(forms, sigma):
-    """A sigma for a vector or a block of columns sigma, triangle by triangle:
-    gathered at each triangle's stress dofs, multiplied by its unpacked block
-    and summed back through the dofs' incidence."""
-    sd = forms.dofmap.stress_gmap.reshape(len(forms.A_T), -1)
+def _stress_reads(forms, layout):
+    """nnz, the largest absolute row sum and the largest |entry| of F's
+    stress rows [A | B^T | p^T], without building them.
+
+    An entry of A sums two triangles' blocks only where both dofs lie on one
+    edge, so those blocks are summed edge by edge and every other entry is
+    read from its one triangle, a chunk of triangles at a time.  That gives
+    nnz and the largest entry exactly, and every row's absolute sum up to
+    rounding; the rows whose sum comes within 1e-10 of the largest are then
+    built in CSR and summed as ``abs(csr).sum(axis=1)`` sums them, so the
+    norm is exact."""
+    dofmap, lay = forms.dofmap, layout
+    nt, p, nd = forms.B_T.shape
+    n2, pe = 2 * nd, dofmap.ned.num_edge_dofs // 3
+    sd = lay.index[dofmap.stress_gmap].reshape(nt, n2)
+    every = lay.n_sigma_active == lay.n_sigma_full
+    # local edge of every local stress dof (-1: interior); packed pairs on one edge
+    d = np.arange(n2) % nd
+    edge = np.where(d < 3 * pe, d // pe, -1)
+    iu, ju = np.triu_indices(n2)
+    same = (edge[iu] == edge[ju]) & (edge[iu] >= 0)
+    nnz, amax = 0, 0.0
+
+    def reader(i, j, n, keep):
+        # |entries| of the packed pairs (i, j) of n local rows, those of
+        # active ``rows`` and ``keep`` only, into nnz and amax; their sums by
+        # row into ``out``
+        incidence = np.zeros((len(i), n))
+        incidence[np.arange(len(i)), i] = incidence[np.arange(len(i)), j] = keep
+        count = np.where(i == j, 1, 2) * keep
+
+        def read(vals, rows, out):
+            nonlocal nnz, amax
+            vals = np.abs(vals)
+            vals *= keep
+            if not every:
+                vals *= (rows >= 0)[:, i] & (rows >= 0)[:, j]
+            nnz += int(np.count_nonzero(vals, axis=0) @ count)
+            amax = max(amax, float(vals.max(initial=0.0)))
+            np.matmul(vals, incidence, out=out)
+        return read
+
+    # entries of one triangle, and B^T: the velocity of a triangle's
+    # component r meets its tensor row r only
+    read = reader(iu, ju, n2, ~same)
+    rowsum = np.empty((nt, n2))
+    step = max(1, 2 * _CHUNK // len(iu))
+    for t in range(0, nt, step):
+        c = slice(t, t + step)
+        read(forms.A_T[c], sd[c], rowsum[c])
+        b = np.abs(forms.B_T[c])
+        rowsum[c] += np.tile(b.sum(axis=1), 2)
+        on = np.tile(np.count_nonzero(b, axis=1), 2)
+        nnz += int(on[sd[c] >= 0].sum())
+        if not every:
+            b *= ((sd[c, :nd] >= 0) | (sd[c, nd:] >= 0))[:, None]
+        amax = max(amax, float(b.max(initial=0.0)))
+    # entries of one edge, summed over its sides; the packed pairs of local
+    # edge e come in the same order for every e
+    pos = np.stack([np.flatnonzero(same & (edge[iu] == e)) for e in range(3)])
+    dofs = (pe * np.arange(3)[:, None, None] + nd * np.arange(2)[:, None]
+            + np.arange(pe)).reshape(3, 2 * pe)
+    read = reader(*(np.searchsorted(dofs[0], x[pos[0]]) for x in (iu, ju)), 2 * pe, True)
+    sides = dofmap.mesh.edge_sides
+    (t1, e1), (t2, e2) = sides[:, 0].T, sides[:, 1].T
+    edge_rows = sd[t1[:, None], dofs[e1]]
+    edge_sum = np.empty(edge_rows.shape)
+    step = max(1, _CHUNK // pos.shape[1])
+    for k in range(0, len(t1), step):
+        c = slice(k, k + step)
+        v = forms.A_T[t1[c, None], pos[e1[c]]]
+        two = t2[c] >= 0
+        v[two] += forms.A_T[t2[c][two, None], pos[e2[c][two]]]
+        read(v, edge_rows[c], edge_sum[c])
+    if every:
+        total = (np.bincount(sd.ravel(), rowsum.ravel(), minlength=lay.n_sigma_active)
+                 + np.bincount(edge_rows.ravel(), edge_sum.ravel(), minlength=lay.n_sigma_active))
+    else:
+        total = (np.bincount(sd[sd >= 0], rowsum[sd >= 0], minlength=lay.n_sigma_active)
+                 + np.bincount(edge_rows[edge_rows >= 0], edge_sum[edge_rows >= 0],
+                               minlength=lay.n_sigma_active))
+    if lay.n_c:
+        nnz, amax = nnz + 1, max(amax, 1.0)
+        total[lay.index[lay.pin]] += 1.0
+    if not total.size:
+        return nnz, 0.0, amax
+    # the rows that may hold the largest sum, summed in CSR order
+    csr = _stress_rows(forms, lay, np.flatnonzero(total >= total.max() * (1.0 - 1e-10)))
+    sums = np.add.reduceat(np.abs(csr.data), csr.indptr[:-1])
+    return nnz, float(sums.max()), amax
+
+
+def _other_reads(forms, layout, theta):
+    """nnz, the largest absolute row sum and the largest |entry| of F's
+    velocity and multiplier rows [B | theta M | 0] and [p | 0 | 0], without
+    building them.  A velocity row holds its triangle's B block, in the
+    order of its stress columns, then its theta M block, so each row is laid
+    out in CSR order from the blocks, a chunk of triangles at a time, and
+    summed as ``abs(csr).sum(axis=1)`` sums it."""
+    lay = layout
+    nt, p, nd = forms.B_T.shape
+    sd = lay.index[forms.dofmap.stress_gmap]                # (nt, 2, nd)
+    order = np.argsort(sd, axis=2)
+    nnz, norm, amax = lay.n_c, float(lay.n_c), float(lay.n_c)
+    step = max(1, _CHUNK // (2 * p * (nd + p)))
+    for t in range(0, nt, step):
+        c = slice(t, t + step)
+        cols = np.take_along_axis(sd[c], order[c], axis=2)[:, :, None]
+        b = np.take_along_axis(forms.B_T[c, None], order[c, :, None], axis=3)
+        M = theta * forms.M_T[2 * t:2 * (t + step)].reshape(-1, 2, p, p)
+        vals = np.abs(np.concatenate([b, M], axis=3))
+        keep = vals != 0.0
+        keep[..., :nd] &= cols >= 0
+        data = vals[keep]
+        counts = np.count_nonzero(keep, axis=3).ravel()
+        starts = np.cumsum(counts) - counts
+        if data.size:
+            norm = max(norm, float(np.add.reduceat(data, starts[counts > 0]).max()))
+            amax = max(amax, float(data.max()))
+        nnz += data.size
+    return nnz, norm, amax
+
+
+def _element_product(forms, sigma, u):
+    """(A sigma + B^T u, B sigma) for vectors or blocks of columns sigma (full
+    stress numbering) and u, triangle by triangle: sigma gathered at each
+    triangle's stress dofs, multiplied by its blocks, A's unpacked a chunk
+    of triangles at a time, and the stress part summed back through the
+    dofs' incidence.  Tensor row r of a triangle meets its velocity
+    component r only."""
+    nt, p, nd = forms.B_T.shape
+    sd = forms.dofmap.stress_gmap.reshape(nt, -1)
+    up = upper_positions(2 * nd)
     cols = sigma.reshape(len(sigma), -1)
-    prod = forms.A_T[:, upper_positions(sd.shape[1])] @ cols[sd]
+    k = cols.shape[1]
+    vel = u.reshape(nt, 2, p, k)
+    local, Bs = np.empty(sd.shape + (k,)), np.empty(vel.shape)
+    # the unpacked blocks and the gathered columns go to buffers made once
+    step = max(1, min(nt, 8 * _CHUNK // up.size))
+    blocks, gathered = np.empty((step,) + up.shape), np.empty((step, 2 * nd, k))
+    for t in range(0, nt, step):
+        c = slice(t, t + step)
+        n = len(sd[c])
+        a = np.take(forms.A_T[c], up, axis=1, out=blocks[:n], mode="clip")
+        s, b = np.take(cols, sd[c], axis=0, out=gathered[:n], mode="clip"), forms.B_T[c, None]
+        np.matmul(a, s, out=local[c])
+        np.matmul(b, s.reshape(-1, 2, nd, k), out=Bs[c])
+        local[c] += (np.swapaxes(b, 2, 3) @ vel[c]).reshape(-1, 2 * nd, k)
     m = sd.size
     incidence = sp.csc_matrix((np.ones(m), sd.ravel(), np.arange(m + 1)), shape=(len(sigma), m))
-    return (incidence @ prod.reshape(m, -1)).reshape(sigma.shape)
+    return (incidence @ local.reshape(m, k)).reshape(sigma.shape), Bs.reshape(u.shape)
 
 
 def assemble_forms(mesh, dofmap, mu=1.0):
-    """Assemble A's element blocks, B, M and the constraint vector j."""
+    """Assemble A's and B's element blocks, M and the constraint vector j."""
     if not (is_finite(mu) and mu > 0):
         raise AssemblyError(f"viscosity must be finite and positive, got {mu!r}")
     ned, pk = dofmap.ned, dofmap.pk
@@ -334,15 +487,25 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     C = np.einsum("eai,ebj,dfij,e,ed,ef->edfab", BinvT, BinvT, R, det, signs, signs,
                   optimize=True)
 
-    # stress-stress: 0.5 (delta_rs phi_d . phi_f + phi_d[s] phi_f[r]) / mu,
-    # symmetric but for the rounding of the einsums; a + a^T is symmetric bit
-    # for bit, and so is the sum of the at most two blocks behind an entry
-    ablock = (np.einsum("rs,edf->erdsf", np.eye(2), np.einsum("edfaa->edf", C))
-              + np.einsum("edfsr->erdsf", C)).reshape(nt, 2 * nd, 2 * nd)
-    ablock = (ablock + ablock.transpose(0, 2, 1)) * (0.25 / mu)
-    del C           # freed before the scatters: it is as large as ablock
-    upper = np.triu_indices(2 * nd)
-    ablock = ablock[:, upper[0], upper[1]]
+    # stress-stress: a[(r,d),(s,f)] = delta_rs tr C_df + C_dfsr is 0.5 (delta_rs
+    # phi_d . phi_f + phi_d[s] phi_f[r]) / mu up to the factor, symmetric but
+    # for the rounding of the einsums; a + a^T is symmetric bit for bit, and
+    # so is the sum of the at most two blocks behind an entry.  Kept as each
+    # block's upper triangle, read from C a chunk of triangles at a time
+    (r, d), (s, f) = (np.divmod(x, nd) for x in np.triu_indices(2 * nd))
+    at = np.arange(C[0].size).reshape(C.shape[1:])
+    ij, ji, same = at[d, f, s, r], at[f, d, r, s], r == s
+    ablock = np.empty((nt, len(ij)))
+    step = max(1, 2 * _CHUNK // len(ij))
+    for t in range(0, nt, step):
+        c = C[t:t + step].reshape(-1, at.size)
+        a, b = c[:, ij], c[:, ji]
+        a[:, same] += c[:, at[d, f, 0, 0][same]] + c[:, at[d, f, 1, 1][same]]
+        b[:, same] += c[:, at[f, d, 0, 0][same]] + c[:, at[f, d, 1, 1][same]]
+        a += b
+        a *= 0.25 / mu
+        ablock[t:t + step] = a
+    del C
 
     # velocity x curl(stress): the 1/det of the curl cancels the det of the
     # volume element, and row r of the tensor drives component r only.  The
@@ -351,8 +514,6 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     bhat = np.einsum("pq,dq,q->pd", pk.eval(rule.points), ned.eval_curl(rule.points), w)
     bhat[np.abs(bhat) < 1e-12 * np.abs(bhat).max()] = 0.0
     bblock = bhat[None] * signs[:, None, :]
-    B = _scatter((dofmap.n_u, dofmap.n_sigma), np.repeat(bblock, 2, axis=0), udofs,
-                 sdofs.reshape(2 * nt, nd))
 
     # velocity mass: det-scaled reference Gram, block diagonal
     mblock = np.repeat(det[:, None, None] * pk_reference_mass(pk.order), 2, axis=0)
@@ -363,7 +524,7 @@ def assemble_forms(mesh, dofmap, mu=1.0):
                         det, signs)
     jvals = np.stack([phi_int[..., 1], -phi_int[..., 0]], axis=1)
     jvec = np.bincount(sdofs.ravel(), jvals.ravel(), minlength=dofmap.n_sigma)
-    return Forms(B, M, jvec, dofmap, ablock, bblock, mblock)
+    return Forms(M, jvec, dofmap, ablock, bblock, mblock)
 
 
 def upper_positions(n):
@@ -399,10 +560,13 @@ def build_pencil(forms):
 
 
 def _constant_j_interpolant(dofmap):
-    """Interpolant of the constant field J, from its pull-backs B^T J_r."""
-    pulled = J @ dofmap.mesh.affine_maps[0]
-    return dofmap.interpolate(
-        lambda pts: np.broadcast_to(pulled[:, :, None], pulled.shape[:2] + (len(pts), 2)))
+    """Interpolant of the constant field J.  Its pull-back B^T J_r is constant
+    on each triangle and the dofs are linear in it, so the reference dofs of
+    the two unit constant fields, taken once, give every triangle's."""
+    unit = dofmap.ned.dof_values(lambda pts: np.broadcast_to(np.eye(2)[:, None], (2, len(pts), 2)))
+    z = np.zeros(dofmap.n_sigma)
+    z[dofmap.stress_gmap] = dofmap.vec_signs[:, None] * (J @ dofmap.mesh.affine_maps[0] @ unit)
+    return z
 
 
 def export_matrix(matrix, path):

@@ -8,6 +8,17 @@ Lanczos runs on S = L^T G L (M = L L^T element by element, w = L^T u); each
 u lifts to x = F^{-1} N E u / nu, and Rayleigh-Ritz on (K, N) over the lifted
 vectors gives the eigenvalues with M-orthonormal velocities.
 
+A Lanczos step never solves with the whole F.  E L w lies on the triangles'
+groups of unknowns (their velocity and interior stress), which couple only
+through the edge stress R, so static condensation gives
+
+    S w = -(D w + P^T H^-1 P w),  D_T = L_T^T (Q_T^-1)_uu L_T,  P = F_RE Q^-1 E_u L,
+
+with Q_T the group block of triangle T and H the Schur complement on R that
+SuperLU factorizes (``sparselin.RestrictedInverse``): one block product,
+P w, one solve with H and P^T y, on vectors of the velocity and of R only.
+The lift, the condition estimate and the refinement solve with F itself.
+
 The pencil keeps K - theta0 N (theta0 = -1) as a view of the forms.  Every
 finite eigenvalue is positive, so for a shift at or below 0 the wanted pairs
 are the lowest and F is that matrix, positive definite once the velocity is
@@ -28,7 +39,7 @@ from scipy.linalg import eigh
 
 from .errors import (ConfigurationError, ShiftAtEigenvalueError, SingularMatrixError,
                      UnconvergedError, check_int, is_finite)
-from .sparselin import factorize
+from .sparselin import _CHUNK, factorize
 
 # ARPACK settings (symmetric mode, largest |nu|).  A single Lanczos vector sees
 # each eigenspace through one direction: the second copy of a double
@@ -145,26 +156,39 @@ def _dominant(nu, W, count):
 
 
 class _VelocityOperator:
-    """S = L^T G L on velocity vectors, through the LU factors of F = K - theta N."""
+    """S = L^T G L = -(E L)^T F^-1 (E L) on velocity vectors, through the LU
+    factors of F = K - theta N condensed to the velocity (``RestrictedInverse``)."""
 
     def __init__(self, pencil, shift, fact, bound):
         self.pencil, self.shift, self.fact, self.bound = pencil, shift, fact, bound
         self.vel = pencil.layout.velocity
         # M = -N_uu has one dense pk.dim^2 block per (triangle, component)
         self.L = np.linalg.cholesky(pencil.forms.M_T)
+        # E L by triangles: the velocity is the last 2p unknowns of a
+        # triangle's group (PencilMatrix.element_blocks), component c first
+        nt, p = len(self.L) // 2, self.L.shape[1]
+        EL = np.zeros((nt, 2 * p, 2 * p))
+        EL[:, :p, :p], EL[:, p:, p:] = self.L[0::2], self.L[1::2]
+        self.inverse = fact.restrict(EL)
+        self._product = np.empty(pencil.layout.n_u)
 
-    def _mul_L(self, W, transpose=False):
-        L = self.L.transpose(0, 2, 1) if transpose else self.L
-        return (L @ W.reshape(len(L), L.shape[1], -1)).reshape(W.shape)
+    def _mul_L(self, W, out=None):
+        """L W, into ``out`` when given."""
+        shape = (len(self.L), self.L.shape[1], -1)
+        LW = np.matmul(self.L, W.reshape(shape), out=None if out is None else out.reshape(shape))
+        return LW.reshape(W.shape)
 
     def _solve_lifted(self, W):
         """F^{-1} E L W, written over the right-hand sides E L W."""
-        X = np.zeros((self.pencil.layout.size,) + W.shape[1:])
-        X[self.vel] = self._mul_L(W)
+        # filled, not calloc'ed: the solve reads the zeros, then writes them
+        X = np.full((self.pencil.layout.size,) + W.shape[1:], 0.0)
+        self._mul_L(W, out=X[self.vel])
         return self.fact.solve(X, out=X)
 
     def apply(self, W):
-        return -self._mul_L(self._solve_lifted(W)[self.vel], transpose=True)
+        # ARPACK copies each product, so one buffer takes every vector's
+        SW = self.inverse.apply(W, out=self._product if W.ndim == 1 else None)
+        return np.negative(SW, out=SW)
 
     def extract(self, nu, W):
         """Rayleigh-Ritz on (-K, -N), -N positive definite, over the lifted
@@ -188,20 +212,21 @@ class _VelocityOperator:
 
     def _lift(self, nu, W):
         """X = F^-1 E L W / -nu, the last solve with the factors, which are freed."""
+        self.inverse = None
         X = self._solve_lifted(W)
         self.fact = None
         X /= -nu                             # N E u = -E M u = -E L w
         return X
 
     def _rayleigh_ritz(self, X):
-        Kr = -(X.T @ self.pencil.K.matvec(X))
+        KX = self.pencil.K.matvec(X)
+        Kr = -(X.T @ KX)
         Xu = X[self.vel]
         Nr = Xu.T @ (self.pencil.forms.M @ Xu)      # -N = M on the velocity
         lams, Y = eigh((Kr + Kr.T) / 2.0, (Nr + Nr.T) / 2.0)
         lams += self.pencil.theta0          # K = (K - theta0 N) + theta0 N
-        vectors = X @ Y
-        del X
-        residuals = _residuals(self.pencil, lams, vectors)
+        vectors = _rotate(X, Y)
+        residuals = _residuals(self.pencil, lams, vectors, _rotate(KX, Y))
         layout = self.pencil.layout
         sigma = np.empty((len(lams), layout.n_sigma_full))
         u = np.empty((len(lams), layout.n_u))
@@ -210,12 +235,24 @@ class _VelocityOperator:
         return SpectralSolution(lams, sigma, u, residuals, vectors)
 
 
-def _residuals(pencil, lams, vectors):
+def _rotate(X, Y):
+    """X Y for a square Y, written over X a chunk of rows at a time."""
+    step = max(1, _CHUNK // X.shape[1])
+    for i in range(0, len(X), step):
+        X[i:i + step] = X[i:i + step] @ Y
+    return X
+
+
+def _residuals(pencil, lams, vectors, KX=None):
     """|K x - lambda N x| / |x| for every column x of ``vectors``, from the
-    pencil's K - theta0 N and -N = M on the velocity."""
-    R, vel = pencil.K.matvec(vectors), pencil.layout.velocity
-    R[vel] += (pencil.forms.M @ vectors[vel]) * (lams - pencil.theta0)
-    return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
+    pencil's K - theta0 N (its product ``KX`` with the vectors, when given,
+    is overwritten) and -N = M on the velocity."""
+    R = pencil.K.matvec(vectors) if KX is None else KX
+    vel = pencil.layout.velocity
+    MX = pencil.forms.M @ vectors[vel]
+    MX *= lams - pencil.theta0
+    R[vel] += MX
+    return np.sqrt(np.einsum("ij,ij->j", R, R) / np.einsum("ij,ij->j", vectors, vectors))
 
 
 def eigen_residuals(pencil, solution):

@@ -26,6 +26,11 @@ from .errors import SingularMatrixError
 _COND_LIMIT = 1e12
 # SuperLU's panel width (see factorize)
 _PANEL_SIZE = 8
+# elements per chunk of a temporary: with 32 KB of doubles a chunk's
+# temporaries stay below the 128 KB from which glibc maps fresh pages for an
+# allocation (the benchmark fixes MALLOC_MMAP_THRESHOLD_ there) and trims
+# the top of its heap
+_CHUNK = 2 ** 12
 
 
 @dataclass
@@ -73,23 +78,25 @@ class Factorization:
     (``perm``); ``condition`` is the estimate ``factorize`` judged.
 
     ``blocks`` holds E, R, Q^-1 and F_ER = F[E, R] with its columns in
-    factorized order.  A solve is x_R = S^-1 (b_R - F_RE (Q^-1 b_E)),
-    x_E = Q^-1 b_E - Q^-1 (F_ER x_R), for a block of k columns in one pass:
-    one SuperLU solve of all k right-hand sides.  A vector is k = 1 and uses
-    work vectors allocated once; with no triangles E is empty and it is the
-    solve with S = F.  The pin is pivoted off the diagonal (see
-    :func:`factorize`).
+    factorized order, and ``cols`` each triangle's rest in that order (|R|
+    for none), which :meth:`restrict` reads.  A solve is
+    x_R = S^-1 (b_R - F_RE (Q^-1 b_E)), x_E = Q^-1 b_E - Q^-1 (F_ER x_R), for
+    a block of k columns in one pass: one SuperLU solve of all k right-hand
+    sides.  A vector is k = 1 and uses work vectors made on the first such
+    solve; with no triangles E is empty and it is the solve with S = F.  The
+    pin is pivoted off the diagonal (see :func:`factorize`).
     """
 
-    def __init__(self, lu, perm, blocks):
+    def __init__(self, lu, perm, blocks, cols):
         self._lu = lu
         self.condition = None       # set by factorize
         self._perm = perm
         self._blocks = blocks
+        self._cols = cols
         E, R, Qinv, KER = blocks
         self._order = R[perm]      # the unknown of F behind each factorized row
         self._KRE = KER.T
-        self._work = self._work_arrays(1)
+        self._work = None          # single solves' work vectors, made on the first
 
     def _work_arrays(self, k):
         """Work blocks for k columns: b_E (t, g), Q^-1 b_E (k, t, g) and b_R
@@ -114,12 +121,14 @@ class Factorization:
         solve and the temporaries are one column long."""
         E, _, Qinv, KER = self._blocks
         k = b.shape[1]
+        if k == 1 and self._work is None:
+            self._work = self._work_arrays(1)
         bE, qE, rhs = self._work if k == 1 else self._work_arrays(k)
-        np.take(b, self._order, axis=0, out=rhs)
+        np.take(b, self._order, axis=0, out=rhs, mode="clip")      # "clip": unbuffered
         # einsum beats matmul on these small blocks: 0.16 against 0.23 ms at
         # 1,800 blocks of 12, 0.12 against 0.37 ms at 10,000 blocks of 2
         for c in range(k):
-            np.take(b[:, c], E, out=bE.reshape(-1))
+            np.take(b[:, c], E, out=bE.reshape(-1), mode="clip")
             np.einsum("tij,tj->ti", Qinv, bE, out=qE[c])
             rhs[:, c] -= self._KRE @ qE[c].reshape(-1)
         y = self._lu.solve(rhs)
@@ -129,52 +138,182 @@ class Factorization:
             qE[c] -= bE
             x[E, c] = qE[c].reshape(-1)
 
+    def restrict(self, V):
+        """V^T F^-1 V as a :class:`RestrictedInverse`, made once: the rest
+        columns kept for it and the work vectors of single solves are freed."""
+        inverse = RestrictedInverse(self, V)
+        self._cols = self._work = None
+        return inverse
+
+
+class RestrictedInverse:
+    """w -> V^T F^-1 V w for a :class:`Factorization` of F and a block-diagonal
+    V that maps m values of each triangle into the last h unknowns of its
+    group: V[t] is (h, m).
+
+    V w lies on the group unknowns E, so condensation gives
+
+        V^T F^-1 V = D + P^T S^-1 P,  D_T = V_T^T Q_T^-1 V_T,  P = F_RE Q^-1 V,
+
+    with P's rows in factorized order: a product is one block product, P w,
+    one SuperLU solve of |R| rows and P^T y, on vectors of length |R| and
+    n_T m only.  Triangle t's columns of P meet its rest only, so its block
+    C_T^T Q_T^-1 V_T is dense, C_T read back from F_ER through the
+    triangle's rest columns.  D and P are made here, after SuperLU has run,
+    a chunk of triangles at a time; P is kept in CSR, in blocks of rows so
+    that no product allocates |R| doubles at once.  A block of k columns
+    takes one SuperLU solve and everything else one contiguous column at a
+    time, so each column has the bits of its own product.
+    """
+
+    def __init__(self, fact, V):
+        Qinv, KER = fact._blocks[2:]
+        self._lu = fact._lu
+        nt, h, m = V.shape
+        g, size = Qinv.shape[1], KER.shape[1]
+        cols = fact._cols.reshape(-1)           # (t, l): rest slot l of triangle t
+        r = fact._cols.shape[1]
+        # P in CSR: row c holds the triangles with c in their rest, in order,
+        # so slot (t, l) is row at[t r + l] of the (n_T r, m) data
+        by_row = np.argsort(cols, kind="stable")
+        at = np.empty(by_row.size, dtype=np.intp)
+        at[by_row] = np.arange(by_row.size)
+        count = np.bincount(cols, minlength=size + 1)[:size]
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(count * m, out=indptr[1:])
+        # a column's first and last slot (t r + l): its slot in either triangle
+        ends = np.cumsum(count)
+        first, last = np.take(by_row, [ends - count, ends - 1], mode="clip")
+        first_tri, first_slot, last_slot = first // r, first % r, last % r
+        data = np.empty((nt * r, m))
+        indices = by_row[:indptr[-1] // m].astype(np.int32) // r
+        indices = (indices[:, None] * m + np.arange(m, dtype=np.int32)).reshape(-1)
+        self._D = np.empty((nt, m, m))
+        self._rhs = np.empty((size, 1))
+        step = max(1, 2 * _CHUNK // (g * max(r, m)))
+        for t in range(0, nt, step):
+            c = slice(t, t + step)
+            Z = Qinv[c][:, :, g - h:] @ V[c]
+            self._D[c] = np.swapaxes(V[c], 1, 2) @ Z[:, g - h:]
+            # C_T from the entries of F_ER's rows of these triangles
+            bounds = KER.indptr[t * g:(t + len(Z)) * g + 1]
+            row = np.repeat(np.arange(len(Z) * g, dtype=np.int32), np.diff(bounds))
+            tri = np.repeat(np.arange(t, t + len(Z)), np.diff(bounds[::g]))
+            col = KER.indices[bounds[0]:bounds[-1]]
+            slot = np.where(first_tri[col] == tri, first_slot[col], last_slot[col])
+            C = np.zeros((len(Z), g, r))
+            C.reshape(-1)[row * r + slot] = KER.data[bounds[0]:bounds[-1]]
+            data[at[t * r:(t + len(Z)) * r]] = (np.swapaxes(C, 1, 2) @ Z).reshape(-1, m)
+        data, self._P = data.reshape(-1), []
+        bounds = np.linspace(0, size, -(-size // (2 * _CHUNK)) + 1).astype(int)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            span = slice(indptr[a], indptr[b])
+            P = sp.csr_matrix((data[span], indices[span], indptr[a:b + 1] - indptr[a]),
+                              shape=(b - a, nt * m))
+            self._P.append((slice(a, b), P, P.T))
+
+    def apply(self, w, out=None):
+        """V^T F^-1 V w for a vector or a block of columns w of n_T m rows;
+        ``out``, for a vector w, receives the product."""
+        cols = w.reshape(len(w), -1)
+        k = cols.shape[1]
+        rhs = self._rhs if k == 1 else np.empty((len(self._rhs), k), order="F")
+        for c in range(k):
+            for rows, P, _ in self._P:
+                rhs[rows, c] = P @ cols[:, c]
+        y = self._lu.solve(rhs)
+        # columns contiguous, for the einsums
+        out = np.empty(cols.shape[::-1]).T if out is None else out.reshape(-1, 1)
+        shape = self._D.shape[:2]
+        for c in range(k):
+            np.einsum("tmn,tn->tm", self._D, np.ascontiguousarray(cols[:, c]).reshape(shape),
+                      out=out[:, c].reshape(shape))
+            for rows, _, PT in self._P:
+                out[:, c] += PT @ y[rows, c]
+        return out.reshape(w.shape)
+
 
 def condense(F):
     """E, R, Q^-1, the position in R of each triangle's rest (-1: none) and
     the Schur complement S = F_RR - F_RE Q^-1 F_ER of the :class:`ElementBlocks`
-    F in canonical CSR, summed from S_T = D_T - C_T^T Q_T^-1 C_T and ``extra``
+    F in canonical CSC, summed from S_T = D_T - C_T^T Q_T^-1 C_T and ``extra``
     in one COO pass.  That keeps every entry, 0.0 included (scipy's sparse +
     and - drop it), so the pattern, ordering and fill do not follow the
-    rounding.  S_T is formed in F.D; F.Q and F.D are dropped once read."""
-    E = F.groups.ravel()
+    rounding.  S_T is formed in F.D, a chunk of triangles at a time; F.Q and
+    F.D are dropped once read."""
+    E = F.groups.ravel().astype(np.int32)
     in_R = np.ones(F.n, dtype=bool)
     in_R[E] = False
-    R = np.flatnonzero(in_R)
+    R = np.flatnonzero(in_R).astype(np.int32)
     at = np.full(F.n + 1, -1, dtype=np.int32)      # at[-1] stays -1
     at[R] = np.arange(R.size, dtype=np.int32)
     cols = at[F.rest]
     Qinv = _invert(F.Q, F.groups, F.definite)
     F.Q = None
-    F.D -= np.swapaxes(F.C, 1, 2) @ (Qinv @ F.C)
+    g, r = F.C.shape[1:]
+    step = max(1, min(len(F.D), 8 * _CHUNK // (r * max(g, r))))
+    QC, CQC = np.empty((step, g, r)), np.empty((step, r, r))     # made once
+    for t in range(0, len(F.D), step):
+        c = slice(t, t + step)
+        n = len(F.D[c])
+        np.matmul(Qinv[c], F.C[c], out=QC[:n])
+        F.D[c] -= np.matmul(np.swapaxes(F.C[c], 1, 2), QC[:n], out=CQC[:n])
     rows, columns, values = F.extra
     coo = _coo(F.D, cols, cols, (at[rows], at[columns], values))
     F.D = None
-    return E, R, Qinv, cols, sp.csr_matrix(coo, shape=(R.size, R.size))
+    return E, R, Qinv, cols, sp.csc_matrix(coo, shape=(R.size, R.size))
 
 
-def _coo(blocks, rows, cols, extra=((), (), ()), drop_zeros=False):
+def _coo(blocks, rows, cols, extra=((), (), ())):
     """COO (data, (i, j)) of the blocks (t, i, j) at (rows[t, i], cols[t, j])
-    and the ``extra``, without entries in a row or column -1 (or 0.0, if
-    ``drop_zeros``), filled 2^16 entries at a time to keep temporaries small."""
+    and the ``extra``, without entries in a row or column -1, filled a chunk
+    of blocks at a time to keep temporaries small when there are any."""
     nt, a, b = blocks.shape
     size = blocks.size + len(extra[2])
     data, i, j = np.empty(size), np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
-    k = 0
-    step = max(1, 2 ** 16 // (a * b))
-    for t in range(0, nt, step):
-        r, c, block = rows[t:t + step, :, None], cols[t:t + step, None, :], blocks[t:t + step]
-        ok = (r >= 0) & (c >= 0)
-        if drop_zeros:
-            ok &= block != 0.0
-        m = int(np.count_nonzero(ok))
-        data[k:k + m] = block[ok]
-        i[k:k + m] = np.broadcast_to(r, ok.shape)[ok]
-        j[k:k + m] = np.broadcast_to(c, ok.shape)[ok]
-        k += m
+    if rows.min(initial=0) >= 0 and cols.min(initial=0) >= 0:
+        # nothing to drop: every entry in place, with no temporaries
+        k = blocks.size
+        data[:k] = blocks.reshape(-1)
+        i[:k].reshape(blocks.shape)[...] = rows[:, :, None]
+        j[:k].reshape(blocks.shape)[...] = cols[:, None, :]
+    else:
+        k, step = 0, max(1, _CHUNK // (a * b))
+        for t in range(0, nt, step):
+            r, c, block = rows[t:t + step, :, None], cols[t:t + step, None, :], blocks[t:t + step]
+            ok = (r >= 0) & (c >= 0)
+            m = int(np.count_nonzero(ok))
+            data[k:k + m] = block[ok]
+            i[k:k + m] = np.broadcast_to(r, ok.shape)[ok]
+            j[k:k + m] = np.broadcast_to(c, ok.shape)[ok]
+            k += m
     m = k + len(extra[2])
     i[k:m], j[k:m], data[k:m] = extra
     return data[:m], (i[:m], j[:m])
+
+
+def _block_rows(blocks, cols):
+    """CSR (data, indices, indptr) of the matrix whose row t a + i is row i of
+    the block t (of a rows) at the columns cols[t], without the entries in a
+    column -1 and the exact zeros: counted, then filled, a chunk of blocks at
+    a time, into arrays of their size."""
+    nt, a, b = blocks.shape
+    step = max(1, _CHUNK // (a * b))
+    chunks = [slice(t, t + step) for t in range(0, nt, step)]
+
+    def keep(c):
+        return (blocks[c] != 0.0) & (cols[c, None, :] >= 0)
+
+    indptr = np.zeros(nt * a + 1, dtype=np.int64)
+    for c in chunks:
+        indptr[c.start * a + 1:min(c.stop, nt) * a + 1] = np.count_nonzero(keep(c), axis=2).ravel()
+    np.cumsum(indptr, out=indptr)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    for c in chunks:
+        ok, span = keep(c), slice(indptr[c.start * a], indptr[min(c.stop, nt) * a])
+        data[span] = blocks[c][ok]
+        indices[span] = np.broadcast_to(cols[c, None, :], ok.shape)[ok]
+    return data, indices, indptr
 
 
 def _invert(Q, groups, definite):
@@ -188,12 +327,16 @@ def _invert(Q, groups, definite):
         t = int(np.argmin(np.abs(np.linalg.det(Q))))
         raise SingularMatrixError(f"block of unknowns {groups[t].tolist()} is singular",
                                   kind="numerical") from None
-    scaled = 1.0
-    if definite:
-        d = np.abs(np.diagonal(Q, axis1=1, axis2=2)) ** -0.5
-        scaled = d[:, :, None] * d[:, None, :]
-    cond = (np.abs(Qinv / scaled).sum(axis=1).max(axis=1)
-            * np.abs(Q * scaled).max(axis=(1, 2)))
+    cond = np.empty(len(Q))
+    step = max(1, _CHUNK // (Q.shape[1] * Q.shape[2]))
+    for t in range(0, len(Q), step):
+        c = slice(t, t + step)
+        scaled = 1.0
+        if definite:
+            d = np.abs(np.diagonal(Q[c], axis1=1, axis2=2)) ** -0.5
+            scaled = d[:, :, None] * d[:, None, :]
+        cond[c] = (np.abs(Qinv[c] / scaled).sum(axis=1).max(axis=1)
+                   * np.abs(Q[c] * scaled).max(axis=(1, 2)))
     if not np.all(cond < _COND_LIMIT):      # also a NaN or infinite inverse
         t = int(np.argmin(cond < _COND_LIMIT))
         raise SingularMatrixError(
@@ -233,40 +376,41 @@ def factorize(A):
     nor U.  Raises ``ValueError`` for a nonsymmetric plain matrix.
     """
     F = A.element_blocks() if hasattr(A, "element_blocks") else ElementBlocks.whole(A)
-    E, R, Qinv, cols, csr = condense(F)
+    E, R, Qinv, cols, S = condense(F)
     n, amax = F.n, F.amax
-    if not np.diff(csr.indptr).all():
-        row = int(R[np.argmin(np.diff(csr.indptr))])
+    if not np.diff(S.indptr).all():
+        row = int(R[np.argmin(np.diff(S.indptr))])
         raise SingularMatrixError(f"row {row} has no entry", kind="structural")
     if F.definite:
         pivoting = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
     else:
         pivoting = dict(permc_spec="COLAMD")
-    perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
+    perm = reverse_cuthill_mckee(S, symmetric_mode=True)
     at = np.argsort(perm).astype(np.int32)
     # F_ER from the triangles' C_T, its columns in factorized order, without
     # the exact zeros, which would only cost time in the solves
-    C, g = F.C, F.groups.shape[1]
+    C = F.C
     del F
-    coo = _coo(C, np.arange(E.size, dtype=np.int32).reshape(-1, g), np.append(at, -1)[cols],
-               drop_zeros=True)
-    del C, cols
-    KER = sp.csr_matrix(coo, shape=(E.size, R.size))
-    del coo
-    # P S P^T: gather the rows, relabel the columns; tocsc sorts the indices,
-    # and only its copy stays alive during splu
-    rows = csr[perm]
-    del csr
-    rows.indices = at.astype(rows.indices.dtype)[rows.indices]
-    csc = rows.tocsc().astype(float, copy=False)
-    del rows, at
+    cols = np.append(at, -1)[cols]
+    KER = sp.csr_matrix(_block_rows(C, cols), shape=(E.size, R.size))
+    del C
+    cols[cols < 0] = R.size          # a rest the triangle lacks, for restrict
+    # P S P^T: gather the columns, relabel and sort the rows; only this copy
+    # of S stays alive during splu
+    csc = S[:, perm]
+    del S
+    for k in range(0, csc.nnz, _CHUNK):
+        csc.indices[k:k + _CHUNK] = at[csc.indices[k:k + _CHUNK]]
+    csc.has_sorted_indices = False
+    csc.sort_indices()
+    del at
     try:
         lu = spla.splu(csc, panel_size=_PANEL_SIZE, **pivoting)
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}", kind="numerical") from exc
     del csc
-    fact = Factorization(lu, perm, (E, R, Qinv, KER))
+    fact = Factorization(lu, perm, (E, R, Qinv, KER), cols)
     # F's own inverse, symmetric: S^-1 alone grows with the mesh grading
     inverse = spla.LinearOperator((n, n), matvec=fact.solve, rmatvec=fact.solve, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):

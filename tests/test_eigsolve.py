@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import stokeseig.mesh as mm
 from helpers import dense_pencil_eigenvalues, solve_problem, square_pencil
-from stokeseig.eigsolve import EigConfig, SpectralSolution, _shifted, eigen_residuals, solve_eig
+from stokeseig.eigsolve import (EigConfig, SpectralSolution, _shifted, _VelocityOperator,
+                                eigen_residuals, solve_eig)
 from stokeseig.errors import ConfigurationError, ShiftAtEigenvalueError
 from stokeseig.mesh import build_square_mesh
 from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED
@@ -106,15 +109,19 @@ def test_eigenvectors_are_mass_orthonormal():
     (mm.UNIT_SQUARE, MIXED_BOTTOM_FIXED, 40),
 ])
 def test_lu_solve_count(monkeypatch, domain, bc, limit):
-    from stokeseig.sparselin import Factorization
+    # every column solved with the factors: the full solves and the Lanczos
+    # steps' solves through the restricted inverse
+    from stokeseig.sparselin import Factorization, RestrictedInverse
     columns = []
-    real_solve = Factorization.solve
 
-    def solve(self, b, **kw):
-        columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
-        return real_solve(self, b, **kw)
+    def counted(real):
+        def call(self, b, **kw):
+            columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            return real(self, b, **kw)
+        return call
 
-    monkeypatch.setattr(Factorization, "solve", solve)
+    monkeypatch.setattr(Factorization, "solve", counted(Factorization.solve))
+    monkeypatch.setattr(RestrictedInverse, "apply", counted(RestrictedInverse.apply))
     mesh = build_square_mesh(10, domain)
     if bc != "dirichlet":
         mesh = mm.tag_bottom_fixed(mesh)
@@ -277,3 +284,66 @@ def test_unconverged_arnoldi_exits_with_solver_code(arpack_gives_up, capsys):
                      "--N", "6", "--nev", "3"])
     assert code == 5
     assert json.loads(capsys.readouterr().err)["category"] == "solver"
+
+
+def _velocity_operator(ell, k, bc, shift, N=3):
+    pencil = square_pencil(ell, k, bc, N=N)
+    return pencil, _VelocityOperator(pencil, shift, factorize(_shifted(pencil, shift)), 1.0)
+
+
+def _lifted_apply(pencil, op, W):
+    """-L^T [F^-1 E L W]_u through the full condensed solve."""
+    X = np.zeros((pencil.layout.size,) + W.shape[1:])
+    X[op.vel] = op._mul_L(W)
+    U = op.fact.solve(X)[op.vel]
+    L = op.L
+    return -(np.swapaxes(L, 1, 2) @ U.reshape(len(L), L.shape[1], -1)).reshape(W.shape)
+
+
+@pytest.mark.parametrize("columns", [1, 7])
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+def test_restricted_apply_is_the_lifted_solve(ell, k, bc, shift, columns):
+    # D w + P^T S^-1 P w against the solve of the whole system
+    pencil, op = _velocity_operator(ell, k, bc, shift)
+    rng = np.random.default_rng(7)
+    W = rng.standard_normal((pencil.layout.n_u, columns)).squeeze()
+    got, want = op.apply(W), _lifted_apply(pencil, op, W)
+    assert got.shape == W.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+def test_block_apply_equals_column_applies(bc, shift):
+    # one SuperLU solve of k columns may round differently from k solves of one
+    pencil, op = _velocity_operator(2, 1, bc, shift)
+    W = np.random.default_rng(8).standard_normal((pencil.layout.n_u, 7))
+    block = op.apply(W)
+    for c in range(7):
+        x = op.apply(W[:, c])
+        assert np.abs(block[:, c] - x).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_lanczos_step_allocates_two_short_vectors_beyond_the_solve():
+    # a Lanczos step works on vectors of the velocity and of the condensed
+    # system only: beyond SuperLU's own solve of the same right-hand side it
+    # allocates at most two vectors of each length (the full solve it
+    # replaced took a work vector of all n unknowns)
+    pencil, op = _velocity_operator(2, 1, ALL_DIRICHLET, 0.0, N=8)
+    lu = op.fact._lu
+    rng = np.random.default_rng(9)
+    w, rhs = rng.standard_normal(pencil.layout.n_u), rng.standard_normal(lu.shape[0])
+    op.apply(w)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    solve, step = peak(lambda: lu.solve(rhs)), peak(lambda: op.apply(w))
+    assert step - solve <= 2 * (lu.shape[0] + pencil.layout.n_u) * 8
