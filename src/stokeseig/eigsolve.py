@@ -12,11 +12,12 @@ A Lanczos step never solves with the whole F.  E L w lies on the triangles'
 groups of unknowns (their velocity and interior stress), which couple only
 through the edge stress R, so static condensation gives
 
-    S w = -(D w + P^T H^-1 P w),  D_T = L_T^T (Q_T^-1)_uu L_T,  P = F_RE Q^-1 E_u L,
+    S w = -(D w + P^T H^-1 P w),  D_T = L_T^T (Q_T^-1)_uu L_T,  P_T = C_T^T Q_T^-1 E_u L_T,
 
-with Q_T the group block of triangle T and H the Schur complement on R that
-SuperLU factorizes (``sparselin.RestrictedInverse``): one block product,
-P w, one solve with H and P^T y, on vectors of the velocity and of R only.
+with Q_T the group block of triangle T, C_T its coupling to R and H the
+Schur complement on R that SuperLU factorizes (``sparselin.RestrictedInverse``):
+one block product, P w, one solve with H and P^T y, on vectors of the
+velocity and of R only.
 The lift, the condition estimate and the refinement solve with F itself.
 
 The pencil keeps K - theta0 N (theta0 = -1) as a view of the forms.  Every

@@ -6,7 +6,9 @@ interior stress moments and velocity dofs couple only with each other and
 its edge stress dofs, so the element Schur complements are summed into the
 Schur complement on the edge dofs (static condensation; Arnold & Brezzi,
 M2AN 19, 1985).  A plain symmetric scipy matrix enters the same path as
-blocks of no triangles (:meth:`ElementBlocks.whole`).  Singular systems are
+blocks of no triangles (:meth:`ElementBlocks.whole`).  Each triangle's
+coupling C_T to its edge dofs is kept once, as its dense block, for the
+condensed solve and :class:`RestrictedInverse`.  Singular systems are
 reported as errors, judged from a 1-norm estimate of F's inverse, so only
 the LU factors are kept in memory.
 """
@@ -77,33 +79,22 @@ class Factorization:
     P S P^T, S the Schur complement of :func:`condense`, P a permutation
     (``perm``); ``condition`` is the estimate ``factorize`` judged.
 
-    ``blocks`` holds E, R, Q^-1 and F_ER = F[E, R] with its columns in
-    factorized order, and ``cols`` each triangle's rest in that order (|R|
-    for none), which :meth:`restrict` reads.  A solve is
-    x_R = S^-1 (b_R - F_RE (Q^-1 b_E)), x_E = Q^-1 b_E - Q^-1 (F_ER x_R), for
-    a block of k columns in one pass: one SuperLU solve of all k right-hand
-    sides.  A vector is k = 1 and uses work vectors made on the first such
-    solve; with no triangles E is empty and it is the solve with S = F.  The
-    pin is pivoted off the diagonal (see :func:`factorize`).
+    It keeps the groups' unknowns E, the unknown of F behind each factorized
+    row, Q^-1, each triangle's coupling C_T = F[group, rest] and its rest
+    ``cols`` in factorized order (|R| for one it lacks, whose column of C_T
+    is zero).
+    A solve is x_R = S^-1 (b_R - sum_T C_T^T Q_T^-1 b_T) and
+    x_T = Q_T^-1 (b_T - C_T x_R[cols_T]), for a block of k columns in one
+    pass: one SuperLU solve of all k right-hand sides.  With no triangles E
+    is empty and it is the solve with S = F.  The pin is pivoted off the
+    diagonal (see :func:`factorize`).
     """
 
-    def __init__(self, lu, perm, blocks, cols):
+    def __init__(self, lu, perm, E, order, Qinv, C, cols):
         self._lu = lu
         self.condition = None       # set by factorize
         self._perm = perm
-        self._blocks = blocks
-        self._cols = cols
-        E, R, Qinv, KER = blocks
-        self._order = R[perm]      # the unknown of F behind each factorized row
-        self._KRE = KER.T
-        self._work = None          # single solves' work vectors, made on the first
-
-    def _work_arrays(self, k):
-        """Work blocks for k columns: b_E (t, g), Q^-1 b_E (k, t, g) and b_R
-        (|R|, k) in column order, as SuperLU takes it."""
-        Qinv, size = self._blocks[2], self._blocks[1].size
-        return (np.empty(Qinv.shape[:2]), np.empty((k,) + Qinv.shape[:2]),
-                np.empty((size, k), order="F"))
+        self._E, self._order, self._Qinv, self._C, self._cols = E, order, Qinv, C, cols
 
     def solve(self, b, out=None):
         """x with F x = b, for a vector or a block of columns b; ``out``, when
@@ -119,31 +110,31 @@ class Factorization:
         right-hand sides together; everything else takes one contiguous
         column at a time, so that each column of x has the bits of its own
         solve and the temporaries are one column long."""
-        E, _, Qinv, KER = self._blocks
-        k = b.shape[1]
-        if k == 1 and self._work is None:
-            self._work = self._work_arrays(1)
-        bE, qE, rhs = self._work if k == 1 else self._work_arrays(k)
+        E, Qinv, C, cols = self._E, self._Qinv, self._C, self._cols
+        size, k = len(self._order), b.shape[1]
+        bE, QbE = np.empty(Qinv.shape[:2]), np.empty(Qinv.shape[:2])
+        onR = np.empty(cols.shape)              # a value at each triangle's rest
+        rhs = np.empty((size, k), order="F")    # column order, as SuperLU takes it
         np.take(b, self._order, axis=0, out=rhs, mode="clip")      # "clip": unbuffered
         # einsum beats matmul on these small blocks: 0.16 against 0.23 ms at
         # 1,800 blocks of 12, 0.12 against 0.37 ms at 10,000 blocks of 2
         for c in range(k):
             np.take(b[:, c], E, out=bE.reshape(-1), mode="clip")
-            np.einsum("tij,tj->ti", Qinv, bE, out=qE[c])
-            rhs[:, c] -= self._KRE @ qE[c].reshape(-1)
+            np.einsum("tij,tj->ti", Qinv, bE, out=QbE)
+            np.einsum("tgr,tg->tr", C, QbE, out=onR)
+            rhs[:, c] -= np.bincount(cols.reshape(-1), onR.reshape(-1), minlength=size + 1)[:size]
         y = self._lu.solve(rhs)
         x[self._order] = y
         for c in range(k):
-            np.einsum("tij,tj->ti", Qinv, (KER @ y[:, c]).reshape(bE.shape), out=bE)
-            qE[c] -= bE
-            x[E, c] = qE[c].reshape(-1)
+            # a rest the triangle lacks reads row |R| - 1 ("clip") into a zero column
+            np.take(y[:, c], cols, out=onR, mode="clip")
+            np.take(b[:, c], E, out=bE.reshape(-1), mode="clip")
+            bE -= np.einsum("tgr,tr->tg", C, onR, out=QbE)
+            x[E, c] = np.einsum("tij,tj->ti", Qinv, bE, out=QbE).reshape(-1)
 
     def restrict(self, V):
-        """V^T F^-1 V as a :class:`RestrictedInverse`, made once: the rest
-        columns kept for it and the work vectors of single solves are freed."""
-        inverse = RestrictedInverse(self, V)
-        self._cols = self._work = None
-        return inverse
+        """V^T F^-1 V as a :class:`RestrictedInverse`."""
+        return RestrictedInverse(self, V)
 
 
 class RestrictedInverse:
@@ -153,64 +144,44 @@ class RestrictedInverse:
 
     V w lies on the group unknowns E, so condensation gives
 
-        V^T F^-1 V = D + P^T S^-1 P,  D_T = V_T^T Q_T^-1 V_T,  P = F_RE Q^-1 V,
+        V^T F^-1 V = D + P^T S^-1 P,  D_T = V_T^T Q_T^-1 V_T,  P_T = C_T^T Q_T^-1 V_T,
 
-    with P's rows in factorized order: a product is one block product, P w,
-    one SuperLU solve of |R| rows and P^T y, on vectors of length |R| and
-    n_T m only.  Triangle t's columns of P meet its rest only, so its block
-    C_T^T Q_T^-1 V_T is dense, C_T read back from F_ER through the
-    triangle's rest columns.  D and P are made here, after SuperLU has run,
-    a chunk of triangles at a time; P is kept in CSR, in blocks of rows so
-    that no product allocates |R| doubles at once.  A block of k columns
-    takes one SuperLU solve and everything else one contiguous column at a
-    time, so each column has the bits of its own product.
+    P_T the dense (r, m) block of triangle t's columns of P, its rows at the
+    triangle's rest in factorized order.  A product is one block product,
+    P w, one SuperLU solve of |R| rows and P^T y, on vectors of length |R|
+    and n_T m only.  D and P are made here, after SuperLU has run, in one
+    batched product a chunk of triangles at a time.  P^T is kept in CSR,
+    row (t, j) holding P_T[:, j] at the rest the triangle has; P is its
+    transpose.  A block of k columns takes one SuperLU solve and everything
+    else one contiguous column at a time, so each column has the bits of its
+    own product.
     """
 
     def __init__(self, fact, V):
-        Qinv, KER = fact._blocks[2:]
+        Qinv, C, cols = fact._Qinv, fact._C, fact._cols
         self._lu = fact._lu
         nt, h, m = V.shape
-        g, size = Qinv.shape[1], KER.shape[1]
-        cols = fact._cols.reshape(-1)           # (t, l): rest slot l of triangle t
-        r = fact._cols.shape[1]
-        # P in CSR: row c holds the triangles with c in their rest, in order,
-        # so slot (t, l) is row at[t r + l] of the (n_T r, m) data
-        by_row = np.argsort(cols, kind="stable")
-        at = np.empty(by_row.size, dtype=np.intp)
-        at[by_row] = np.arange(by_row.size)
-        count = np.bincount(cols, minlength=size + 1)[:size]
-        indptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(count * m, out=indptr[1:])
-        # a column's first and last slot (t r + l): its slot in either triangle
-        ends = np.cumsum(count)
-        first, last = np.take(by_row, [ends - count, ends - 1], mode="clip")
-        first_tri, first_slot, last_slot = first // r, first % r, last % r
-        data = np.empty((nt * r, m))
-        indices = by_row[:indptr[-1] // m].astype(np.int32) // r
-        indices = (indices[:, None] * m + np.arange(m, dtype=np.int32)).reshape(-1)
+        g, r = C.shape[1:]
+        size = len(fact._order)
+        has = cols < size                  # the rest each triangle has
+        indptr = np.zeros(nt * m + 1, dtype=np.int64)
+        indptr[1:].reshape(nt, m)[...] = np.count_nonzero(has, axis=1)[:, None]
+        np.cumsum(indptr, out=indptr)
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
         self._D = np.empty((nt, m, m))
-        self._rhs = np.empty((size, 1))
-        step = max(1, 2 * _CHUNK // (g * max(r, m)))
+        step = max(1, _CHUNK // (m * max(g, r)))
         for t in range(0, nt, step):
             c = slice(t, t + step)
             Z = Qinv[c][:, :, g - h:] @ V[c]
             self._D[c] = np.swapaxes(V[c], 1, 2) @ Z[:, g - h:]
-            # C_T from the entries of F_ER's rows of these triangles
-            bounds = KER.indptr[t * g:(t + len(Z)) * g + 1]
-            row = np.repeat(np.arange(len(Z) * g, dtype=np.int32), np.diff(bounds))
-            tri = np.repeat(np.arange(t, t + len(Z)), np.diff(bounds[::g]))
-            col = KER.indices[bounds[0]:bounds[-1]]
-            slot = np.where(first_tri[col] == tri, first_slot[col], last_slot[col])
-            C = np.zeros((len(Z), g, r))
-            C.reshape(-1)[row * r + slot] = KER.data[bounds[0]:bounds[-1]]
-            data[at[t * r:(t + len(Z)) * r]] = (np.swapaxes(C, 1, 2) @ Z).reshape(-1, m)
-        data, self._P = data.reshape(-1), []
-        bounds = np.linspace(0, size, -(-size // (2 * _CHUNK)) + 1).astype(int)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            span = slice(indptr[a], indptr[b])
-            P = sp.csr_matrix((data[span], indices[span], indptr[a:b + 1] - indptr[a]),
-                              shape=(b - a, nt * m))
-            self._P.append((slice(a, b), P, P.T))
+            PT = np.swapaxes(Z, 1, 2) @ C[c]        # (t, m, r): the P_T^T
+            ok = np.repeat(has[c], m, axis=0)
+            span = slice(indptr[t * m], indptr[(t + len(Z)) * m])
+            data[span] = PT.reshape(-1, r)[ok]
+            indices[span] = np.repeat(cols[c], m, axis=0)[ok]
+        self._PT = sp.csr_matrix((data, indices, indptr), shape=(nt * m, size))
+        self._P = self._PT.T
+        self._rhs = np.empty((size, 1))
 
     def apply(self, w, out=None):
         """V^T F^-1 V w for a vector or a block of columns w of n_T m rows;
@@ -219,8 +190,7 @@ class RestrictedInverse:
         k = cols.shape[1]
         rhs = self._rhs if k == 1 else np.empty((len(self._rhs), k), order="F")
         for c in range(k):
-            for rows, P, _ in self._P:
-                rhs[rows, c] = P @ cols[:, c]
+            rhs[:, c] = self._P @ cols[:, c]
         y = self._lu.solve(rhs)
         # columns contiguous, for the einsums
         out = np.empty(cols.shape[::-1]).T if out is None else out.reshape(-1, 1)
@@ -228,8 +198,7 @@ class RestrictedInverse:
         for c in range(k):
             np.einsum("tmn,tn->tm", self._D, np.ascontiguousarray(cols[:, c]).reshape(shape),
                       out=out[:, c].reshape(shape))
-            for rows, _, PT in self._P:
-                out[:, c] += PT @ y[rows, c]
+            out[:, c] += self._PT @ y[:, c]
         return out.reshape(w.shape)
 
 
@@ -292,30 +261,6 @@ def _coo(blocks, rows, cols, extra=((), (), ())):
     return data[:m], (i[:m], j[:m])
 
 
-def _block_rows(blocks, cols):
-    """CSR (data, indices, indptr) of the matrix whose row t a + i is row i of
-    the block t (of a rows) at the columns cols[t], without the entries in a
-    column -1 and the exact zeros: counted, then filled, a chunk of blocks at
-    a time, into arrays of their size."""
-    nt, a, b = blocks.shape
-    step = max(1, _CHUNK // (a * b))
-    chunks = [slice(t, t + step) for t in range(0, nt, step)]
-
-    def keep(c):
-        return (blocks[c] != 0.0) & (cols[c, None, :] >= 0)
-
-    indptr = np.zeros(nt * a + 1, dtype=np.int64)
-    for c in chunks:
-        indptr[c.start * a + 1:min(c.stop, nt) * a + 1] = np.count_nonzero(keep(c), axis=2).ravel()
-    np.cumsum(indptr, out=indptr)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-    for c in chunks:
-        ok, span = keep(c), slice(indptr[c.start * a], indptr[min(c.stop, nt) * a])
-        data[span] = blocks[c][ok]
-        indices[span] = np.broadcast_to(cols[c, None, :], ok.shape)[ok]
-    return data, indices, indptr
-
-
 def _invert(Q, groups, definite):
     """Q^-1 of every block, judged singular by factorize's rule with its exact
     inverse; for a ``definite`` F after scaling it to a unit diagonal, since
@@ -351,9 +296,10 @@ def factorize(A):
 
     The matrix factorized is the Schur complement S of :func:`condense`
     (dirichlet (2,1) at N = 30: 16,561 of 38,161 unknowns, 1.58M entries in
-    the factors against 11.4M for the whole matrix), and Q^-1 and F_ER are
-    kept for the solves.  For a ``definite`` S SuperLU pivots on the
-    diagonal in symmetric mode, ordering S + S^T by multiple minimum degree,
+    the factors against 11.4M for the whole matrix), and Q^-1 and the
+    triangles' dense C_T are kept for the solves.  For a ``definite`` S
+    SuperLU pivots on the diagonal in symmetric mode, ordering S + S^T by
+    multiple minimum degree,
     but for the pin, whose zero diagonal it passes over: the factors'
     ``perm_r`` and ``perm_c`` differ in 2-3 positions on an all-Dirichlet
     pencil, so a count of negative pivots must allow for the pin's pair.
@@ -377,25 +323,24 @@ def factorize(A):
     """
     F = A.element_blocks() if hasattr(A, "element_blocks") else ElementBlocks.whole(A)
     E, R, Qinv, cols, S = condense(F)
-    n, amax = F.n, F.amax
+    n, amax, definite, C = F.n, F.amax, F.definite, F.C
+    del F
     if not np.diff(S.indptr).all():
         row = int(R[np.argmin(np.diff(S.indptr))])
         raise SingularMatrixError(f"row {row} has no entry", kind="structural")
-    if F.definite:
+    if definite:
         pivoting = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
     else:
         pivoting = dict(permc_spec="COLAMD")
     perm = reverse_cuthill_mckee(S, symmetric_mode=True)
-    at = np.argsort(perm).astype(np.int32)
-    # F_ER from the triangles' C_T, its columns in factorized order, without
-    # the exact zeros, which would only cost time in the solves
-    C = F.C
-    del F
-    cols = np.append(at, -1)[cols]
-    KER = sp.csr_matrix(_block_rows(C, cols), shape=(E.size, R.size))
-    del C
-    cols[cols < 0] = R.size          # a rest the triangle lacks, for restrict
+    order, size = R[perm], R.size
+    del R
+    # each triangle's rest in factorized order; one it lacks (-1) becomes
+    # |R|, and its column of C_T 0.0, which the solve's gather relies on
+    at = np.append(np.argsort(perm), size).astype(np.int32)
+    cols = at[cols]
+    np.copyto(C, 0.0, where=(cols == size)[:, None, :])
     # P S P^T: gather the columns, relabel and sort the rows; only this copy
     # of S stays alive during splu
     csc = S[:, perm]
@@ -410,7 +355,9 @@ def factorize(A):
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}", kind="numerical") from exc
     del csc
-    fact = Factorization(lu, perm, (E, R, Qinv, KER), cols)
+    # int32 while SuperLU runs; intp for the solves' take and bincount, which
+    # would convert int32 indices on every call
+    fact = Factorization(lu, perm, E, order, Qinv, C, cols.astype(np.intp))
     # F's own inverse, symmetric: S^-1 alone grows with the mesh grading
     inverse = spla.LinearOperator((n, n), matvec=fact.solve, rmatvec=fact.solve, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):

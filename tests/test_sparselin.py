@@ -166,17 +166,20 @@ def test_factorize_never_reads_the_factors(monkeypatch):
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 @pytest.mark.parametrize("ell,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_condensed_solve_matches_block_free(ell, k, bc):
-    K = square_pencil(ell, k, bc).K
-    fact, whole = factorize(K), factorize(K.sp)
-    n = K.shape[0]
-    assert fact._lu.shape[0] == n - K.element_blocks().groups.size
+    # at theta0 (diagonal pivots) and at a positive shift (partial pivoting);
+    # under mixed conditions triangles lack some of their rest
+    pencil = square_pencil(ell, k, bc)
+    n = pencil.K.shape[0]
     rng = np.random.default_rng(8)
-    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        x, want = fact.solve(b), whole.solve(b)
-        assert x.shape == b.shape
-        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    for K in (pencil.K, pencil.K.at(5.0)):
+        fact, whole = factorize(K), factorize(K.sp)
+        assert fact._lu.shape[0] == n - K.element_blocks().groups.size
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x, want = fact.solve(b), whole.solve(b)
+            assert x.shape == b.shape
+            assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
     # refactorizing K gives the same fill (the benchmark's trace check relies on it)
-    again = factorize(K)
+    fact, again = factorize(pencil.K), factorize(pencil.K)
     assert again._lu.L.nnz + again._lu.U.nnz == fact._lu.L.nnz + fact._lu.U.nnz
 
 
@@ -294,7 +297,7 @@ def _numpy_bytes():
 def test_only_the_solve_blocks_alive_during_splu(monkeypatch):
     # at its memory peak SuperLU shares the process with the pencil's forms,
     # the matrix it factorizes and what the condensed solve keeps, Q^-1 and
-    # K_ER, made once; the triangles' blocks and S are gone
+    # the triangles' couplings C_T, made once; Q, D and S are gone
     K = square_pencil(2, 1).K
     n = K.shape[0]
     seen = {}
@@ -311,8 +314,7 @@ def test_only_the_solve_blocks_alive_during_splu(monkeypatch):
         fact = factorize(K)
     finally:
         tracemalloc.stop()
-    E, R, Qinv, KER = fact._blocks
-    kept = sum(a.nbytes for a in (E, R, Qinv, KER.data, KER.indices, KER.indptr))
+    kept = sum(a.nbytes for a in (fact._E, fact._order, fact._Qinv, fact._C, fact._cols))
     # the RCM order and what else factorize holds per row: at most 4 x 8 bytes per row
     allowed = seen["csc"] + kept + 4 * 8 * n
     assert seen["alive"] <= allowed
@@ -342,12 +344,32 @@ def test_a_whole_solve_keeps_no_assembled_a_at_splu(monkeypatch):
         fact = factorize(K)
     finally:
         tracemalloc.stop()
-    E, R, Qinv, KER = fact._blocks
-    kept = [forms.A_T, forms.B_T, forms.M_T, forms.j, E, R, Qinv]
-    kept += [getattr(m, a) for m in (forms.B, forms.M, KER) for a in ("data", "indices", "indptr")]
+    kept = [forms.A_T, forms.B_T, forms.M_T, forms.j, fact._E, fact._order, fact._Qinv, fact._C,
+            fact._cols]
+    kept += [getattr(m, a) for m in (forms.B, forms.M) for a in ("data", "indices", "indptr")]
     # the layout and the RCM order: at most 4 x 8 bytes per row
     allowed = sum(a.nbytes for a in kept) + seen["csc"] + 4 * 8 * K.shape[0]
     assert seen["alive"] <= allowed
+
+
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+def test_restrict_allocates_what_it_keeps_and_chunks(bc):
+    # the restricted inverse is made from the dense C_T in one chunked
+    # product: beyond the arrays the operator keeps, restrict allocates at most
+    # four chunks of temporaries at once
+    pencil = square_pencil(2, 1, bc)
+    fact = factorize(pencil.K)
+    nt, h = pencil.dofmap.mesh.num_triangles, 2 * pencil.dofmap.pk.dim
+    V = np.random.default_rng(4).standard_normal((nt, h, h))
+    tracemalloc.start()
+    try:
+        inverse = fact.restrict(V)
+        kept = _numpy_bytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept + 4 * 8 * sparselin._CHUNK
+    assert kept >= inverse._D.nbytes + inverse._PT.data.nbytes
 
 
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
