@@ -19,13 +19,16 @@ nothing: eliminating each triangle's velocity (and interior stress) dofs
 from its element blocks leaves the edge-stress part of
 A - THETA0^-1 B^T M^-1 B, which is positive definite once the kernel is
 pinned.  A and B are kept once, as their element blocks; their CSR, and
-K's, are built only when asked for.  A and K are symmetric bit for bit by construction:
-each triangle's A block is symmetrized before the blocks are summed.
+K's, are built only when asked for.  A and K are symmetric bit for bit by
+construction: each triangle's A block is kept as its upper triangle.
 
-On an affine triangle every form is a reference integral mapped by B^-T and
-det B (the tensor representation of Kirby and Logg, ACM TOMS 32, 2006): each
-reference integral is computed once and all triangles are mapped in one
-array pass.
+On an affine triangle every element block is a geometry tensor times a
+reference tensor (the tensor representation of Kirby and Logg, ACM TOMS 32,
+2006).  A's geometry tensor is det(B) B^-T (x) B^-T, 16 numbers per
+triangle, and its reference tensor holds the reference integrals, 1/mu and
+the trace terms of sym; B's and M's geometry tensors are 1 and det(B).
+Each reference tensor is computed once, and the triangles are mapped a
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -474,38 +477,34 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     rule = quadrature(_quad_degree(dofmap))
     w = rule.weights
     vhat = ned.eval(rule.points)          # (nd, q, 2)
-    nt, nd = mesh.num_triangles, ned.dim
+    nt, nd, p = mesh.num_triangles, ned.dim, pk.dim
     _, _, det = mesh.affine_maps
     _, BinvT = mesh.inv_maps
     signs = dofmap.vec_signs
-    # stress dofs (e, row r of the tensor, local d), velocity dofs (e comp, p)
-    sdofs = dofmap.stress_gmap
-    udofs = np.arange(dofmap.n_u).reshape(2 * nt, pk.dim)
 
-    # reference tensors; the physical basis function d is sign_d B^-T vhat_d
-    R = np.einsum("dqi,fqj,q->dfij", vhat, vhat, w)
-    C = np.einsum("eai,ebj,dfij,e,ed,ef->edfab", BinvT, BinvT, R, det, signs, signs,
-                  optimize=True)
-
-    # stress-stress: a[(r,d),(s,f)] = delta_rs tr C_df + C_dfsr is 0.5 (delta_rs
-    # phi_d . phi_f + phi_d[s] phi_f[r]) / mu up to the factor, symmetric but
-    # for the rounding of the einsums; a + a^T is symmetric bit for bit, and
-    # so is the sum of the at most two blocks behind an entry.  Kept as each
-    # block's upper triangle, read from C a chunk of triangles at a time
-    (r, d), (s, f) = (np.divmod(x, nd) for x in np.triu_indices(2 * nd))
-    at = np.arange(C[0].size).reshape(C.shape[1:])
-    ij, ji, same = at[d, f, s, r], at[f, d, r, s], r == s
-    ablock = np.empty((nt, len(ij)))
-    step = max(1, 2 * _CHUNK // len(ij))
+    # stress-stress and the constraint, a chunk of triangles at a time.  The
+    # physical basis function d is sign_d B^-T vhat_d, so a triangle's packed
+    # A block is its geometry tensor G = det B^-T (x) B^-T, 16 numbers, times
+    # the reference tensor of :func:`_stiffness_reference`, and its j values,
+    # the integrals of (e_r x phi_d) : J = phi_d[1] (r = 0), -phi_d[0] (r = 1),
+    # are det B^-T times the reference integrals of vhat; both times the signs
+    X = _stiffness_reference(np.einsum("dqi,fqj,q->dfij", vhat, vhat, w), mu)
+    (_, d), (_, f) = (np.divmod(x, nd) for x in np.triu_indices(2 * nd))
+    vbar = np.einsum("dqi,q->id", vhat, w)
+    ablock, jvals = np.empty((nt, len(d))), np.empty((nt, 2, nd))
+    step = max(1, 2 * _CHUNK // len(d))
     for t in range(0, nt, step):
-        c = C[t:t + step].reshape(-1, at.size)
-        a, b = c[:, ij], c[:, ji]
-        a[:, same] += c[:, at[d, f, 0, 0][same]] + c[:, at[d, f, 1, 1][same]]
-        b[:, same] += c[:, at[f, d, 0, 0][same]] + c[:, at[f, d, 1, 1][same]]
-        a += b
-        a *= 0.25 / mu
-        ablock[t:t + step] = a
-    del C
+        c = slice(t, t + step)
+        detB = det[c, None, None] * BinvT[c]
+        G = detB[:, :, None, :, None] * BinvT[c, None, :, None, :]
+        a = np.matmul(G.reshape(-1, 16), X, out=ablock[c])
+        a *= signs[c][:, d]
+        a *= signs[c][:, f]
+        phi = (detB.reshape(-1, 2) @ vbar).reshape(-1, 2, nd)
+        np.multiply(phi[:, ::-1], signs[c, None], out=jvals[c])
+        np.negative(jvals[c, 1], out=jvals[c, 1])
+    jvec = np.bincount(dofmap.stress_gmap.ravel(), jvals.ravel(), minlength=dofmap.n_sigma)
+    del jvals
 
     # velocity x curl(stress): the 1/det of the curl cancels the det of the
     # volume element, and row r of the tensor drives component r only.  The
@@ -515,16 +514,35 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     bhat[np.abs(bhat) < 1e-12 * np.abs(bhat).max()] = 0.0
     bblock = bhat[None] * signs[:, None, :]
 
-    # velocity mass: det-scaled reference Gram, block diagonal
-    mblock = np.repeat(det[:, None, None] * pk_reference_mass(pk.order), 2, axis=0)
-    M = _scatter((dofmap.n_u,) * 2, mblock, udofs, udofs)
-
-    # constraint vector: integral of (e_r x phi_d) : J = phi_d[1] (r = 0), -phi_d[0] (r = 1)
-    phi_int = np.einsum("eai,di,e,ed->eda", BinvT, np.einsum("dqi,q->di", vhat, w),
-                        det, signs)
-    jvals = np.stack([phi_int[..., 1], -phi_int[..., 0]], axis=1)
-    jvec = np.bincount(sdofs.ravel(), jvals.ravel(), minlength=dofmap.n_sigma)
+    # velocity mass: det-scaled reference Gram, block diagonal, so its CSR
+    # rows are its blocks' rows, p entries each at the block's own dofs
+    mblock = np.empty((2 * nt, p, p))
+    np.multiply(det[:, None, None], pk_reference_mass(pk.order), out=mblock[0::2])
+    mblock[1::2] = mblock[0::2]
+    cols = np.broadcast_to(np.arange(dofmap.n_u, dtype=np.int32).reshape(2 * nt, 1, p),
+                           mblock.shape)
+    M = sp.csr_matrix((mblock.ravel().copy(), cols.ravel(),
+                       np.arange(0, mblock.size + 1, p, dtype=np.int32)), shape=(dofmap.n_u,) * 2)
     return Forms(M, jvec, dofmap, ablock, bblock, mblock)
+
+
+def _stiffness_reference(R, mu):
+    """The reference tensor X, (16, packed entries), of A's blocks: a block's
+    upper triangle, row by row, is G X for the geometry tensor G[a, b, i, j]
+    = det B^-T[a, i] B^-T[b, j] of its triangle, times the dofs' signs.
+
+    R[d, f, i, j] is the reference integral of vhat_d[i] vhat_f[j], so C_df
+    = G : R_df is the integral of phi_d phi_f^T (signs aside), and entry
+    ((r, d), (s, f)), the integral of sym(e_r phi_d^T) : sym(e_s phi_f^T) / mu,
+    is 0.25 (delta_rs tr (C_df + C_fd) + C_df[s, r] + C_fd[r, s]) / mu."""
+    nd = len(R)
+    (r, d), (s, f) = (np.divmod(x, nd) for x in np.triu_indices(2 * nd))
+    e, Rdf, Rfd = np.eye(2), R[d, f], R[f, d]
+    X = (np.einsum("pa,pb,pij->abijp", e[s], e[r], Rdf)
+         + np.einsum("pa,pb,pij->abijp", e[r], e[s], Rfd)
+         + np.einsum("p,ab,pij->abijp", r == s, e, Rdf + Rfd))
+    X *= 0.25 / mu
+    return X.reshape(16, -1)
 
 
 def upper_positions(n):
@@ -554,8 +572,9 @@ def build_pencil(forms):
         layout = PencilLayout(n_sigma, np.arange(n_sigma), dofmap.n_u, 1,
                               (_constant_j_interpolant(dofmap), forms.j))
     else:
-        layout = PencilLayout(n_sigma, np.setdiff1d(np.arange(n_sigma), dofmap.constrained),
-                              dofmap.n_u, 0)
+        free = np.ones(n_sigma, dtype=bool)
+        free[dofmap.constrained] = False
+        layout = PencilLayout(n_sigma, np.flatnonzero(free), dofmap.n_u, 0)
     return Pencil(PencilMatrix(forms, layout, THETA0))
 
 

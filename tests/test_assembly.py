@@ -369,3 +369,23 @@ def test_build_pencil_allocates_less_than_the_forms():
     finally:
         tracemalloc.stop()
     assert peak <= own + 32 * pencil.layout.size
+
+
+@pytest.mark.parametrize("ell,k,N", [(2, 1, 30), (1, 0, 100)])
+def test_assemble_forms_allocates_at_most_half_again_its_output(ell, k, N):
+    # each A block is its triangle's 16-number geometry tensor times one
+    # reference tensor, and the geometry tensors and j's values are formed a
+    # chunk of triangles at a time; an (nt, nd, nd, 2, 2) element tensor of
+    # all triangles would take the peak to 2.5-3 times the output
+    mesh = build_square_mesh(N, mm.BI_UNIT_SQUARE)
+    dofmap = DofMap(mesh, SpaceDescriptor(ell, k))
+    assemble_forms(mesh, dofmap)        # the mesh's cached maps, the reference bases
+    tracemalloc.start()
+    try:
+        forms = assemble_forms(mesh, dofmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (forms.A_T, forms.B_T, forms.M_T, forms.j, forms.M.data,
+                                 forms.M.indices, forms.M.indptr))
+    assert peak <= 1.5 * own

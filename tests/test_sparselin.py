@@ -136,6 +136,68 @@ def test_nearly_singular_without_zero_pivot_reported(dense):
     assert info.value.kind == "numerical"
 
 
+def _count_solves(monkeypatch, spoil=None):
+    """Count the calls of ``Factorization.solve``; ``spoil`` (call, value), when
+    given, writes value into entry 0 of that call's result."""
+    calls = []
+    solve = sparselin.Factorization.solve
+
+    def counted(self, b, out=None):
+        x = solve(self, b, out)
+        if spoil is not None and len(calls) == spoil[0]:
+            x[0] = spoil[1]
+        calls.append(b.shape)
+        return x
+    monkeypatch.setattr(sparselin.Factorization, "solve", counted)
+    return calls
+
+
+def _assert_condition_is_onenormest(monkeypatch, F, amax):
+    # the estimate factorize judges is scipy's onenormest(t=1) of F^-1 times
+    # max|F|, bit for bit, from as many solves
+    calls = _count_solves(monkeypatch)
+    fact = factorize(F)
+    made = len(calls)
+    n = F.shape[0]
+    inverse = spla.LinearOperator((n, n), matvec=fact.solve, rmatvec=fact.solve, dtype=float)
+    assert fact.condition == spla.onenormest(inverse, t=1) * amax
+    assert len(calls) - made == made
+
+
+@pytest.mark.parametrize("theta", [THETA0, 5.0])
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_condition_is_scipys_one_norm_estimate(monkeypatch, ell, k, bc, theta):
+    # theta0 factorizes the definite H in symmetric mode; 5 lies between
+    # eigenvalues and takes partial pivoting
+    K = square_pencil(ell, k, bc, N=4).K.at(theta)
+    _assert_condition_is_onenormest(monkeypatch, K, K.amax)
+
+
+@pytest.mark.parametrize("dense", [[[2.0, -1.0], [-1.0, 3.0]], [[-4.0]],
+                                   [[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]]],
+                         ids=["2x2", "1x1", "tie"])
+def test_condition_of_a_plain_matrix_is_scipys_one_norm_estimate(monkeypatch, dense):
+    # at n = 1 scipy takes its exact branch: one solve of e_0.  On "tie" the
+    # second solve's largest |entry| is at rows 0 and 2, whose columns of the
+    # inverse have 1-norms 1 and 3: the estimate follows the one scipy picks
+    _assert_condition_is_onenormest(monkeypatch, sp.csr_matrix(dense), np.abs(dense).max())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", range(4))
+def test_a_non_finite_solve_fails_the_condition_estimate(monkeypatch, call, value):
+    # each of the estimate's four solves on this pencil, spoiled in one entry,
+    # leaves the estimate non-finite; onenormest would go on from the next
+    # unit vector to a finite estimate
+    K = square_pencil(1, 0, N=4).K
+    calls = _count_solves(monkeypatch, (call, value))
+    with pytest.raises(SingularMatrixError) as info:
+        factorize(K)
+    assert info.value.kind == "numerical"
+    assert len(calls) == call + 1
+
+
 class _FactorsUnreadable:
     """SuperLU object that solves but refuses to hand out its factors: reading
     ``L`` or ``U`` makes SuperLU build and keep CSC copies of both."""
