@@ -515,13 +515,14 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     bblock = bhat[None] * signs[:, None, :]
 
     # velocity mass: det-scaled reference Gram, block diagonal, so its CSR
-    # rows are its blocks' rows, p entries each at the block's own dofs
+    # rows are its blocks' rows, p entries each at the block's own dofs, and
+    # its data is M_T's buffer
     mblock = np.empty((2 * nt, p, p))
     np.multiply(det[:, None, None], pk_reference_mass(pk.order), out=mblock[0::2])
     mblock[1::2] = mblock[0::2]
     cols = np.broadcast_to(np.arange(dofmap.n_u, dtype=np.int32).reshape(2 * nt, 1, p),
                            mblock.shape)
-    M = sp.csr_matrix((mblock.ravel().copy(), cols.ravel(),
+    M = sp.csr_matrix((mblock.reshape(-1), cols.ravel(),
                        np.arange(0, mblock.size + 1, p, dtype=np.int32)), shape=(dofmap.n_u,) * 2)
     return Forms(M, jvec, dofmap, ablock, bblock, mblock)
 

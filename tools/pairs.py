@@ -1,16 +1,15 @@
-"""Alternating fresh-process pairs of benchmark samples: a parent checkout against this one.
+"""Ten alternating fresh-process pairs of benchmark samples: a parent checkout against this one.
 
-    python3 tools/pairs.py --parent DIR --workload NAME --seed N --pairs 10
+    python3 tools/pairs.py --parent DIR --workload NAME --seed N
 
 Each pair runs ``perfbench/worker.py --mode run`` once in the parent checkout
-and once in this one (or in ``--change DIR``), each in a fresh process, with
-the environment ``perfbench/run.py`` gives its workers; the side that runs
-first alternates from pair to pair.  For ``wall_s``, ``setup_s`` and
-``peak_rss_mb`` it prints each side's median and quartiles and the number of
-pairs in which the change is lower, and for the metric named by ``--claim``
-whether a gain holds: the change lower in at least 9 pairs of 10, and the
-medians further apart than the parent's interquartile range.  A sample that fails the correctness gate is
-printed and counts as a loss.
+and once in this one, each in a fresh process, with the environment
+``perfbench/run.py`` gives its workers; the side that runs first alternates
+from pair to pair.  For ``wall_s``, ``setup_s`` and ``peak_rss_mb`` it prints
+each side's median and quartiles, the number of pairs in which the change is
+lower, and whether a gain holds: the change lower in at least 9 of the 10
+pairs, and the medians further apart than the parent's interquartile range.
+A sample that fails the correctness gate is printed and counts as a loss.
 """
 
 from __future__ import annotations
@@ -23,16 +22,19 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from run import WORKER_ENV  # noqa: E402
+
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
-# the workers' malloc setting, as perfbench/run.py fixes it
-ENV = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072")
+PAIRS, WINS = 10, 9
 
 
 def sample(checkout, workload, seed):
     """One ``--mode run`` worker in ``checkout``; its JSON line."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "worker.py"),
            "--workload", workload, "--seed", str(seed), "--mode", "run"]
-    proc = subprocess.run(cmd, cwd=checkout, env=ENV, capture_output=True, text=True,
+    proc = subprocess.run(cmd, cwd=checkout, env=WORKER_ENV, capture_output=True, text=True,
                           check=False)
     if proc.returncode != 0 or not proc.stdout.strip():
         raise SystemExit(f"worker in {checkout} exited with code {proc.returncode}:\n"
@@ -51,22 +53,19 @@ def quartiles(values):
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="root of the parent checkout")
-    p.add_argument("--change", default=ROOT, help="root of the changed checkout (this one)")
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--claim", choices=METRICS, default="wall_s")
     args = p.parse_args()
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(sample(sides[side], args.workload, args.seed))
         print(f"pair {i + 1}: " + "  ".join(
             f"{side} {runs[side][-1]['wall_s']:.4f} s {runs[side][-1]['peak_rss_mb']:.1f} MB"
             for side in ("parent", "change")), flush=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs")
+    print(f"{args.workload}, seed {args.seed}, {PAIRS} pairs")
     for metric in METRICS:
         values = {side: [r[metric] for r in runs[side]] for side in runs}
         for side in ("parent", "change"):
@@ -76,11 +75,10 @@ def main():
                    zip(values["parent"], values["change"], runs["change"]))
         q1, parent_median, q3 = quartiles(values["parent"])
         gap = parent_median - statistics.median(values["change"])
-        print(f"  {metric}: change lower in {wins} of {args.pairs} pairs; median gap {gap:.4f} "
-              f"against the parent's interquartile range {q3 - q1:.4f}")
-        if metric == args.claim:
-            holds = wins >= 0.9 * args.pairs and gap > q3 - q1
-            print(f"  gain in {metric} {'holds' if holds else 'does not hold'}")
+        holds = wins >= WINS and gap > q3 - q1
+        print(f"  {metric}: change lower in {wins} of {PAIRS} pairs; median gap {gap:.4f} "
+              f"against the parent's interquartile range {q3 - q1:.4f}; "
+              f"gain {'holds' if holds else 'does not hold'}")
 
 
 if __name__ == "__main__":
