@@ -18,9 +18,9 @@ whose velocity block is THETA0 M, as a view of the forms that assembles
 nothing: eliminating each triangle's velocity (and interior stress) dofs
 from its element blocks leaves the edge-stress part of
 A - THETA0^-1 B^T M^-1 B, which is positive definite once the kernel is
-pinned.  A and B are kept once, as their element blocks; their CSR, and
-K's, are built only when asked for.  A and K are symmetric bit for bit by
-construction: each triangle's A block is kept as its upper triangle.
+pinned.  A and B are kept once, as their element blocks, made again after
+a release; their CSR, and K's, are built only when asked for.  A and K are
+symmetric bit for bit: each triangle's A block is kept as its upper triangle.
 
 On an affine triangle every element block is a geometry tensor times a
 reference tensor (the tensor representation of Kirby and Logg, ACM TOMS 32,
@@ -69,13 +69,28 @@ class Forms:
     triangle's block for either velocity component and its tensor row, and
     :attr:`A` and :attr:`B` sum them into CSR on each read.  ``M_T``
     (2 nt, p, p) is the mass block of velocity component c of triangle t at
-    2 t + c."""
+    2 t + c.  A's and B's blocks, the largest, are read-only and made on
+    demand: :meth:`release` drops them, and the next read of ``A_T`` or
+    ``B_T`` makes both again at viscosity ``mu`` (:func:`_ab_blocks`), bit
+    for bit."""
     M: sp.csr_matrix
     j: np.ndarray
     dofmap: DofMap
-    A_T: np.ndarray
-    B_T: np.ndarray
     M_T: np.ndarray
+    mu: float
+    blocks: tuple | None = field(default=None, repr=False)    # (A_T, B_T) while alive
+
+    A_T = property(lambda self: self._blocks()[0])
+    B_T = property(lambda self: self._blocks()[1])
+
+    def _blocks(self):
+        if self.blocks is None:
+            self.blocks = _ab_blocks(self.dofmap, self.mu)
+        return self.blocks
+
+    def release(self):
+        """Drop A's and B's element blocks until they are read again."""
+        self.blocks = None
 
     @property
     def A(self):
@@ -213,7 +228,8 @@ class PencilMatrix:
         """F by triangles (:class:`ElementBlocks`): each triangle's group is
         its interior stress dofs (both tensor rows) and all of its velocity
         dofs, which are discontinuous; its rest is its edge stress dofs, and
-        the pin lies outside every triangle."""
+        the pin lies outside every triangle.  It releases A's and B's blocks
+        (:meth:`Forms.release`) once it has read them."""
         f, lay, dofmap = self.forms, self.layout, self.forms.dofmap
         nt, nd, p = dofmap.mesh.num_triangles, dofmap.ned.dim, dofmap.pk.dim
         ni = dofmap.interior_dofs_per_tri
@@ -234,6 +250,8 @@ class PencilMatrix:
             Q[:, c * ni:(c + 1) * ni, vel] = np.swapaxes(b[:, :, ne:], 1, 2)
             Q[:, vel, vel] = self.theta * f.M_T[c::2]
             C[:, vel, c * ne:(c + 1) * ne] = b[:, :, :ne]
+        D = a[:, up[edge[:, None], edge]]
+        f.release()
         stress = lay.index[dofmap.stress_gmap]
         velocity = lay.n_sigma_active + np.arange(lay.n_u).reshape(nt, 2 * p)
         mult = lay.size - 1
@@ -241,7 +259,7 @@ class PencilMatrix:
                  np.array([mult, lay.pin] if lay.n_c else [], dtype=int), np.ones(2 * lay.n_c))
         return ElementBlocks(
             lay.size, np.hstack([stress[:, :, ne:].reshape(nt, -1), velocity]),
-            stress[:, :, :ne].reshape(nt, -1), Q, C, a[:, up[edge[:, None], edge]], extra,
+            stress[:, :, :ne].reshape(nt, -1), Q, C, D, extra,
             self.amax, self.theta < 0)
 
 
@@ -473,11 +491,34 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     """Assemble A's and B's element blocks, M and the constraint vector j."""
     if not (is_finite(mu) and mu > 0):
         raise AssemblyError(f"viscosity must be finite and positive, got {mu!r}")
-    ned, pk = dofmap.ned, dofmap.pk
+    nt, nd, p = mesh.num_triangles, dofmap.ned.dim, dofmap.pk.dim
+    jvals = np.empty((nt, 2, nd))
+    blocks = _ab_blocks(dofmap, mu, jvals)
+    jvec = np.bincount(dofmap.stress_gmap.ravel(), jvals.ravel(), minlength=dofmap.n_sigma)
+    del jvals
+
+    # velocity mass: det-scaled reference Gram, block diagonal, so its CSR
+    # rows are its blocks' rows, p entries each at the block's own dofs, and
+    # its data is M_T's buffer
+    _, _, det = mesh.affine_maps
+    mblock = np.empty((2 * nt, p, p))
+    np.multiply(det[:, None, None], pk_reference_mass(dofmap.pk.order), out=mblock[0::2])
+    mblock[1::2] = mblock[0::2]
+    cols = np.broadcast_to(np.arange(dofmap.n_u, dtype=np.int32).reshape(2 * nt, 1, p),
+                           mblock.shape)
+    M = sp.csr_matrix((mblock.reshape(-1), cols.ravel(),
+                       np.arange(0, mblock.size + 1, p, dtype=np.int32)), shape=(dofmap.n_u,) * 2)
+    return Forms(M, jvec, dofmap, mblock, mu, blocks)
+
+
+def _ab_blocks(dofmap, mu, jvals=None):
+    """A's packed element blocks and B's, read-only, on the dofmap's mesh;
+    the per-triangle values of j go to ``jvals`` when it is given."""
+    ned, pk, mesh = dofmap.ned, dofmap.pk, dofmap.mesh
     rule = quadrature(_quad_degree(dofmap))
     w = rule.weights
     vhat = ned.eval(rule.points)          # (nd, q, 2)
-    nt, nd, p = mesh.num_triangles, ned.dim, pk.dim
+    nt, nd = mesh.num_triangles, ned.dim
     _, _, det = mesh.affine_maps
     _, BinvT = mesh.inv_maps
     signs = dofmap.vec_signs
@@ -491,7 +532,7 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     X = _stiffness_reference(np.einsum("dqi,fqj,q->dfij", vhat, vhat, w), mu)
     (_, d), (_, f) = (np.divmod(x, nd) for x in np.triu_indices(2 * nd))
     vbar = np.einsum("dqi,q->id", vhat, w)
-    ablock, jvals = np.empty((nt, len(d))), np.empty((nt, 2, nd))
+    ablock = np.empty((nt, len(d)))
     step = max(1, 2 * _CHUNK // len(d))
     for t in range(0, nt, step):
         c = slice(t, t + step)
@@ -500,11 +541,10 @@ def assemble_forms(mesh, dofmap, mu=1.0):
         a = np.matmul(G.reshape(-1, 16), X, out=ablock[c])
         a *= signs[c][:, d]
         a *= signs[c][:, f]
-        phi = (detB.reshape(-1, 2) @ vbar).reshape(-1, 2, nd)
-        np.multiply(phi[:, ::-1], signs[c, None], out=jvals[c])
-        np.negative(jvals[c, 1], out=jvals[c, 1])
-    jvec = np.bincount(dofmap.stress_gmap.ravel(), jvals.ravel(), minlength=dofmap.n_sigma)
-    del jvals
+        if jvals is not None:
+            phi = (detB.reshape(-1, 2) @ vbar).reshape(-1, 2, nd)
+            np.multiply(phi[:, ::-1], signs[c, None], out=jvals[c])
+            np.negative(jvals[c, 1], out=jvals[c, 1])
 
     # velocity x curl(stress): the 1/det of the curl cancels the det of the
     # volume element, and row r of the tensor drives component r only.  The
@@ -513,18 +553,8 @@ def assemble_forms(mesh, dofmap, mu=1.0):
     bhat = np.einsum("pq,dq,q->pd", pk.eval(rule.points), ned.eval_curl(rule.points), w)
     bhat[np.abs(bhat) < 1e-12 * np.abs(bhat).max()] = 0.0
     bblock = bhat[None] * signs[:, None, :]
-
-    # velocity mass: det-scaled reference Gram, block diagonal, so its CSR
-    # rows are its blocks' rows, p entries each at the block's own dofs, and
-    # its data is M_T's buffer
-    mblock = np.empty((2 * nt, p, p))
-    np.multiply(det[:, None, None], pk_reference_mass(pk.order), out=mblock[0::2])
-    mblock[1::2] = mblock[0::2]
-    cols = np.broadcast_to(np.arange(dofmap.n_u, dtype=np.int32).reshape(2 * nt, 1, p),
-                           mblock.shape)
-    M = sp.csr_matrix((mblock.reshape(-1), cols.ravel(),
-                       np.arange(0, mblock.size + 1, p, dtype=np.int32)), shape=(dofmap.n_u,) * 2)
-    return Forms(M, jvec, dofmap, ablock, bblock, mblock)
+    ablock.flags.writeable = bblock.flags.writeable = False
+    return ablock, bblock
 
 
 def _stiffness_reference(R, mu):

@@ -340,9 +340,11 @@ def factorize(A):
     The matrix factorized is the Schur complement S of :func:`condense`
     (dirichlet (2,1) at N = 30: 16,561 of 38,161 unknowns, 1.58M entries in
     the factors against 11.4M for the whole matrix), and Q^-1 and the
-    triangles' dense C_T are kept for the solves.  For a ``definite`` S
-    SuperLU pivots on the diagonal in symmetric mode, ordering S + S^T by
-    multiple minimum degree,
+    triangles' dense C_T are kept for the solves.  A pencil's
+    ``element_blocks()`` releases A's and B's blocks, so while SuperLU runs
+    only the permuted S, Q^-1, C_T and the forms' M and j are alive beside
+    it.  For a ``definite`` S SuperLU pivots on the diagonal in symmetric
+    mode, ordering S + S^T by multiple minimum degree,
     but for the pin, whose zero diagonal it passes over: the factors'
     ``perm_r`` and ``perm_c`` differ in 2-3 positions on an all-Dirichlet
     pencil, so a count of negative pivots must allow for the pin's pair.

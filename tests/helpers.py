@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
+from stokeseig import assembly
 from stokeseig.assembly import _scatter, assemble_forms, build_pencil, upper_positions
 from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.mesh import (BI_UNIT_SQUARE, UNIT_SQUARE, Mesh, build_lshape_mesh,
@@ -34,6 +35,22 @@ def solve_problem(mesh, ell, k, nev=5, bc=ALL_DIRICHLET, mu=1.0, seed=20240901, 
     pencil = build_pencil(forms)
     solution = solve_eig(pencil, EigConfig(nev=nev, seed=seed, shift=shift))
     return solution, pencil, dofmap
+
+
+def perturb_a_blocks(monkeypatch, edit):
+    """Make every assembly of A's element blocks, in ``assemble_forms`` and
+    after each release, hand ``edit`` a writable copy of them to change in
+    place; the forms keep the edited copy.  The blocks are read-only, so a
+    test perturbs A here rather than in the forms."""
+    real = assembly._ab_blocks
+
+    def ab_blocks(*args, **kwargs):
+        a, b = real(*args, **kwargs)
+        a = a.copy()
+        edit(a)
+        return a, b
+
+    monkeypatch.setattr(assembly, "_ab_blocks", ab_blocks)
 
 
 def _square_forms(ell, k, bc, N, mu=1.0):

@@ -11,7 +11,7 @@ from helpers import (block_pencil, permute_edges, refined_lshape, single_triangl
 from stokeseig import sparselin
 from stokeseig.assembly import (THETA0, J, PencilLayout, PencilMatrix, assemble_forms,
                                 build_pencil, export_matrix, skew_free_part)
-from stokeseig.eigsolve import EigConfig, solve_eig
+from stokeseig.eigsolve import EigConfig, eigen_residuals, solve_eig
 from stokeseig.errors import AssemblyError, KindMismatchError
 from stokeseig.fields import DiscreteField, pressure_from_stress, vorticity_from_stress
 from stokeseig.mesh import build_square_mesh
@@ -308,6 +308,34 @@ def test_forms_match_per_element_quadrature(ell, k):
     for got, want in ((forms.A.toarray(), A), (forms.B.toarray(), B),
                       (forms.M.toarray(), M), (forms.j, j)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_released_blocks_come_back_bit_for_bit(ell, k, bc):
+    # factorize releases A's and B's element blocks and Rayleigh-Ritz makes
+    # them anew: they, the view's reads and CSR and the residuals equal those
+    # of forms that were never released, bit for bit
+    if bc == MIXED_BOTTOM_FIXED:
+        mesh = mm.tag_bottom_fixed(build_square_mesh(3, mm.UNIT_SQUARE))
+    else:
+        mesh = build_square_mesh(3, mm.BI_UNIT_SQUARE)
+    pencil, kept = (build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k), bc),
+                                                mu=1.7)) for _ in range(2))
+    first = pencil.forms.A_T
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
+    solution = solve_eig(pencil, EigConfig(nev=2))
+    forms, fresh = pencil.forms, kept.forms
+    assert forms.blocks is not None and forms.blocks[0] is not first
+    assert forms.A_T.tobytes() == fresh.A_T.tobytes()
+    assert forms.B_T.tobytes() == fresh.B_T.tobytes()
+    for K in (pencil.K, build_pencil(forms).K):
+        assert (K.nnz, K.norm_inf(), K.amax) == (kept.K.nnz, kept.K.norm_inf(), kept.K.amax)
+        got, want = K.sp, kept.K.sp
+        for a in ("data", "indices", "indptr"):
+            assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
+    assert eigen_residuals(pencil, solution) == eigen_residuals(kept, solution)
 
 
 def test_mu_scaling_scales_eigenvalues():

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import stokeseig.mesh as mm
-from helpers import block_pencil, dense_gauss_solve, square_pencil
-from stokeseig import sparselin
+from helpers import block_pencil, dense_gauss_solve, perturb_a_blocks, square_pencil
+from stokeseig import eigsolve, sparselin
 from stokeseig.assembly import THETA0, assemble_forms, build_pencil, upper_positions
 from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.errors import SingularMatrixError
@@ -293,16 +293,22 @@ def test_pinned_dof_is_an_edge_dof_outside_every_group(build, ell, k):
 
 @pytest.mark.parametrize("factor,theta", [(0.0, THETA0), (1e-14, 5.0)],
                          ids=["singular", "ill_conditioned"])
-def test_singular_interior_block_reported(factor, theta):
+def test_singular_interior_block_reported(monkeypatch, factor, theta):
     # (2,1): six interior stress dofs against four velocity modes, so one
     # triangle's block is singular without its A_II part.  At theta0 < 0 the
     # blocks are judged after scaling to a unit diagonal, which leaves the
     # 1e-14 block well conditioned; the indefinite blocks of a positive shift
     # are judged as they are
-    pencil = square_pencil(2, 1, N=2)
-    nd, ni = pencil.dofmap.ned.dim, pencil.dofmap.interior_dofs_per_tri
+    dofmap = square_pencil(2, 1, N=2).dofmap
+    nd, ni = dofmap.ned.dim, dofmap.interior_dofs_per_tri
     inner = np.r_[nd - ni:nd, 2 * nd - ni:2 * nd]
-    pencil.forms.A_T[0, np.unique(upper_positions(2 * nd)[np.ix_(inner, inner)])] *= factor
+    at = np.unique(upper_positions(2 * nd)[np.ix_(inner, inner)])
+
+    def edit(a):
+        a[0, at] *= factor
+
+    perturb_a_blocks(monkeypatch, edit)
+    pencil = square_pencil(2, 1, N=2)
     with pytest.raises(SingularMatrixError) as info:
         factorize(pencil.K.at(theta))
     assert info.value.kind == "numerical"
@@ -385,9 +391,9 @@ def test_only_the_solve_blocks_alive_during_splu(monkeypatch):
 
 
 def test_a_whole_solve_keeps_no_assembled_a_at_splu(monkeypatch):
-    # from assembly on, at SuperLU's memory peak the process holds A only as
-    # its element blocks: with the CSR A the forms kept beside them, the live
-    # bytes exceed this bound by 876,352 (65% of it)
+    # from assembly on, at SuperLU's memory peak the process holds no copy of
+    # A: with A's and B's element blocks alive beside the factors' inputs,
+    # the live bytes exceed this bound by 306,404 (32% of it)
     mesh = mm.build_square_mesh(8, mm.BI_UNIT_SQUARE)
     dofmap = DofMap(mesh, SpaceDescriptor(2, 1))
     seen = {}
@@ -406,12 +412,70 @@ def test_a_whole_solve_keeps_no_assembled_a_at_splu(monkeypatch):
         fact = factorize(K)
     finally:
         tracemalloc.stop()
-    kept = [forms.A_T, forms.B_T, forms.M_T, forms.j, fact._E, fact._order, fact._Qinv, fact._C,
-            fact._cols]
-    kept += [getattr(m, a) for m in (forms.B, forms.M) for a in ("data", "indices", "indptr")]
+    # M's data is M_T's buffer; A's and B's blocks are released before S is
+    # condensed, and reading them here would make them anew
+    kept = [forms.M_T, forms.j, forms.M.indices, forms.M.indptr, fact._E, fact._order,
+            fact._Qinv, fact._C, fact._cols]
     # the layout and the RCM order: at most 4 x 8 bytes per row
     allowed = sum(a.nbytes for a in kept) + seen["csc"] + 4 * 8 * K.shape[0]
     assert seen["alive"] <= allowed
+
+
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+def test_no_a_or_b_block_alive_while_superlu_and_lanczos_run(monkeypatch, bc):
+    # element_blocks() releases A's and B's blocks once it has gathered the
+    # triangles' Q, C and D, and Rayleigh-Ritz makes them anew: when SuperLU
+    # is called and when the Lanczos run ends, the live numpy bytes are those
+    # of the forms' M and j, the layout, what the solves keep and, at SuperLU,
+    # the matrix it factorizes or, after Lanczos, its output.  The bound is
+    # that sum and 4 bytes a row, less than either block takes.
+    if bc == MIXED_BOTTOM_FIXED:
+        mesh = mm.tag_bottom_fixed(mm.build_square_mesh(8, mm.UNIT_SQUARE))
+    else:
+        mesh = mm.build_square_mesh(8, mm.BI_UNIT_SQUARE)
+    dofmap = DofMap(mesh, SpaceDescriptor(2, 1), bc)
+    assemble_forms(mesh, dofmap)        # the mesh's cached maps, the reference bases
+    seen, ops = {}, []
+    real_splu, real_eigsh = spla.splu, spla.eigsh
+    real_init = eigsolve._VelocityOperator.__init__
+
+    def splu(csc, **kw):
+        seen["splu"] = _numpy_bytes()
+        seen["csc"] = csc.data.nbytes + csc.indices.nbytes + csc.indptr.nbytes
+        return real_splu(csc, **kw)
+
+    def eigsh(*args, **kw):
+        seen["ritz"] = real_eigsh(*args, **kw)
+        seen["eigsh"] = _numpy_bytes()
+        return seen["ritz"]
+
+    def init(op, *args):
+        real_init(op, *args)
+        ops.append((op, op.fact, op.inverse))
+
+    monkeypatch.setattr(sparselin.spla, "splu", splu)
+    monkeypatch.setattr(eigsolve.spla, "eigsh", eigsh)
+    monkeypatch.setattr(eigsolve._VelocityOperator, "__init__", init)
+    tracemalloc.start()
+    try:
+        forms = assemble_forms(mesh, dofmap)
+        pencil = build_pencil(forms)
+        solve_eig(pencil, EigConfig(nev=5))
+    finally:
+        tracemalloc.stop()
+    (op, fact, inverse), = ops
+    lay, slack = pencil.layout, 4 * pencil.K.shape[0]
+    kept = [forms.M_T, forms.j, forms.M.indices, forms.M.indptr, lay.index, lay.keep,
+            fact._E, fact._order, fact._perm, fact._Qinv, fact._C, fact._cols]
+    kept += [] if lay.kernel is None else [lay.kernel[0]]
+    at_splu = sum(a.nbytes for a in kept) + seen["csc"] + slack
+    kept += [op.L, op._product, inverse._D, inverse._PT.data, inverse._PT.indices,
+             inverse._PT.indptr, inverse._rhs, *seen["ritz"]]
+    at_end = sum(a.nbytes for a in kept) + 8 * lay.n_u + slack       # and the start vector
+    block = min(forms.A_T.nbytes, forms.B_T.nbytes)
+    for alive, allowed in ((seen["splu"], at_splu), (seen["eigsh"], at_end)):
+        assert alive <= allowed
+        assert alive + block > allowed
 
 
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
@@ -488,7 +552,7 @@ def test_element_schur_complement_is_the_dense_condensation(ell, k, bc, theta):
 
 
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
-def test_fill_does_not_follow_the_last_bit(bc):
+def test_fill_does_not_follow_the_last_bit(monkeypatch, bc):
     # diagonal pivots: the fill depends only on the pattern and the ordering
     # (partial pivoting breaks near-ties by the last bit of the matrix), and
     # S keeps the entries that cancel to 0.0.  SuperLU's nnz counts the
@@ -497,13 +561,14 @@ def test_fill_does_not_follow_the_last_bit(bc):
         mesh = mm.tag_bottom_fixed(mm.build_square_mesh(8, mm.UNIT_SQUARE))
     else:
         mesh = mm.build_square_mesh(8, mm.BI_UNIT_SQUARE)
-    forms = assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(2, 1), bc))
+    dofmap = DofMap(mesh, SpaceDescriptor(2, 1), bc)
     fills, condensed = [], []
-    for _ in range(2):
-        K = build_pencil(forms).K
+    for nudged in (False, True):
+        if nudged:      # A stays symmetric
+            perturb_a_blocks(monkeypatch, lambda a: np.nextafter(a, np.inf, out=a))
+        K = build_pencil(assemble_forms(mesh, dofmap)).K
         fills.append(factorize(K)._lu.nnz)
         condensed.append(sparselin.condense(K.element_blocks())[-1])
-        forms.A_T[:] = np.nextafter(forms.A_T, np.inf)    # A stays symmetric
     assert not np.array_equal(condensed[0].data, condensed[1].data)
     assert np.array_equal(condensed[0].indices, condensed[1].indices)
     assert fills[0] == fills[1]

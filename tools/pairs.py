@@ -10,6 +10,10 @@ each side's median and quartiles, the number of pairs in which the change is
 lower, and whether a gain holds: the change lower in at least 9 of the 10
 pairs, and the medians further apart than the parent's interquartile range.
 A sample that fails the correctness gate is printed and counts as a loss.
+Then, for these metrics and ``lambda_err``, it prints whether the change's
+median stays within the bound that ``BENCHMARK.json`` fixes relative to the
+parent's median, and "no metric worse" when every one does and no sample of
+the change failed the gate (``pass_ratio``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from run import WORKER_ENV  # noqa: E402
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 PAIRS, WINS = 10, 9
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 def sample(checkout, workload, seed):
@@ -50,6 +55,23 @@ def quartiles(values):
     return q1, median, q3
 
 
+def bound_verdicts(values, end_to_end):
+    """(metric, parent median, change median, limit, within) for every metric
+    of ``end_to_end`` (``BENCHMARK.json``'s list) that ``values[side]``
+    samples: the change's median may be worse than the parent's by at most
+    the metric's relative bound."""
+    verdicts = []
+    for spec in end_to_end:
+        name, bound = spec["name"], spec["bound"]
+        if name not in values["parent"]:
+            continue
+        parent, change = (statistics.median(values[side][name]) for side in ("parent", "change"))
+        sign = 1.0 if spec["better"] == "lower" else -1.0
+        limit = parent * (1.0 + sign * bound)
+        verdicts.append((name, parent, change, limit, sign * change <= sign * limit))
+    return verdicts
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="root of the parent checkout")
@@ -66,19 +88,30 @@ def main():
             f"{side} {runs[side][-1]['wall_s']:.4f} s {runs[side][-1]['peak_rss_mb']:.1f} MB"
             for side in ("parent", "change")), flush=True)
     print(f"{args.workload}, seed {args.seed}, {PAIRS} pairs")
+    values = {side: {m: [r[m] for r in runs[side]] for m in METRICS + ("lambda_err",)}
+              for side in runs}
     for metric in METRICS:
-        values = {side: [r[metric] for r in runs[side]] for side in runs}
+        parent, change = values["parent"][metric], values["change"][metric]
         for side in ("parent", "change"):
-            q1, median, q3 = quartiles(values[side])
+            q1, median, q3 = quartiles(values[side][metric])
             print(f"  {metric} {side}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
-        wins = sum(c < b and not r["errors"] for b, c, r in
-                   zip(values["parent"], values["change"], runs["change"]))
-        q1, parent_median, q3 = quartiles(values["parent"])
-        gap = parent_median - statistics.median(values["change"])
+        wins = sum(c < b and not r["errors"] for b, c, r in zip(parent, change, runs["change"]))
+        q1, parent_median, q3 = quartiles(parent)
+        gap = parent_median - statistics.median(change)
         holds = wins >= WINS and gap > q3 - q1
         print(f"  {metric}: change lower in {wins} of {PAIRS} pairs; median gap {gap:.4f} "
               f"against the parent's interquartile range {q3 - q1:.4f}; "
               f"gain {'holds' if holds else 'does not hold'}")
+    with open(BENCHMARK) as fp:
+        verdicts = bound_verdicts(values, json.load(fp)["end_to_end"])
+    for name, parent, change, limit, within in verdicts:
+        print(f"  {name}: change median {change:.6g} against the parent's {parent:.6g}, "
+              f"limit {limit:.6g}: {'within its bound' if within else 'WORSE'}")
+    worse = [v[0] for v in verdicts if not v[-1]]
+    failed = sum(bool(r["errors"]) for r in runs["change"])
+    if failed:
+        worse.append(f"pass_ratio ({failed} of {PAIRS} samples of the change failed the gate)")
+    print("  no metric worse" if not worse else f"  worse: {'; '.join(worse)}")
 
 
 if __name__ == "__main__":
