@@ -18,16 +18,19 @@ with Q_T the group block of triangle T, C_T its coupling to R and H the
 Schur complement on R that SuperLU factorizes (``sparselin.RestrictedInverse``):
 one block product, P w, one solve with H and P^T y, on vectors of the
 velocity and of R only.
-The lift, the condition estimate and the refinement solve with F itself.
+The lift and the condition estimate solve with F itself.
 
 The pencil keeps K - theta0 N (theta0 = -1) as a view of the forms.  Every
 finite eigenvalue is positive, so for a shift at or below 0 the wanted pairs
 are the lowest and F is that matrix, positive definite once the velocity is
 condensed; a positive shift factorizes the indefinite K - theta N, made from
-the same element blocks, with partial pivoting.  N enters only as -M on the
-velocity: Rayleigh-Ritz and the residuals multiply with M, and L comes from
-the element mass blocks.  The Rayleigh-Ritz values and the residuals add
-theta0 back, so what is reported is that of K x = lambda N x.
+the same element blocks and condensed the same way, with the same diagonal
+pivots.  On a strongly graded mesh the condensed lift can miss the residual
+bound; then the whole F is factorized once, with partial pivoting, and the
+lift is made with it.  N enters only as -M on the velocity: Rayleigh-Ritz
+and the residuals multiply with M, and L comes from the element mass
+blocks.  The Rayleigh-Ritz values and the residuals add theta0 back, so
+what is reported is that of K x = lambda N x.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def _shifted(pencil, shift):
     are the lowest, and the pencil's K - theta0 N, positive definite once
     condensed, serves; a positive shift makes F indefinite.  theta N couples
     a triangle's velocity dofs only with each other, so F has the same
-    element groups."""
+    element groups, and ``factorize`` pivots it the same way."""
     return pencil.K if shift <= 0.0 else pencil.K.at(shift)
 
 
@@ -197,18 +200,13 @@ class _VelocityOperator:
         factors are freed after it.  The condensed solve is backward stable
         for the Schur complement, whose entries grow as h^-2 on graded
         meshes, and so are its residuals against F: when a Ritz residual
-        exceeds the bound, F is factorized again and the lift refined once
-        against F itself, which brings it down to F's own scale."""
+        exceeds the bound, the whole F is factorized once, with partial
+        pivoting, and the lift made again with it, at F's own scale (Skeel,
+        Math. Comp. 35, 1980).  The Lanczos pairs need no more."""
         sol = self._rayleigh_ritz(self._lift(nu, W))
         if np.any(sol.residuals > self.bound):
-            F = _shifted(self.pencil, self.shift)
-            self.fact = fact = factorize(F)
-            X = self._lift(nu, W)
-            R = -F.matvec(X)
-            R[self.vel] -= self._mul_L(W) / nu
-            X += fact.solve(R, out=R)
-            del fact
-            sol = self._rayleigh_ritz(X)
+            self.fact = factorize(_shifted(self.pencil, self.shift).sp)
+            sol = self._rayleigh_ritz(self._lift(nu, W))
         return sol
 
     def _lift(self, nu, W):

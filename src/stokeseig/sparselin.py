@@ -47,8 +47,8 @@ class ElementBlocks:
     ``C[t]`` (-1 marks one that F does not have).  F[R, R] sums the ``D[t]``
     at (rest[t], rest[t]) and the ``extra`` (rows, columns, values) that
     belong to no triangle.  ``amax`` is max |F_ij|; ``definite`` marks an F
-    whose Schur complement on R is positive definite but for the pin: a
-    multiplier row with a zero diagonal and a single entry, and its column.
+    at a negative shift, whose blocks :func:`_invert` judges after scaling
+    them to a unit diagonal.
     """
     n: int
     groups: np.ndarray
@@ -89,8 +89,7 @@ class Factorization:
     A solve is x_R = S^-1 (b_R - sum_T C_T^T Q_T^-1 b_T) and
     x_T = Q_T^-1 (b_T - C_T x_R[cols_T]), for a block of k columns in one
     pass: one SuperLU solve of all k right-hand sides.  With no triangles E
-    is empty and it is the solve with S = F.  The pin is pivoted off the
-    diagonal (see :func:`factorize`).
+    is empty and it is the solve with S = F.
     """
 
     def __init__(self, lu, perm, E, order, Qinv, C, cols):
@@ -343,12 +342,11 @@ def factorize(A):
     triangles' dense C_T are kept for the solves.  A pencil's
     ``element_blocks()`` releases A's and B's blocks, so while SuperLU runs
     only the permuted S, Q^-1, C_T and the forms' M and j are alive beside
-    it.  For a ``definite`` S SuperLU pivots on the diagonal in symmetric
-    mode, ordering S + S^T by multiple minimum degree,
-    but for the pin, whose zero diagonal it passes over: the factors'
-    ``perm_r`` and ``perm_c`` differ in 2-3 positions on an all-Dirichlet
-    pencil, so a count of negative pivots must allow for the pin's pair.
-    Any other S is factorized with partial pivoting and COLAMD.
+    it.  An S condensed from element groups, at any shift, gets diagonal
+    pivots in symmetric mode after a multiple minimum degree ordering of
+    S + S^T (Grimes, Lewis & Simon, SIMAX 15, 1994), so its fill does not
+    follow the rounding; SuperLU passes over the pin's zero diagonal.  A
+    plain matrix gets partial pivoting and COLAMD.
     Both orderings start from a symmetric reverse Cuthill-McKee preorder
     (Cuthill & McKee 1969), since the dof numbering carries no mesh locality
     and the orderings break ties by position (dirichlet: 1.58M against 2.19M
@@ -368,12 +366,12 @@ def factorize(A):
     """
     F = A.element_blocks() if hasattr(A, "element_blocks") else ElementBlocks.whole(A)
     E, R, Qinv, cols, S = condense(F)
-    n, amax, definite, C = F.n, F.amax, F.definite, F.C
+    n, amax, C = F.n, F.amax, F.C
     del F
     if not np.diff(S.indptr).all():
         row = int(R[np.argmin(np.diff(S.indptr))])
         raise SingularMatrixError(f"row {row} has no entry", kind="structural")
-    if definite:
+    if len(E):
         pivoting = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
     else:

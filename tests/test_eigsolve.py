@@ -208,6 +208,27 @@ def test_shift_at_computed_eigenvalue_raises(ell, k, bc):
             solve_eig(pencil, EigConfig(nev=3, shift=float(lam)))
 
 
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+def test_shift_next_to_an_eigenvalue_solves_or_is_refused(ell, k, bc):
+    # diagonal pivots on the indefinite condensed K - theta N carry no
+    # stability guarantee; the guards are the condition estimate and the
+    # residual bound.  A shift 1e-6 relative from each of the three lowest
+    # eigenvalues either gives that eigenvalue as it is at theta0 or is
+    # refused (measured: all 72 solve, at most 4.3e-7 of the bound and 7.1e-15
+    # relative)
+    pencil = square_pencil(ell, k, bc, N=6)
+    bound = 1e-8 * pencil.K.norm_inf()
+    lams = solve_eig(pencil, EigConfig(nev=3)).eigenvalues
+    for shift in np.outer(lams, [1.0 - 1e-6, 1.0 + 1e-6]).ravel():
+        try:
+            sol = solve_eig(pencil, EigConfig(nev=1, shift=float(shift)))
+        except ShiftAtEigenvalueError:
+            continue
+        assert sol.residuals.max() <= bound
+        assert (np.abs(lams - sol.eigenvalues[0]) / lams).min() <= 1e-12
+
+
 @pytest.mark.parametrize("shift", [5.0, -5.0])
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 def test_shifted_pencil_keeps_interior_groups(bc, shift):

@@ -11,7 +11,7 @@ from helpers import block_pencil, dense_gauss_solve, perturb_a_blocks, square_pe
 from stokeseig import eigsolve, sparselin
 from stokeseig.assembly import THETA0, assemble_forms, build_pencil, upper_positions
 from stokeseig.eigsolve import EigConfig, solve_eig
-from stokeseig.errors import SingularMatrixError
+from stokeseig.errors import ShiftAtEigenvalueError, SingularMatrixError
 from stokeseig.spaces import ALL_DIRICHLET, MIXED_BOTTOM_FIXED, DofMap, SpaceDescriptor
 from stokeseig.sparselin import factorize
 
@@ -168,8 +168,8 @@ def _assert_condition_is_onenormest(monkeypatch, F, amax):
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 @pytest.mark.parametrize("ell,k", SCHEMES)
 def test_condition_is_scipys_one_norm_estimate(monkeypatch, ell, k, bc, theta):
-    # theta0 factorizes the definite H in symmetric mode; 5 lies between
-    # eigenvalues and takes partial pivoting
+    # the definite H at theta0 and the indefinite H at 5, which lies between
+    # eigenvalues, both with diagonal pivots in symmetric mode
     K = square_pencil(ell, k, bc, N=4).K.at(theta)
     _assert_condition_is_onenormest(monkeypatch, K, K.amax)
 
@@ -226,14 +226,15 @@ def test_factorize_never_reads_the_factors(monkeypatch):
 
 
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
-@pytest.mark.parametrize("ell,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("ell,k", SCHEMES)
 def test_condensed_solve_matches_block_free(ell, k, bc):
-    # at theta0 (diagonal pivots) and at a positive shift (partial pivoting);
-    # under mixed conditions triangles lack some of their rest
+    # diagonal pivots on the condensed matrix at theta0 and at positive
+    # shifts, where it is indefinite, against the whole matrix with partial
+    # pivoting; under mixed conditions triangles lack some of their rest
     pencil = square_pencil(ell, k, bc)
     n = pencil.K.shape[0]
     rng = np.random.default_rng(8)
-    for K in (pencil.K, pencil.K.at(5.0)):
+    for K in (pencil.K, *(pencil.K.at(theta) for theta in (5.0, 30.0, 400.0))):
         fact, whole = factorize(K), factorize(K.sp)
         assert fact._lu.shape[0] == n - K.element_blocks().groups.size
         for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
@@ -578,7 +579,8 @@ def test_deeply_graded_mesh_solves():
     # 35 bisections at the reentrant corner, h_min = 1.9e-6.  The Schur
     # complement's own condition grows as h_min^-2 (1.5e13 here), so the
     # check reads the inverse of K - theta0 N itself; its residuals grow the
-    # same way, so the lift is refined once ((1,0) reads 3.7e-8 |K| without);
+    # same way, so a lift that misses the bound is made again with the whole
+    # K - theta0 N, partially pivoted ((1,0) reads 3.7e-8 |K| without);
     # and the element blocks are judged after scaling, since theta0 M_T
     # scales with the triangle's area ((2,2) reads 1.4e12 unscaled)
     mesh = mm.build_lshape_mesh(2)
@@ -591,6 +593,36 @@ def test_deeply_graded_mesh_solves():
         assert factorize(pencil.K).condition < 1e10
         sol = solve_eig(pencil, EigConfig(nev=2))
         assert sol.residuals.max() <= 1e-8 * pencil.K.norm_inf()
+
+
+def _corner_bisected(times):
+    """The L-shape (N = 2) with the triangles at the reentrant corner bisected
+    ``times`` times."""
+    mesh = mm.build_lshape_mesh(2)
+    for _ in range(times):
+        at_corner = np.all(mesh.vertices[mesh.tri_vertices] == 0.0, axis=2).any(axis=1)
+        mesh = mm.refine(mesh, np.flatnonzero(at_corner))
+    return mesh
+
+
+@pytest.mark.parametrize("bisections", [45, 55])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_strongly_graded_mesh_solves(ell, k, bisections):
+    # h_min = 6.0e-8 and 1.9e-9.  The condensed lift misses the residual bound
+    # on every scheme but (2,2) at 45, by up to 2e6 times at 55, so extract
+    # makes it again with the whole K - theta0 N, factorized with partial
+    # pivoting; the Lanczos pairs of the condensed operator need no more
+    mesh = _corner_bisected(bisections)
+    pencil = build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k))))
+    if (ell, k, bisections) == (1, 0, 55):
+        # the condition estimate through the condensed solve breaks down at
+        # (1,0) from 50 bisections (9e31 here, where the whole matrix's reads
+        # 3.9e2), so the shift is refused before Lanczos runs
+        with pytest.raises(ShiftAtEigenvalueError):
+            solve_eig(pencil, EigConfig(nev=2))
+        return
+    sol = solve_eig(pencil, EigConfig(nev=2))
+    assert sol.residuals.max() <= 1e-8 * pencil.K.norm_inf()
 
 
 def test_norm_inf_is_computed_once():
