@@ -157,12 +157,13 @@ class PencilMatrix:
 
     Nothing is assembled: ``matvec`` multiplies with A's and B's element
     blocks and with M, :meth:`element_blocks` hands ``factorize`` each
-    triangle's blocks, and ``sp`` builds the CSR on each call.  ``nnz``,
-    ``norm_inf()`` and the largest entry ``amax`` are those of ``sp``, bit
-    for bit, read from the element blocks when the view is built
-    (:func:`_stress_reads`, :func:`_other_reads`); the norm sums each row the
-    way ``abs(sp).sum(axis=1)`` does.  The stress rows do not depend on
-    theta, so :meth:`at` reuses their reads.
+    triangle's blocks, and ``sp`` builds the CSR on each call, as does
+    ``nnz``.  ``norm_inf()`` and the largest entry ``amax`` are those of
+    ``sp``, bit for bit, read when the view is built: the stress rows'
+    from a row-sum bound and A's diagonal (:func:`_stress_reads`), the
+    velocity and multiplier rows' from their CSR (:func:`_other_rows`); the
+    norm sums each row the way ``abs(sp).sum(axis=1)`` does.  The stress
+    rows do not depend on theta, so :meth:`at` reuses their reads.
     """
 
     def __init__(self, forms, layout, theta, stress_reads=None):
@@ -170,32 +171,23 @@ class PencilMatrix:
         self.shape = (layout.size, layout.size)
         self._stress_reads = (_stress_reads(forms, layout) if stress_reads is None
                               else stress_reads)
-        n0, norm0, amax0 = self._stress_reads
-        n1, norm1, amax1 = _other_reads(forms, layout, theta)
-        self.nnz, self._norm, self.amax = n0 + n1, max(norm0, norm1), max(amax0, amax1)
+        other = _other_rows(forms, layout, theta)
+        norm, amax = self._stress_reads
+        self._norm = max(norm, float(_row_sums(other).max(initial=0.0)))
+        self.amax = max(amax, float(np.abs(other.data).max(initial=0.0)))
+
+    nnz = property(lambda self: self.sp.nnz)
 
     def at(self, theta):
         """K - theta N of the same pencil."""
         return PencilMatrix(self.forms, self.layout, theta, self._stress_reads)
 
-    def _other_rows(self):
-        """F's velocity and multiplier rows in CSR."""
-        f, lay = self.forms, self.layout
-        keep, ns, nu, nc = lay.keep, lay.n_sigma_active, lay.n_u, lay.n_c
-        B = f.B if nc else f.B[:, keep]
-        pin = sp.csr_matrix((np.ones(nc), (np.zeros(nc, dtype=int), [lay.pin] if nc else [])),
-                            shape=(nc, ns))
-        uu = self.theta * f.M if self.theta else sp.csr_matrix((nu, nu))
-        return sp.vstack([sp.hstack([B, uu, sp.csr_matrix((nu, nc))], format="csr"),
-                          sp.hstack([pin, sp.csr_matrix((nc, nu + nc))], format="csr")],
-                         format="csr")
-
     @property
     def sp(self):
         """F in canonical CSR, built on each call."""
         rows = np.arange(self.layout.n_sigma_active)
-        return sp.vstack([_stress_rows(self.forms, self.layout, rows), self._other_rows()],
-                         format="csr")
+        return sp.vstack([_stress_rows(self.forms, self.layout, rows),
+                          _other_rows(self.forms, self.layout, self.theta)], format="csr")
 
     def norm_inf(self):
         return self._norm
@@ -334,127 +326,67 @@ def _stress_rows(forms, layout, rows):
     return csr
 
 
+def _row_sums(csr):
+    """The absolute sums of the non-empty rows of a CSR, summed as
+    ``abs(csr).sum(axis=1)`` sums them."""
+    starts = csr.indptr[:-1]
+    return np.add.reduceat(np.abs(csr.data), starts[np.diff(csr.indptr) > 0])
+
+
 def _stress_reads(forms, layout):
-    """nnz, the largest absolute row sum and the largest |entry| of F's
-    stress rows [A | B^T | p^T], without building them.
+    """The largest absolute row sum of F's stress rows [A | B^T | p^T] and
+    the largest |entry| of A and p, without building every row.
 
-    An entry of A sums two triangles' blocks only where both dofs lie on one
-    edge, so those blocks are summed edge by edge and every other entry is
-    read from its one triangle, a chunk of triangles at a time.  That gives
-    nnz and the largest entry exactly, and every row's absolute sum up to
-    rounding; the rows whose sum comes within 1e-10 of the largest are then
-    built in CSR and summed as ``abs(csr).sum(axis=1)`` sums them, so the
-    norm is exact."""
-    dofmap, lay = forms.dofmap, layout
-    nt, p, nd = forms.B_T.shape
-    n2, pe = 2 * nd, dofmap.ned.num_edge_dofs // 3
-    sd = lay.index[dofmap.stress_gmap].reshape(nt, n2)
-    every = lay.n_sigma_active == lay.n_sigma_full
-    # local edge of every local stress dof (-1: interior); packed pairs on one edge
-    d = np.arange(n2) % nd
-    edge = np.where(d < 3 * pe, d // pe, -1)
-    iu, ju = np.triu_indices(n2)
-    same = (edge[iu] == edge[ju]) & (edge[iu] >= 0)
-    nnz, amax = 0, 0.0
-
-    def reader(i, j, n, keep):
-        # |entries| of the packed pairs (i, j) of n local rows, those of
-        # active ``rows`` and ``keep`` only, into nnz and amax; their sums by
-        # row into ``out``
-        incidence = np.zeros((len(i), n))
-        incidence[np.arange(len(i)), i] = incidence[np.arange(len(i)), j] = keep
-        count = np.where(i == j, 1, 2) * keep
-
-        def read(vals, rows, out):
-            nonlocal nnz, amax
-            vals = np.abs(vals)
-            vals *= keep
-            if not every:
-                vals *= (rows >= 0)[:, i] & (rows >= 0)[:, j]
-            nnz += int(np.count_nonzero(vals, axis=0) @ count)
-            amax = max(amax, float(vals.max(initial=0.0)))
-            np.matmul(vals, incidence, out=out)
-        return read
-
-    # entries of one triangle, and B^T: the velocity of a triangle's
-    # component r meets its tensor row r only
-    read = reader(iu, ju, n2, ~same)
-    rowsum = np.empty((nt, n2))
-    step = max(1, 2 * _CHUNK // len(iu))
-    for t in range(0, nt, step):
-        c = slice(t, t + step)
-        read(forms.A_T[c], sd[c], rowsum[c])
-        b = np.abs(forms.B_T[c])
-        rowsum[c] += np.tile(b.sum(axis=1), 2)
-        on = np.tile(np.count_nonzero(b, axis=1), 2)
-        nnz += int(on[sd[c] >= 0].sum())
-        if not every:
-            b *= ((sd[c, :nd] >= 0) | (sd[c, nd:] >= 0))[:, None]
-        amax = max(amax, float(b.max(initial=0.0)))
-    # entries of one edge, summed over its sides; the packed pairs of local
-    # edge e come in the same order for every e
-    pos = np.stack([np.flatnonzero(same & (edge[iu] == e)) for e in range(3)])
-    dofs = (pe * np.arange(3)[:, None, None] + nd * np.arange(2)[:, None]
-            + np.arange(pe)).reshape(3, 2 * pe)
-    read = reader(*(np.searchsorted(dofs[0], x[pos[0]]) for x in (iu, ju)), 2 * pe, True)
-    sides = dofmap.mesh.edge_sides
-    (t1, e1), (t2, e2) = sides[:, 0].T, sides[:, 1].T
-    edge_rows = sd[t1[:, None], dofs[e1]]
-    edge_sum = np.empty(edge_rows.shape)
-    step = max(1, _CHUNK // pos.shape[1])
-    for k in range(0, len(t1), step):
-        c = slice(k, k + step)
-        v = forms.A_T[t1[c, None], pos[e1[c]]]
-        two = t2[c] >= 0
-        v[two] += forms.A_T[t2[c][two, None], pos[e2[c][two]]]
-        read(v, edge_rows[c], edge_sum[c])
-    if every:
-        total = (np.bincount(sd.ravel(), rowsum.ravel(), minlength=lay.n_sigma_active)
-                 + np.bincount(edge_rows.ravel(), edge_sum.ravel(), minlength=lay.n_sigma_active))
-    else:
-        total = (np.bincount(sd[sd >= 0], rowsum[sd >= 0], minlength=lay.n_sigma_active)
-                 + np.bincount(edge_rows[edge_rows >= 0], edge_sum[edge_rows >= 0],
-                               minlength=lay.n_sigma_active))
-    if lay.n_c:
-        nnz, amax = nnz + 1, max(amax, 1.0)
-        total[lay.index[lay.pin]] += 1.0
-    if not total.size:
-        return nnz, 0.0, amax
-    # the rows that may hold the largest sum, summed in CSR order
-    csr = _stress_rows(forms, lay, np.flatnonzero(total >= total.max() * (1.0 - 1e-10)))
-    sums = np.add.reduceat(np.abs(csr.data), csr.indptr[:-1])
-    return nnz, float(sums.max()), amax
-
-
-def _other_reads(forms, layout, theta):
-    """nnz, the largest absolute row sum and the largest |entry| of F's
-    velocity and multiplier rows [B | theta M | 0] and [p | 0 | 0], without
-    building them.  A velocity row holds its triangle's B block, in the
-    order of its stress columns, then its theta M block, so each row is laid
-    out in CSR order from the blocks, a chunk of triangles at a time, and
-    summed as ``abs(csr).sum(axis=1)`` sums it."""
+    A row's absolute sum is at most the sum of its triangles' absolute
+    entries, so only the rows whose bound reaches the exact sum of the row
+    with the largest bound, less 1e-10 of it, are built in CSR and summed
+    as ``abs(csr).sum(axis=1)`` sums them: the norm is exact.  A is a Gram
+    matrix, so |a_ij| <= sqrt(a_ii a_jj) and its largest |entry| is its
+    largest diagonal entry, a sum of at most two triangles' entries, whose
+    order does not move its bits."""
     lay = layout
     nt, p, nd = forms.B_T.shape
-    sd = lay.index[forms.dofmap.stress_gmap]                # (nt, 2, nd)
-    order = np.argsort(sd, axis=2)
-    nnz, norm, amax = lay.n_c, float(lay.n_c), float(lay.n_c)
-    step = max(1, _CHUNK // (2 * p * (nd + p)))
+    sd = lay.index[forms.dofmap.stress_gmap].reshape(nt, 2 * nd)
+    on = sd >= 0
+    # packed entry (i, j) of a triangle's block lies in its rows i and j;
+    # |A_T| a chunk of triangles at a time
+    iu, ju = np.triu_indices(2 * nd)
+    incidence = np.zeros((len(iu), 2 * nd))
+    incidence[np.arange(len(iu)), iu] = incidence[np.arange(len(iu)), ju] = 1.0
+    bound = np.tile(np.abs(forms.B_T).sum(axis=1), 2)
+    step = max(1, 2 * _CHUNK // len(iu))
     for t in range(0, nt, step):
-        c = slice(t, t + step)
-        cols = np.take_along_axis(sd[c], order[c], axis=2)[:, :, None]
-        b = np.take_along_axis(forms.B_T[c, None], order[c, :, None], axis=3)
-        M = theta * forms.M_T[2 * t:2 * (t + step)].reshape(-1, 2, p, p)
-        vals = np.abs(np.concatenate([b, M], axis=3))
-        keep = vals != 0.0
-        keep[..., :nd] &= cols >= 0
-        data = vals[keep]
-        counts = np.count_nonzero(keep, axis=3).ravel()
-        starts = np.cumsum(counts) - counts
-        if data.size:
-            norm = max(norm, float(np.add.reduceat(data, starts[counts > 0]).max()))
-            amax = max(amax, float(data.max()))
-        nnz += data.size
-    return nnz, norm, amax
+        bound[t:t + step] += np.abs(forms.A_T[t:t + step]) @ incidence
+    bound = np.bincount(sd[on], bound[on], minlength=lay.n_sigma_active)
+    diag = np.bincount(sd[on], forms.A_T[:, iu == ju][on], minlength=lay.n_sigma_active)
+    amax = max(float(diag.max(initial=0.0)), float(lay.n_c))
+    if lay.n_c:
+        bound[lay.index[lay.pin]] += 1.0
+    top = _row_sums(_stress_rows(forms, lay, [np.argmax(bound)]))[0]
+    csr = _stress_rows(forms, lay, np.flatnonzero(bound >= top * (1.0 - 1e-10)))
+    return float(_row_sums(csr).max()), amax
+
+
+def _other_rows(forms, layout, theta):
+    """F's velocity and multiplier rows [B | theta M | 0] and [p | 0 | 0] in
+    canonical CSR without exact zeros, laid out straight from the blocks: a
+    velocity row holds its triangle's B block at the active stress dofs of
+    its component, then its theta M block."""
+    lay = layout
+    nt, p, nd = forms.B_T.shape
+    vel = lay.n_sigma_active + np.arange(lay.n_u).reshape(nt, 2, 1, p)
+    cols = np.concatenate([lay.index[forms.dofmap.stress_gmap][:, :, None], vel], axis=3)
+    vals = np.empty((nt, 2, p, nd + p))
+    vals[..., :nd] = forms.B_T[:, None]
+    np.multiply(theta, forms.M_T.reshape(nt, 2, p, p), out=vals[..., nd:])
+    keep = (vals != 0.0) & (cols >= 0)
+    counts = np.append(np.count_nonzero(keep, axis=3).ravel(), [1] * lay.n_c)
+    csr = sp.csr_matrix((np.append(vals[keep], [1.0] * lay.n_c),
+                         np.append(np.broadcast_to(cols, vals.shape)[keep], [lay.pin] * lay.n_c),
+                         np.concatenate([[0], np.cumsum(counts)])),
+                        shape=(lay.n_u + lay.n_c, lay.size))
+    csr.sort_indices()
+    return csr
 
 
 def _element_product(forms, sigma, u):

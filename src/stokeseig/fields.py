@@ -75,10 +75,14 @@ class DiscreteField:
             return self._d["order"]
         if self.kind == NODAL_P1:
             return 1
+        if self.kind in (PRESSURE, VORTICITY):
+            return self._d["stress"].order
         return self._d["dofmap"].descriptor.stress_order
 
     @property
     def nodal_values(self):
+        if self.kind != NODAL_P1:
+            raise KindMismatchError(f"nodal values exist for nodal P1 fields, not {self.kind}")
         return self._d["values"]
 
     # -- evaluation ------------------------------------------------------------

@@ -385,8 +385,9 @@ def test_matrix_export_matches_line_by_line_text(tmp_path):
 
 
 def test_build_pencil_allocates_less_than_the_forms():
-    # the pencil's reads (nnz, |K|_inf, max|K|) come from the element blocks a
-    # chunk at a time: at its peak build_pencil holds less than the forms
+    # the stress rows' reads (|K|_inf, max|K|) come from the element blocks,
+    # |A_T| a chunk at a time, and only the velocity rows are built whole in
+    # CSR: at its peak build_pencil holds less than the forms
     # themselves plus its layout (keep, index and the kernel z, under 32
     # bytes per pencil row).  A build of K's stress rows in CSR for the reads
     # peaks at 2.6 MB here, six times the forms' 0.41 MB

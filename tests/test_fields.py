@@ -77,6 +77,13 @@ def test_kind_checks():
     other = _stress_of(mesh, lambda q: np.eye(2))
     with pytest.raises(KindMismatchError):
         vorticity_from_stress(sigma, pressure_from_stress(other), mu=1.0)
+    # derived fields report their stress field's order; only a nodal P1
+    # field has nodal values
+    pressure = pressure_from_stress(sigma)
+    assert pressure.order == vorticity_from_stress(sigma, pressure, 1.0).order == sigma.order
+    for field in (vel, sigma, pressure):
+        with pytest.raises(KindMismatchError):
+            field.nodal_values
 
 
 

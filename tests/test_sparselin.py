@@ -499,13 +499,23 @@ def test_restrict_allocates_what_it_keeps_and_chunks(bc):
     assert kept >= inverse._D.nbytes + inverse._PT.data.nbytes
 
 
-@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
-@pytest.mark.parametrize("ell,k", [(1, 0), (1, 2), (2, 1)])
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED, "corner_bisected_45"])
+@pytest.mark.parametrize("ell,k", SCHEMES)
 def test_reads_of_the_view_equal_those_of_the_full_matrix(ell, k, bc):
-    # at theta0, at 0 (the dump's K) and at a positive shift
-    pencil = square_pencil(ell, k, bc, N=4)
+    # at theta0, at 0 (the dump's K) and at positive shifts, on the squares
+    # and on the L-shape with its corner bisected 45 times
+    if bc == "corner_bisected_45":
+        mesh = _corner_bisected(45)
+        pencil = build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k))))
+    else:
+        pencil = square_pencil(ell, k, bc, N=4)
+    # amax reads A's largest diagonal entry: A is a Gram matrix, so its
+    # active part has its largest |entry| on its diagonal
+    keep = pencil.layout.keep
+    A = pencil.forms.A[keep][:, keep]
+    assert abs(A).max() == A.diagonal().max()
     rng = np.random.default_rng(3)
-    for theta in (THETA0, 0.0, 5.0):
+    for theta in (THETA0, 0.0, 5.0, 400.0):
         K = pencil.K.at(theta)
         full = K.sp
         assert sp.isspmatrix_csr(full) and full.has_canonical_format and full.shape == K.shape
@@ -626,15 +636,16 @@ def test_strongly_graded_mesh_solves(ell, k, bisections):
 
 
 def test_norm_inf_is_computed_once():
-    # factorize reads the largest entry from the same pass over K's rows,
-    # before SuperLU runs, so the residual bound read after it copies nothing
+    # the norm is read when K is built, before SuperLU runs, so the residual
+    # bound read after it copies nothing; nnz is counted on demand, off the
+    # solve path (test_view_nnz_is_that_of_its_csr)
     K = square_pencil(2, 1).K
     factorize(K)
     tracemalloc.start()
     try:
-        value, nnz = K.norm_inf(), K.nnz
+        value = K.norm_inf()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1024
-    assert value == K.norm_inf() and nnz == K.sp.nnz
+    assert value == K.norm_inf()
