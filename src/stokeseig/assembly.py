@@ -14,13 +14,13 @@ Blocks, in the order (stress, velocity, kernel-pinning multiplier):
 The eigenvalue problem is K x = lambda N x with N = diag(0, -M, 0): its
 finite eigenvalues are the discrete Stokes eigenvalues, all positive.  The
 pencil keeps K at the origin of shift-invert, K - THETA0 N with THETA0 = -1,
-whose velocity block is THETA0 M, as a view of the forms that assembles
-nothing: eliminating each triangle's velocity (and interior stress) dofs
-from its element blocks leaves the edge-stress part of
-A - THETA0^-1 B^T M^-1 B, which is positive definite once the kernel is
-pinned.  A and B are kept once, as their element blocks, made again after
-a release; their CSR, and K's, are built only when asked for.  A and K are
-symmetric bit for bit: each triangle's A block is kept as its upper triangle.
+as a view of the forms that assembles nothing: each triangle adds one dense
+block F_T = [[A_T, B_T^T], [B_T, THETA0 M_T]] at its unknowns, and every view
+reads F from these blocks.  Eliminating a triangle's velocity (and interior
+stress) dofs from F_T leaves the edge-stress part of A - B^T M^-1 B / THETA0,
+positive definite once the kernel is pinned.  A and B are kept once, as their
+element blocks, made again after a release.  A and K are symmetric bit for
+bit: each triangle's A block is kept as its upper triangle.
 
 On an affine triangle every element block is a geometry tensor times a
 reference tensor (the tensor representation of Kirby and Logg, ACM TOMS 32,
@@ -33,6 +33,7 @@ chunk at a time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,104 +156,86 @@ class PencilMatrix:
     """F = K - theta N = [[A, B^T, p^T], [B, theta M, 0], [p, 0, 0]] on the
     pencil's numbering (p the pin row), kept as the forms it is made of.
 
-    Nothing is assembled: ``matvec`` multiplies with A's and B's element
-    blocks and with M, :meth:`element_blocks` hands ``factorize`` each
-    triangle's blocks, and ``sp`` builds the CSR on each call, as does
-    ``nnz``.  ``norm_inf()`` and the largest entry ``amax`` are those of
-    ``sp``, bit for bit, read when the view is built: the stress rows'
-    from a row-sum bound and A's diagonal (:func:`_stress_reads`), the
-    velocity and multiplier rows' from their CSR (:func:`_other_rows`); the
-    norm sums each row the way ``abs(sp).sum(axis=1)`` does.  The stress
-    rows do not depend on theta, so :meth:`at` reuses their reads.
+    Nothing is assembled.  Each triangle adds one dense block F_T = [[A_T,
+    B_T^T], [B_T, theta M_T]] at its unknowns (:func:`_unknowns`), laid out
+    once (:func:`_element_layout`), and every view reads F from these blocks,
+    a chunk of triangles at a time (:func:`_element_matrices`): ``matvec``
+    multiplies with them, :meth:`element_blocks` hands ``factorize`` their
+    slices, and ``sp`` (and ``nnz``) sums their rows into CSR on each call
+    (:func:`_rows`).  ``norm_inf()`` and the largest entry ``amax`` are those
+    of ``sp``, bit for bit, read when the view is built: the norm sums, as
+    ``abs(sp).sum(axis=1)`` does, only the rows whose bound (:func:`_row_bounds`)
+    reaches the exact sum of the row with the largest bound, less 1e-10 of it.
     """
 
-    def __init__(self, forms, layout, theta, stress_reads=None):
+    def __init__(self, forms, layout, theta):
         self.forms, self.layout, self.theta = forms, layout, theta
         self.shape = (layout.size, layout.size)
-        self._stress_reads = (_stress_reads(forms, layout) if stress_reads is None
-                              else stress_reads)
-        other = _other_rows(forms, layout, theta)
-        norm, amax = self._stress_reads
-        self._norm = max(norm, float(_row_sums(other).max(initial=0.0)))
-        self.amax = max(amax, float(np.abs(other.data).max(initial=0.0)))
+        bound, self.amax = _row_bounds(forms, layout, theta)
+        top = abs(_rows(forms, layout, theta, [np.argmax(bound)])).sum()
+        rows = np.flatnonzero(bound >= top * (1.0 - 1e-10))
+        self._norm = float(abs(_rows(forms, layout, theta, rows)).sum(axis=1).max())
 
     nnz = property(lambda self: self.sp.nnz)
 
     def at(self, theta):
         """K - theta N of the same pencil."""
-        return PencilMatrix(self.forms, self.layout, theta, self._stress_reads)
+        return PencilMatrix(self.forms, self.layout, theta)
 
     @property
     def sp(self):
         """F in canonical CSR, built on each call."""
-        rows = np.arange(self.layout.n_sigma_active)
-        return sp.vstack([_stress_rows(self.forms, self.layout, rows),
-                          _other_rows(self.forms, self.layout, self.theta)], format="csr")
+        return _rows(self.forms, self.layout, self.theta, np.arange(self.layout.size))
 
     def norm_inf(self):
         return self._norm
 
     def matvec(self, x):
-        """F x for a vector or a block of columns x: A sigma + B^T u + p^T c,
-        B sigma + theta M u and p sigma, A and B triangle by triangle
-        (:func:`_element_product`)."""
+        """F x for a vector or a block of columns x: each triangle's F_T times
+        x at its unknowns, summed back through their incidence, and the pin."""
         f, lay = self.forms, self.layout
-        ns, vel = lay.n_sigma_active, lay.velocity
-        if ns == lay.n_sigma_full:
-            sigma = x[:ns]
-        else:
-            sigma = np.zeros((lay.n_sigma_full,) + x.shape[1:])
-            sigma[lay.keep] = x[:ns]
-        y = np.empty(x.shape)
-        stress, y[vel] = _element_product(f, sigma, x[vel])
-        np.take(stress, lay.keep, axis=0, out=y[:ns], mode="clip")     # "clip": unbuffered
-        del stress
-        if self.theta:
-            Mu = f.M @ x[vel]
-            Mu *= self.theta
-            y[vel] += Mu
+        pos = _element_layout(f.dofmap.ned.dim, f.dofmap.pk.dim)
+        U, cols = _unknowns(f.dofmap, lay), x.reshape(lay.size, -1)
+        local = np.empty(U.shape + cols.shape[1:])
+        F = gathered = None
+        for c, packed in _element_matrices(f, self.theta):
+            m = len(packed)
+            if F is None:       # buffers made once, at the first chunk, the largest
+                F, gathered = np.empty((m,) + pos.shape), np.empty((m,) + local.shape[1:])
+            np.take(packed, pos, axis=1, out=F[:m], mode="clip")     # "clip": unbuffered
+            np.take(cols, U[c], axis=0, out=gathered[:m], mode="wrap")
+            gathered[:m][U[c] < 0] = 0.0        # a constrained stress dof (-1) reads 0
+            np.matmul(F[:m], gathered[:m], out=local[c])
+        m = U.size          # a constrained dof adds to row lay.size, dropped
+        incidence = sp.csc_matrix((np.ones(m), U.ravel() % (lay.size + 1), np.arange(m + 1)),
+                                  (lay.size + 1, m))
+        y = (incidence @ local.reshape(m, -1))[:-1]
         if lay.n_c:
             y[lay.pin] += x[-1]
             y[-1] = x[lay.pin]
-        return y
+        return y.reshape(x.shape)
 
     def element_blocks(self):
-        """F by triangles (:class:`ElementBlocks`): each triangle's group is
-        its interior stress dofs (both tensor rows) and all of its velocity
-        dofs, which are discontinuous; its rest is its edge stress dofs, and
-        the pin lies outside every triangle.  It releases A's and B's blocks
+        """F by triangles (:class:`ElementBlocks`), Q, C and D the slices of
+        each F_T at its group and rest: its group is its interior stress dofs
+        (both tensor rows) and all of its velocity dofs, which are
+        discontinuous; its rest is its edge stress dofs, and the pin lies
+        outside every triangle.  It releases A's and B's blocks
         (:meth:`Forms.release`) once it has read them."""
         f, lay, dofmap = self.forms, self.layout, self.forms.dofmap
         nt, nd, p = dofmap.mesh.num_triangles, dofmap.ned.dim, dofmap.pk.dim
-        ni = dofmap.interior_dofs_per_tri
-        ne = nd - ni
-        local = np.arange(2 * nd).reshape(2, nd)
-        inner, edge = local[:, ne:].ravel(), local[:, :ne].ravel()
-        up = upper_positions(2 * nd)
-        a, b = f.A_T, f.B_T
-        # Q_T = [[A_II, B_I^T], [B_I, theta M_T]], C_T = [A_IE; B_E]: velocity
-        # component c sees tensor row c only
-        Q = np.zeros((nt, 2 * (ni + p), 2 * (ni + p)))
-        C = np.zeros((nt, 2 * (ni + p), 2 * ne))
-        Q[:, :2 * ni, :2 * ni] = a[:, up[inner[:, None], inner]]
-        C[:, :2 * ni] = a[:, up[inner[:, None], edge]]
-        for c in range(2):
-            vel = slice(2 * ni + c * p, 2 * ni + (c + 1) * p)
-            Q[:, vel, c * ni:(c + 1) * ni] = b[:, :, ne:]
-            Q[:, c * ni:(c + 1) * ni, vel] = np.swapaxes(b[:, :, ne:], 1, 2)
-            Q[:, vel, vel] = self.theta * f.M_T[c::2]
-            C[:, vel, c * ne:(c + 1) * ne] = b[:, :, :ne]
-        D = a[:, up[edge[:, None], edge]]
+        ne = nd - dofmap.interior_dofs_per_tri
+        pos = _element_layout(nd, p)
+        edge, group = np.r_[:ne, nd:nd + ne], np.r_[ne:nd, nd + ne:len(pos)]
+        views = [pos[np.ix_(r, c)] for r, c in ((group, group), (group, edge), (edge, edge))]
+        blocks = [np.empty((nt,) + view.shape) for view in views]
+        for c, packed in _element_matrices(f, self.theta):
+            for block, view in zip(blocks, views):
+                np.take(packed, view, axis=1, out=block[c], mode="clip")
         f.release()
-        stress = lay.index[dofmap.stress_gmap]
-        velocity = lay.n_sigma_active + np.arange(lay.n_u).reshape(nt, 2 * p)
-        mult = lay.size - 1
-        extra = (np.array([lay.pin, mult] if lay.n_c else [], dtype=int),
-                 np.array([mult, lay.pin] if lay.n_c else [], dtype=int), np.ones(2 * lay.n_c))
-        return ElementBlocks(
-            lay.size, np.hstack([stress[:, :, ne:].reshape(nt, -1), velocity]),
-            stress[:, :, :ne].reshape(nt, -1), Q, C, D, extra,
-            self.amax, self.theta < 0)
+        U, pin = _unknowns(dofmap, lay), np.array([lay.pin, lay.size - 1][:2 * lay.n_c], dtype=int)
+        return ElementBlocks(lay.size, U[:, group], U[:, edge], *blocks,
+                             (pin, pin[::-1], np.ones(len(pin))), self.amax, self.theta < 0)
 
 
 @dataclass
@@ -300,123 +283,111 @@ def _scatter(shape, blocks, rows, cols):
     return mat
 
 
-def _stress_rows(forms, layout, rows):
-    """F's stress rows ``rows`` (ascending pencil indices) [A | B^T | p^T] in
-    canonical CSR without exact zeros, summed from the blocks of the
-    triangles that meet them."""
-    lay = layout
+def _unknowns(dofmap, layout):
+    """Each triangle's pencil unknowns, (nt, 2 nd + 2 p), in the order of its
+    F_T: its stress dofs of tensor row 0, then of row 1 (-1 for a constrained
+    dof), then its velocity dofs of component 0, then of component 1."""
+    nt = dofmap.mesh.num_triangles
+    velocity = layout.n_sigma_active + np.arange(layout.n_u).reshape(nt, -1)
+    return np.hstack([layout.index[dofmap.stress_gmap].reshape(nt, -1), velocity])
+
+
+@functools.cache
+def _element_layout(nd, p):
+    """Where each entry of a triangle's F_T = [[A_T, B_T^T], [B_T, theta M_T]]
+    lies in its packed row [A_T | B_T | theta M_T | 0] (:func:`_element_matrices`):
+    A_T's upper triangle row by row, B_T (p, nd) row by row, then M_T of
+    velocity component 0 and of component 1.  Tensor row r meets velocity
+    component r only; where it meets the other, F_T reads the trailing 0."""
+    na = nd * (2 * nd + 1)
+    pos = np.full((2 * (nd + p),) * 2, na + p * nd + 2 * p * p)
+    pos[:2 * nd, :2 * nd] = upper_positions(2 * nd)
+    b = na + np.arange(p * nd).reshape(p, nd)
+    m = na + p * nd + np.arange(2 * p * p).reshape(2, p, p)
+    for c in range(2):
+        row, vel = slice(c * nd, (c + 1) * nd), slice(2 * nd + c * p, 2 * nd + (c + 1) * p)
+        pos[vel, row], pos[row, vel], pos[vel, vel] = b, b.T, m[c]
+    pos.flags.writeable = False
+    return pos
+
+
+def _element_matrices(forms, theta, triangles=None):
+    """The F_T of ``triangles`` (default: all, in order), a chunk at a time:
+    yields (c, packed) for each slice c of them, row k of ``packed`` holding
+    the packed row [A_T | B_T | theta M_T | 0] of triangle ``triangles[c][k]``,
+    so that ``packed[k, _element_layout(nd, p)]`` is its F_T.  ``packed`` is
+    one buffer, filled anew for each chunk."""
     nt, p, nd = forms.B_T.shape
-    sd = lay.index[forms.dofmap.stress_gmap].reshape(nt, 2 * nd)
-    at = np.full(lay.n_sigma_active + 1, -1)            # at[-1] stays -1
+    a, b, m = forms.A_T, forms.B_T.reshape(nt, -1), forms.M_T.reshape(nt, -1)
+    count = nt if triangles is None else len(triangles)
+    step = max(1, 8 * _CHUNK // (2 * (nd + p)) ** 2)
+    na, nb = a.shape[1], a.shape[1] + b.shape[1]
+    buffer = np.zeros((min(step, count), nb + m.shape[1] + 1))
+    for s in range(0, count, step):
+        c = slice(s, s + step)
+        t = c if triangles is None else triangles[c]
+        packed = buffer[:min(step, count - s)]
+        packed[:, :na], packed[:, na:nb] = a[t], b[t]
+        np.multiply(theta, m[t], out=packed[:, nb:-1])
+        yield c, packed
+
+
+def _rows(forms, layout, theta, rows):
+    """F's rows ``rows`` (ascending pencil indices) in canonical CSR without
+    exact zeros: the rows of the F_T that hold them, at their triangles'
+    unknowns and summed, and the pin's entries."""
+    lay = layout
+    U = _unknowns(forms.dofmap, lay)
+    at = np.full(lay.size + 1, -1)          # at[-1] stays -1: a constrained dof
     at[rows] = np.arange(len(rows))
-    t, loc = np.nonzero(at[sd] >= 0)
-    row = at[sd[t, loc]]
-    # tensor row r of a triangle's stress dofs meets its velocity component r
-    vel = lay.n_sigma_active + (2 * t + loc // nd)[:, None] * p + np.arange(p)
-    ok = sd[t] >= 0
-    i = [np.broadcast_to(row[:, None], ok.shape)[ok], np.repeat(row, p)]
-    j = [sd[t][ok], vel.ravel()]
-    data = [forms.A_T[t[:, None], upper_positions(2 * nd)[loc]][ok],
-            forms.B_T[t, :, loc % nd].ravel()]
-    if lay.n_c and at[lay.index[lay.pin]] >= 0:
-        i, j, data = i + [[at[lay.index[lay.pin]]]], j + [[lay.size - 1]], data + [[1.0]]
-    csr = sp.csr_matrix((np.concatenate(data), (np.concatenate(i), np.concatenate(j))),
-                        shape=(len(rows), lay.size))
+    t, loc = np.nonzero(at[U] >= 0)
+    pos = _element_layout(forms.dofmap.ned.dim, forms.dofmap.pk.dim)
+    vals = np.empty((len(t), len(pos)))
+    tri, inv = np.unique(t, return_inverse=True)      # t ascends, and so does inv
+    for c, packed in _element_matrices(forms, theta, tri):
+        k = slice(*np.searchsorted(inv, [c.start, c.stop]))
+        vals[k] = packed[inv[k, None] - c.start, pos[loc[k]]]
+    cols = U[t]
+    keep = (cols >= 0) & (vals != 0.0)
+    i = np.broadcast_to(at[U[t, loc]][:, None], keep.shape)[keep]
+    j, data = cols[keep], vals[keep]
+    ends = np.array([lay.pin, lay.size - 1][:2 * lay.n_c], dtype=int)   # the pin's entries
+    on = at[ends] >= 0
+    i, j = np.append(i, at[ends][on]), np.append(j, ends[::-1][on])
+    data = np.append(data, np.ones(on.sum()))
+    csr = sp.csr_matrix((data, (i, j)), shape=(len(rows), lay.size))
     csr.eliminate_zeros()
     return csr
 
 
-def _row_sums(csr):
-    """The absolute sums of the non-empty rows of a CSR, summed as
-    ``abs(csr).sum(axis=1)`` sums them."""
-    starts = csr.indptr[:-1]
-    return np.add.reduceat(np.abs(csr.data), starts[np.diff(csr.indptr) > 0])
+def _row_bounds(forms, layout, theta):
+    """A bound on the absolute sum of each of F's rows, and F's largest
+    |entry|, from the packed blocks.
 
-
-def _stress_reads(forms, layout):
-    """The largest absolute row sum of F's stress rows [A | B^T | p^T] and
-    the largest |entry| of A and p, without building every row.
-
-    A row's absolute sum is at most the sum of its triangles' absolute
-    entries, so only the rows whose bound reaches the exact sum of the row
-    with the largest bound, less 1e-10 of it, are built in CSR and summed
-    as ``abs(csr).sum(axis=1)`` sums them: the norm is exact.  A is a Gram
+    A row's absolute sum is at most the sum of its F_T rows' absolute
+    entries, one product of the packed rows a chunk at a time.  A is a Gram
     matrix, so |a_ij| <= sqrt(a_ii a_jj) and its largest |entry| is its
     largest diagonal entry, a sum of at most two triangles' entries, whose
-    order does not move its bits."""
+    order does not move its bits; B's entries at the active dofs, theta M's
+    and the pin's are F's own."""
     lay = layout
     nt, p, nd = forms.B_T.shape
-    sd = lay.index[forms.dofmap.stress_gmap].reshape(nt, 2 * nd)
-    on = sd >= 0
-    # packed entry (i, j) of a triangle's block lies in its rows i and j;
-    # |A_T| a chunk of triangles at a time
-    iu, ju = np.triu_indices(2 * nd)
-    incidence = np.zeros((len(iu), 2 * nd))
-    incidence[np.arange(len(iu)), iu] = incidence[np.arange(len(iu)), ju] = 1.0
-    bound = np.tile(np.abs(forms.B_T).sum(axis=1), 2)
-    step = max(1, 2 * _CHUNK // len(iu))
-    for t in range(0, nt, step):
-        bound[t:t + step] += np.abs(forms.A_T[t:t + step]) @ incidence
-    bound = np.bincount(sd[on], bound[on], minlength=lay.n_sigma_active)
-    diag = np.bincount(sd[on], forms.A_T[:, iu == ju][on], minlength=lay.n_sigma_active)
-    amax = max(float(diag.max(initial=0.0)), float(lay.n_c))
-    if lay.n_c:
-        bound[lay.index[lay.pin]] += 1.0
-    top = _row_sums(_stress_rows(forms, lay, [np.argmax(bound)]))[0]
-    csr = _stress_rows(forms, lay, np.flatnonzero(bound >= top * (1.0 - 1e-10)))
-    return float(_row_sums(csr).max()), amax
-
-
-def _other_rows(forms, layout, theta):
-    """F's velocity and multiplier rows [B | theta M | 0] and [p | 0 | 0] in
-    canonical CSR without exact zeros, laid out straight from the blocks: a
-    velocity row holds its triangle's B block at the active stress dofs of
-    its component, then its theta M block."""
-    lay = layout
-    nt, p, nd = forms.B_T.shape
-    vel = lay.n_sigma_active + np.arange(lay.n_u).reshape(nt, 2, 1, p)
-    cols = np.concatenate([lay.index[forms.dofmap.stress_gmap][:, :, None], vel], axis=3)
-    vals = np.empty((nt, 2, p, nd + p))
-    vals[..., :nd] = forms.B_T[:, None]
-    np.multiply(theta, forms.M_T.reshape(nt, 2, p, p), out=vals[..., nd:])
-    keep = (vals != 0.0) & (cols >= 0)
-    counts = np.append(np.count_nonzero(keep, axis=3).ravel(), [1] * lay.n_c)
-    csr = sp.csr_matrix((np.append(vals[keep], [1.0] * lay.n_c),
-                         np.append(np.broadcast_to(cols, vals.shape)[keep], [lay.pin] * lay.n_c),
-                         np.concatenate([[0], np.cumsum(counts)])),
-                        shape=(lay.n_u + lay.n_c, lay.size))
-    csr.sort_indices()
-    return csr
-
-
-def _element_product(forms, sigma, u):
-    """(A sigma + B^T u, B sigma) for vectors or blocks of columns sigma (full
-    stress numbering) and u, triangle by triangle: sigma gathered at each
-    triangle's stress dofs, multiplied by its blocks, A's unpacked a chunk
-    of triangles at a time, and the stress part summed back through the
-    dofs' incidence.  Tensor row r of a triangle meets its velocity
-    component r only."""
-    nt, p, nd = forms.B_T.shape
-    sd = forms.dofmap.stress_gmap.reshape(nt, -1)
-    up = upper_positions(2 * nd)
-    cols = sigma.reshape(len(sigma), -1)
-    k = cols.shape[1]
-    vel = u.reshape(nt, 2, p, k)
-    local, Bs = np.empty(sd.shape + (k,)), np.empty(vel.shape)
-    # the unpacked blocks and the gathered columns go to buffers made once
-    step = max(1, min(nt, 8 * _CHUNK // up.size))
-    blocks, gathered = np.empty((step,) + up.shape), np.empty((step, 2 * nd, k))
-    for t in range(0, nt, step):
-        c = slice(t, t + step)
-        n = len(sd[c])
-        a = np.take(forms.A_T[c], up, axis=1, out=blocks[:n], mode="clip")
-        s, b = np.take(cols, sd[c], axis=0, out=gathered[:n], mode="clip"), forms.B_T[c, None]
-        np.matmul(a, s, out=local[c])
-        np.matmul(b, s.reshape(-1, 2, nd, k), out=Bs[c])
-        local[c] += (np.swapaxes(b, 2, 3) @ vel[c]).reshape(-1, 2 * nd, k)
-    m = sd.size
-    incidence = sp.csc_matrix((np.ones(m), sd.ravel(), np.arange(m + 1)), shape=(len(sigma), m))
-    return (incidence @ local.reshape(m, k)).reshape(sigma.shape), Bs.reshape(u.shape)
+    pos = _element_layout(nd, p)
+    incidence = np.zeros((pos.max() + 1, len(pos)))       # packed entry s in row i of F_T
+    np.add.at(incidence, (pos, np.arange(len(pos))[:, None]), 1.0)
+    local = np.empty((nt, len(pos)))
+    for c, packed in _element_matrices(forms, theta):
+        np.matmul(np.abs(packed), incidence, out=local[c])
+    U = _unknowns(forms.dofmap, lay)
+    on = U >= 0
+    bound = np.bincount(U[on], local[on], minlength=lay.size)
+    stress, active = U[:, :2 * nd], on[:, :2 * nd]
+    diag = np.bincount(stress[active], forms.A_T[:, pos.diagonal()[:2 * nd]][active])
+    b = np.tile(np.abs(forms.B_T).max(axis=1), 2)[active]
+    amax = max(float(diag.max(initial=0.0)), float(b.max(initial=0.0)),
+               abs(theta) * float(np.abs(forms.M_T).max(initial=0.0)), float(lay.n_c))
+    bound[[lay.pin, -1][:2 * lay.n_c]] += 1.0
+    return bound, amax
 
 
 def assemble_forms(mesh, dofmap, mu=1.0):

@@ -476,9 +476,9 @@ def write_mesh(mesh, path):
 def read_mesh(path):
     """Read the plain-text mesh format written by :func:`write_mesh`."""
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             tokens = fp.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOFailureError(f"cannot read mesh from {path}: {exc}") from exc
     try:
         nv, ne, nt = (int(tok) for tok in tokens[:3])
@@ -489,8 +489,8 @@ def read_mesh(path):
     v_end = 3 + 2 * nv
     e_end = v_end + 3 * ne
     t_end = e_end + 6 * nt
-    if len(tokens) < t_end:
-        raise IOFailureError(f"malformed mesh file {path}: fewer entities than counted")
+    if len(tokens) != t_end:
+        raise IOFailureError(f"malformed mesh file {path}: {len(tokens)} tokens, {t_end} counted")
     try:
         vertices = np.array(tokens[3:v_end], dtype=float).reshape(nv, 2)
         edata = np.array(tokens[v_end:e_end], dtype=np.int64).reshape(ne, 3)

@@ -46,9 +46,9 @@ class ElementBlocks:
     = ``Q[t]``, and with its unknowns ``rest[t]`` of the rest R, F[g, r] =
     ``C[t]`` (-1 marks one that F does not have).  F[R, R] sums the ``D[t]``
     at (rest[t], rest[t]) and the ``extra`` (rows, columns, values) that
-    belong to no triangle.  ``amax`` is max |F_ij|, for a pencil's F read
-    from A's diagonal, the pin and the velocity rows when its view is built
-    (``PencilMatrix.amax``); ``definite`` marks an F at a negative shift,
+    belong to no triangle.  ``amax`` is max |F_ij|, for a pencil's F the
+    largest of A's diagonal, |B| at the active dofs, |theta| max |M| and the
+    pin (``PencilMatrix.amax``); ``definite`` marks an F at a negative shift,
     whose blocks :func:`_invert` judges after scaling them to a unit
     diagonal.
     """

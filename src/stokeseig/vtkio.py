@@ -75,49 +75,51 @@ def export_vtk(field_list, path):
 def read_vtk(path):
     """Parse a file written by :func:`export_vtk` (round-trip checks)."""
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             lines = [ln.strip() for ln in fp]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOFailureError(f"cannot read VTK file {path}: {exc}") from exc
-
     out = {"points": None, "cells": None, "cell_data": {}, "point_data": {}}
-    i = 0
-    section = None
-    while i < len(lines):
-        ln = lines[i]
-        parts = ln.split()
-        if not parts:
-            i += 1
-            continue
-        key = parts[0]
-        if key == "POINTS":
-            n = int(parts[1])
-            pts = [tuple(float(v) for v in lines[i + 1 + j].split()) for j in range(n)]
-            out["points"] = np.array(pts)[:, :2]
-            i += n + 1
-        elif key == "CELLS":
-            n = int(parts[1])
-            cells = [tuple(int(v) for v in lines[i + 1 + j].split()[1:]) for j in range(n)]
-            out["cells"] = np.array(cells)
-            i += n + 1
-        elif key == "CELL_DATA":
-            section = ("cell_data", int(parts[1]))
-            i += 1
-        elif key == "POINT_DATA":
-            section = ("point_data", int(parts[1]))
-            i += 1
-        elif key == "SCALARS":
-            name = parts[1]
-            n = section[1]
-            vals = [float(lines[i + 2 + j]) for j in range(n)]
-            out[section[0]][name] = np.array(vals)
-            i += n + 2
-        elif key == "VECTORS":
-            name = parts[1]
-            n = section[1]
-            vals = [tuple(float(v) for v in lines[i + 1 + j].split()) for j in range(n)]
-            out[section[0]][name] = np.array(vals)[:, :2]
-            i += n + 1
-        else:
-            i += 1
+    try:
+        i = 0
+        section = None
+        while i < len(lines):
+            ln = lines[i]
+            parts = ln.split()
+            if not parts:
+                i += 1
+                continue
+            key = parts[0]
+            if key == "POINTS":
+                n = int(parts[1])
+                pts = [tuple(float(v) for v in lines[i + 1 + j].split()) for j in range(n)]
+                out["points"] = np.array(pts)[:, :2]
+                i += n + 1
+            elif key == "CELLS":
+                n = int(parts[1])
+                cells = [tuple(int(v) for v in lines[i + 1 + j].split()[1:]) for j in range(n)]
+                out["cells"] = np.array(cells)
+                i += n + 1
+            elif key == "CELL_DATA":
+                section = ("cell_data", int(parts[1]))
+                i += 1
+            elif key == "POINT_DATA":
+                section = ("point_data", int(parts[1]))
+                i += 1
+            elif key == "SCALARS":
+                name = parts[1]
+                n = section[1]
+                vals = [float(lines[i + 2 + j]) for j in range(n)]
+                out[section[0]][name] = np.array(vals)
+                i += n + 2
+            elif key == "VECTORS":
+                name = parts[1]
+                n = section[1]
+                vals = [tuple(float(v) for v in lines[i + 1 + j].split()) for j in range(n)]
+                out[section[0]][name] = np.array(vals)[:, :2]
+                i += n + 1
+            else:
+                i += 1
+    except (IndexError, ValueError, TypeError) as exc:
+        raise IOFailureError(f"malformed VTK file {path}: {exc!r}") from exc
     return out

@@ -101,6 +101,28 @@ def test_pencil_k_is_the_block_assembled_k_bit_for_bit(ell, k, bc):
     assert pencil.K.norm_inf() == float(abs(shifted).sum(axis=1).max())
 
 
+@pytest.mark.parametrize("theta", [THETA0, 5.0])
+@pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
+@pytest.mark.parametrize("ell,k", SCHEMES)
+def test_element_blocks_sum_to_the_pencil_bit_for_bit(ell, k, bc, theta):
+    # every triangle's Q at (group, group), C and C^T between its group and
+    # its rest and D at (rest, rest), with the extra entries, is F = K.sp
+    K = square_pencil(ell, k, bc, N=3).K.at(theta)
+    want = K.sp
+    F = K.element_blocks()
+    g, r = F.groups, F.rest
+    rows, cols, vals = [F.extra[0]], [F.extra[1]], [F.extra[2]]
+    for block, i, j in ((F.Q, g, g), (F.C, g, r), (np.swapaxes(F.C, 1, 2), r, g), (F.D, r, r)):
+        i, j = np.broadcast_to(i[:, :, None], block.shape), np.broadcast_to(j[:, None, :], block.shape)
+        on = (i >= 0) & (j >= 0)
+        rows, cols, vals = rows + [i[on]], cols + [j[on]], vals + [block[on]]
+    got = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=K.shape)
+    got.eliminate_zeros()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
 @pytest.mark.parametrize("mu", [1e-3, 1.0, 7.3])
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED])
 @pytest.mark.parametrize("ell,k", SCHEMES)

@@ -4,7 +4,7 @@ import pytest
 import stokeseig.mesh as mm
 from helpers import field_l2_norm
 from stokeseig.assembly import J, skew_free_part
-from stokeseig.errors import KindMismatchError, MeshError
+from stokeseig.errors import IOFailureError, KindMismatchError, MeshError
 from stokeseig.fields import (DiscreteField, element_integrals,
                               pressure_from_stress, theta_postprocess,
                               vorticity_from_stress)
@@ -220,6 +220,20 @@ def test_vtk_export_and_roundtrip(tmp_path):
     assert np.allclose(data["cell_data"]["pressure"], p.values_at(rule_pt)[:, 0])
     assert np.allclose(data["cell_data"]["velocity"], u.values_at(rule_pt)[:, 0, :])
     assert np.allclose(data["point_data"]["velocity_recovered"], theta.nodal_values)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "\n".join(text.splitlines()[:7]).encode(),        # POINTS 4, two points
+    lambda text: text.replace("POINTS 4", "POINTS two").encode(),   # a non-numeric count
+    lambda text: b"\xff\xfe" + text.encode(),                       # not UTF-8
+], ids=["truncated-points", "non-numeric-count", "not-utf8"])
+def test_read_vtk_rejects_malformed_input(tmp_path, edit):
+    mesh = build_square_mesh(1, mm.UNIT_SQUARE)
+    path = tmp_path / "fields.vtk"
+    export_vtk([DiscreteField.velocity(mesh, 0, np.arange(4.0))], path)
+    path.write_bytes(edit(path.read_text()))
+    with pytest.raises(IOFailureError):
+        read_vtk(path)
 
 
 def test_vtk_empty_field_list_rejected(tmp_path):

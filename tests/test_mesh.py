@@ -287,6 +287,19 @@ def test_read_mesh_rejects_malformed_values(tmp_path, line, token, value, error)
         read_mesh(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: b"\xff\xfe",                      # not UTF-8
+    lambda text: text.rstrip().encode() + b" 0\n",   # a seventh token on a triangle line
+    lambda text: text.encode() + b"0 1\n",           # a line after the counted entities
+], ids=["not-utf8", "seventh-triangle-token", "trailing-line"])
+def test_read_mesh_rejects_undecodable_or_surplus_input(tmp_path, edit):
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_square_mesh(1, mm.UNIT_SQUARE), path)
+    path.write_bytes(edit(path.read_text()))
+    with pytest.raises(IOFailureError):
+        read_mesh(path)
+
+
 # replacement tokens: non-finite and overflowing numbers, ids in and out of
 # range, tags, fractions and non-numbers
 _FUZZ_TOKENS = ["nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-1", "0", "1", "2",
