@@ -33,6 +33,7 @@ chunk at a time.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -66,9 +67,8 @@ class Forms:
     and the element blocks they are summed from.  A and B are kept only as
     their blocks: ``A_T`` holds the upper triangle, row by row (see
     :func:`upper_positions`), of each triangle's symmetric 2 nd x 2 nd block
-    at its stress dofs ``dofmap.stress_gmap``, ``B_T`` (nt, p, nd) is a
-    triangle's block for either velocity component and its tensor row, and
-    :attr:`A` and :attr:`B` sum them into CSR on each read.  ``M_T``
+    at its stress dofs ``dofmap.stress_gmap``, and ``B_T`` (nt, p, nd) is a
+    triangle's block for either velocity component and its tensor row.  ``M_T``
     (2 nt, p, p) is the mass block of velocity component c of triangle t at
     2 t + c.  A's and B's blocks, the largest, are read-only and made on
     demand: :meth:`release` drops them, and the next read of ``A_T`` or
@@ -92,20 +92,6 @@ class Forms:
     def release(self):
         """Drop A's and B's element blocks until they are read again."""
         self.blocks = None
-
-    @property
-    def A(self):
-        """A in canonical CSR, summed from ``A_T`` on each read."""
-        n, sd = self.dofmap.n_sigma, self.dofmap.stress_gmap.reshape(len(self.A_T), -1)
-        return _scatter((n, n), self.A_T[:, upper_positions(sd.shape[1])], sd, sd)
-
-    @property
-    def B(self):
-        """B in canonical CSR, summed from ``B_T`` on each read."""
-        dofmap, rows = self.dofmap, 2 * len(self.B_T)
-        return _scatter((dofmap.n_u, dofmap.n_sigma), np.repeat(self.B_T, 2, axis=0),
-                        np.arange(dofmap.n_u).reshape(rows, -1),
-                        dofmap.stress_gmap.reshape(rows, -1))
 
 
 @dataclass
@@ -164,23 +150,33 @@ class PencilMatrix:
     slices, and ``sp`` (and ``nnz``) sums their rows into CSR on each call
     (:func:`_rows`).  ``norm_inf()`` and the largest entry ``amax`` are those
     of ``sp``, bit for bit, read when the view is built: the norm sums, as
-    ``abs(sp).sum(axis=1)`` does, only the rows whose bound (:func:`_row_bounds`)
-    reaches the exact sum of the row with the largest bound, less 1e-10 of it.
+    ``abs(sp).sum(axis=1)`` does, only the rows whose bound reaches the exact
+    sum of the row with the largest bound, less 1e-10 of it.  The bounds'
+    theta-free part (:func:`_row_bounds`) is read once and shared by every
+    view that :meth:`at` makes.
     """
 
     def __init__(self, forms, layout, theta):
-        self.forms, self.layout, self.theta = forms, layout, theta
+        self.forms, self.layout = forms, layout
         self.shape = (layout.size, layout.size)
-        bound, self.amax = _row_bounds(forms, layout, theta)
-        top = abs(_rows(forms, layout, theta, [np.argmax(bound)])).sum()
-        rows = np.flatnonzero(bound >= top * (1.0 - 1e-10))
-        self._norm = float(abs(_rows(forms, layout, theta, rows)).sum(axis=1).max())
+        self.bounds = _row_bounds(forms, layout)
+        vars(self).update(vars(self.at(theta)))     # theta and the reads at() makes
 
     nnz = property(lambda self: self.sp.nnz)
 
     def at(self, theta):
-        """K - theta N of the same pencil."""
-        return PencilMatrix(self.forms, self.layout, theta)
+        """K - theta N of the same pencil: theta moves only the velocity rows,
+        whose bounds gain |theta| times their sums of |M|, and max|M| times
+        |theta| joins the largest entry."""
+        view, lay = copy.copy(self), self.layout
+        bound, msum, amax, mmax = self.bounds
+        bound = bound.copy()
+        bound[lay.velocity] += abs(theta) * msum
+        view.theta, view.amax = theta, max(amax, abs(theta) * mmax)
+        top = abs(_rows(self.forms, lay, theta, [np.argmax(bound)])).sum()
+        rows = np.flatnonzero(bound >= top * (1.0 - 1e-10))
+        view._norm = float(abs(_rows(self.forms, lay, theta, rows)).sum(axis=1).max())
+        return view
 
     @property
     def sp(self):
@@ -226,8 +222,9 @@ class PencilMatrix:
         nt, nd, p = dofmap.mesh.num_triangles, dofmap.ned.dim, dofmap.pk.dim
         ne = nd - dofmap.interior_dofs_per_tri
         pos = _element_layout(nd, p)
-        edge, group = np.r_[:ne, nd:nd + ne], np.r_[ne:nd, nd + ne:len(pos)]
-        views = [pos[np.ix_(r, c)] for r, c in ((group, group), (group, edge), (edge, edge))]
+        stress = np.arange(2 * nd).reshape(2, nd)       # each tensor row's edge dofs first
+        edge, group = stress[:, :ne].ravel(), np.append(stress[:, ne:], range(2 * nd, len(pos)))
+        views = pos[group][:, group], pos[group][:, edge], pos[edge][:, edge]
         blocks = [np.empty((nt,) + view.shape) for view in views]
         for c, packed in _element_matrices(f, self.theta):
             for block, view in zip(blocks, views):
@@ -273,23 +270,14 @@ def _quad_degree(dofmap):
     return min(10, 2 * max(dofmap.ned.degree, dofmap.pk.degree) + 2)
 
 
-def _scatter(shape, blocks, rows, cols):
-    """Sum element blocks (e, m, n) at global rows (e, m) and columns (e, n),
-    without the entries that are exactly zero."""
-    r = np.broadcast_to(rows[:, :, None], blocks.shape).ravel()
-    c = np.broadcast_to(cols[:, None, :], blocks.shape).ravel()
-    mat = sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
-    mat.eliminate_zeros()
-    return mat
-
-
 def _unknowns(dofmap, layout):
     """Each triangle's pencil unknowns, (nt, 2 nd + 2 p), in the order of its
     F_T: its stress dofs of tensor row 0, then of row 1 (-1 for a constrained
-    dof), then its velocity dofs of component 0, then of component 1."""
+    dof), then its velocity dofs of component 0, then of component 1.  It is
+    int32, as ``layout.index`` is, so that every view's copy is half the size."""
     nt = dofmap.mesh.num_triangles
-    velocity = layout.n_sigma_active + np.arange(layout.n_u).reshape(nt, -1)
-    return np.hstack([layout.index[dofmap.stress_gmap].reshape(nt, -1), velocity])
+    velocity = np.arange(layout.n_sigma_active, layout.size - layout.n_c, dtype=np.int32)
+    return np.hstack([layout.index[dofmap.stress_gmap].reshape(nt, -1), velocity.reshape(nt, -1)])
 
 
 @functools.cache
@@ -360,23 +348,24 @@ def _rows(forms, layout, theta, rows):
     return csr
 
 
-def _row_bounds(forms, layout, theta):
-    """A bound on the absolute sum of each of F's rows, and F's largest
-    |entry|, from the packed blocks.
+def _row_bounds(forms, layout):
+    """The theta-free part of F's reads, from the packed blocks: a bound on
+    the absolute sum of each row of F at theta = 0, the velocity rows' sums
+    of |M| (in velocity order), F's largest |entry| at theta = 0, and max|M|.
 
     A row's absolute sum is at most the sum of its F_T rows' absolute
     entries, one product of the packed rows a chunk at a time.  A is a Gram
     matrix, so |a_ij| <= sqrt(a_ii a_jj) and its largest |entry| is its
     largest diagonal entry, a sum of at most two triangles' entries, whose
-    order does not move its bits; B's entries at the active dofs, theta M's
-    and the pin's are F's own."""
+    order does not move its bits; B's entries at the active dofs and the
+    pin's are F's own."""
     lay = layout
     nt, p, nd = forms.B_T.shape
     pos = _element_layout(nd, p)
     incidence = np.zeros((pos.max() + 1, len(pos)))       # packed entry s in row i of F_T
     np.add.at(incidence, (pos, np.arange(len(pos))[:, None]), 1.0)
     local = np.empty((nt, len(pos)))
-    for c, packed in _element_matrices(forms, theta):
+    for c, packed in _element_matrices(forms, 0.0):
         np.matmul(np.abs(packed), incidence, out=local[c])
     U = _unknowns(forms.dofmap, lay)
     on = U >= 0
@@ -384,10 +373,10 @@ def _row_bounds(forms, layout, theta):
     stress, active = U[:, :2 * nd], on[:, :2 * nd]
     diag = np.bincount(stress[active], forms.A_T[:, pos.diagonal()[:2 * nd]][active])
     b = np.tile(np.abs(forms.B_T).max(axis=1), 2)[active]
-    amax = max(float(diag.max(initial=0.0)), float(b.max(initial=0.0)),
-               abs(theta) * float(np.abs(forms.M_T).max(initial=0.0)), float(lay.n_c))
+    amax = max(float(diag.max(initial=0.0)), float(b.max(initial=0.0)), float(lay.n_c))
     bound[[lay.pin, -1][:2 * lay.n_c]] += 1.0
-    return bound, amax
+    m = np.abs(forms.M_T)
+    return bound, m.sum(axis=2).ravel(), amax, float(m.max(initial=0.0))
 
 
 def assemble_forms(mesh, dofmap, mu=1.0):
@@ -431,19 +420,20 @@ def _ab_blocks(dofmap, mu, jvals=None):
     # A block is its geometry tensor G = det B^-T (x) B^-T, 16 numbers, times
     # the reference tensor of :func:`_stiffness_reference`, and its j values,
     # the integrals of (e_r x phi_d) : J = phi_d[1] (r = 0), -phi_d[0] (r = 1),
-    # are det B^-T times the reference integrals of vhat; both times the signs
+    # are det B^-T times the reference integrals of vhat; both times the
+    # signs, A's entry (d, f) by the product sign_d sign_f, +-1 and exact
     X = _stiffness_reference(np.einsum("dqi,fqj,q->dfij", vhat, vhat, w), mu)
-    (_, d), (_, f) = (np.divmod(x, nd) for x in np.triu_indices(2 * nd))
+    d, f = (x % nd for x in np.triu_indices(2 * nd))
+    df = d * nd + f                     # entry (d, f) of sign_d sign_f, row by row
     vbar = np.einsum("dqi,q->id", vhat, w)
-    ablock = np.empty((nt, len(d)))
-    step = max(1, 2 * _CHUNK // len(d))
+    ablock = np.empty((nt, len(df)))
+    step = max(1, 2 * _CHUNK // len(df))
     for t in range(0, nt, step):
         c = slice(t, t + step)
         detB = det[c, None, None] * BinvT[c]
         G = detB[:, :, None, :, None] * BinvT[c, None, :, None, :]
         a = np.matmul(G.reshape(-1, 16), X, out=ablock[c])
-        a *= signs[c][:, d]
-        a *= signs[c][:, f]
+        a *= (signs[c, :, None] * signs[c, None, :]).reshape(len(a), -1)[:, df]
         if jvals is not None:
             phi = (detB.reshape(-1, 2) @ vbar).reshape(-1, 2, nd)
             np.multiply(phi[:, ::-1], signs[c, None], out=jvals[c])

@@ -27,7 +27,7 @@ import numpy as np
 from . import fields as fd
 from . import mesh as meshmod
 from .assembly import skew_free_part
-from .errors import IOFailureError, KindMismatchError, UnsupportedSchemeError
+from .errors import KindMismatchError, UnsupportedSchemeError
 from .quadrature import quadrature
 
 
@@ -123,14 +123,3 @@ def effectivity(lambda_ref, lambda_h, eta):
         raise ValueError(f"estimator value must be nonnegative, got {eta}")
     return err / eta ** 2
 
-
-def write_indicators_csv(indicators, path):
-    """Dump per-triangle addends: triangle_id, addend1..addend5, eta_sq."""
-    try:
-        with open(path, "w") as fp:
-            fp.write("triangle_id,addend1,addend2,addend3,addend4,addend5,eta_sq\n")
-            for t in range(indicators.eta_sq.shape[0]):
-                cols = ",".join(f"{v:.17g}" for v in indicators.addends[t])
-                fp.write(f"{t},{cols},{indicators.eta_sq[t]:.17g}\n")
-    except OSError as exc:
-        raise IOFailureError(f"cannot write indicators to {path}: {exc}") from exc

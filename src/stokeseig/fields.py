@@ -26,9 +26,9 @@ NODAL_P1 = "nodal_p1"
 class DiscreteField:
     """A finite-element field bound to one mesh.
 
-    Use the class methods to construct; ``values_at(ref_points)`` evaluates on
-    every triangle at the given reference coordinates and ``eval_at(tri, x)``
-    at physical points inside one triangle.
+    Use the class methods to construct; ``values_at(ref_points, tris)``
+    evaluates at the given reference coordinates on every triangle, or on the
+    triangles ``tris``.
     """
 
     def __init__(self, kind, mesh, data):
@@ -151,15 +151,6 @@ class DiscreteField:
             raw = np.einsum("ecd,dqa->eqca", local, ghat)
             return np.einsum("eqca,ead->eqcd", raw, Binv[tris])
         raise KindMismatchError(f"jacobian not available for kind {self.kind}")
-
-    def eval_at(self, tri, points):
-        """Evaluate at physical points lying inside triangle ``tri``."""
-        tris = self.mesh.triangle_ids([tri])
-        points = np.atleast_2d(points)
-        _, origin, _ = self.mesh.affine_maps
-        Binv, _ = self.mesh.inv_maps
-        ref = (points - origin[tris[0]]) @ Binv[tris[0]].T
-        return self.values_at(ref, tris)[0]
 
 
 def pressure_from_stress(sigma):

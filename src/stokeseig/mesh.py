@@ -155,12 +155,6 @@ class Mesh:
         """(ne, 2) adjacent triangle ids, -1 when the edge is on the boundary."""
         return self.edge_sides[:, :, 0]
 
-    @cached_property
-    def boundary_vertices(self):
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[self.edges[self.edge_tags != INTERIOR].ravel()] = True
-        return mask
-
     # -- queries -------------------------------------------------------------
 
     def tri_local_edge_flipped(self):
@@ -168,16 +162,6 @@ class Mesh:
         a = self.tri_vertices
         b = np.roll(self.tri_vertices, -1, axis=1)
         return a > b
-
-    def min_angle(self):
-        p = self.vertices[self.tri_vertices]
-        angles = []
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            cosang = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.min(angles))
 
     # -- invariants -----------------------------------------------------------
 

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from stokeseig import assembly
-from stokeseig.assembly import _scatter, assemble_forms, build_pencil, upper_positions
+from stokeseig.assembly import assemble_forms, build_pencil, upper_positions
 from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.mesh import (BI_UNIT_SQUARE, UNIT_SQUARE, Mesh, build_lshape_mesh,
                             build_square_mesh, refine, tag_bottom_fixed)
@@ -72,17 +72,30 @@ def block_pencil(ell, k, bc=ALL_DIRICHLET, N=8, mu=1.0):
     return unshifted_pencil(_square_forms(ell, k, bc, N, mu))
 
 
+def forms_ab(forms):
+    """A and B on the full numbering in canonical CSR without exact zeros, each
+    summed from the forms' unpacked element blocks: an oracle for the views."""
+    def scatter(shape, blocks, rows, cols):     # blocks (e, m, n) at rows (e, m), cols (e, n)
+        r = np.broadcast_to(rows[:, :, None], blocks.shape).ravel()
+        c = np.broadcast_to(cols[:, None, :], blocks.shape).ravel()
+        mat = sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
+        mat.eliminate_zeros()
+        return mat
+
+    dofmap, rows = forms.dofmap, 2 * len(forms.B_T)
+    sd = dofmap.stress_gmap.reshape(rows // 2, -1)
+    return (scatter((dofmap.n_sigma,) * 2, forms.A_T[:, upper_positions(sd.shape[1])], sd, sd),
+            scatter((dofmap.n_u, dofmap.n_sigma), np.repeat(forms.B_T, 2, axis=0),
+                    np.arange(dofmap.n_u).reshape(rows, -1), sd.reshape(rows, -1)))
+
+
 def unshifted_pencil(forms):
     """K and N of ``build_pencil(forms)``, both whole CSR assembled from the
-    forms' blocks, with K unshifted: an oracle for the pencil, which keeps
-    K - theta0 N as a view of the forms.  A is scattered from the unpacked
-    element blocks in one COO pass, independently of the pencil's build."""
+    forms' blocks (:func:`forms_ab`), with K unshifted: an oracle for the
+    pencil, which keeps K - theta0 N as a view of the forms."""
     layout = build_pencil(forms).layout
-    keep = layout.keep
-    n = 2 * forms.dofmap.ned.dim
-    sd = forms.dofmap.stress_gmap.reshape(-1, n)
-    A = _scatter((forms.dofmap.n_sigma,) * 2, forms.A_T[:, upper_positions(n)], sd, sd)
-    A, B = A[keep][:, keep], forms.B[:, keep]
+    (A, B), keep = forms_ab(forms), layout.keep
+    A, B = A[keep][:, keep], B[:, keep]
     if layout.n_c:
         pin = sp.csr_matrix(([1.0], ([0], [np.argmax(np.abs(layout.kernel[0]))])),
                             shape=(1, len(keep)))
@@ -142,6 +155,14 @@ def permute_edges(mesh, perm):
     inv[perm] = np.arange(len(perm))
     return Mesh(mesh.vertices, mesh.tri_vertices, perm[mesh.tri_edges],
                 mesh.tri_parents, mesh.edges[inv], mesh.edge_tags[inv])
+
+
+def eval_at(field, t, x):
+    """``field`` at physical points x inside triangle t: x mapped to the
+    reference triangle, then evaluated there on t alone."""
+    _, origin, _ = field.mesh.affine_maps
+    Binv, _ = field.mesh.inv_maps
+    return field.values_at((np.atleast_2d(x) - origin[t]) @ Binv[t].T, [t])[0]
 
 
 def l2_field_error(mesh, field, exact, degree=10):

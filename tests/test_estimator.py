@@ -8,7 +8,7 @@ import stokeseig.mesh as mm
 from helpers import refined_lshape, solve_problem
 from stokeseig.assembly import J, skew_free_part
 from stokeseig.errors import UnsupportedSchemeError
-from stokeseig.estimator import compute_indicators, effectivity, write_indicators_csv
+from stokeseig.estimator import compute_indicators, effectivity
 from stokeseig.fields import DiscreteField, theta_postprocess
 from stokeseig.mesh import build_square_mesh, patches
 from stokeseig.quadrature import quadrature
@@ -136,19 +136,3 @@ def test_estimator_tracks_true_error_under_uniform_refinement():
     order_eta, _ = fit_order(list(zip(hs, etas)))
     order_err, _ = fit_order(list(zip(hs, errs)))
     assert abs(order_eta - order_err) <= 0.3
-
-
-def test_csv_dump(tmp_path):
-    mesh = build_square_mesh(2, mm.BI_UNIT_SQUARE)
-    sol, _, dm = solve_problem(mesh, 1, 0, nev=1)
-    desc = SpaceDescriptor(1, 0)
-    sigma = DiscreteField.stress(mesh, desc, sol.sigma[0], dm)
-    u = DiscreteField.velocity(mesh, desc.k, sol.u[0])
-    ind = compute_indicators(mesh, sigma, u, theta_postprocess(u, patches(mesh)))
-    path = tmp_path / "eta.csv"
-    write_indicators_csv(ind, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "triangle_id,addend1,addend2,addend3,addend4,addend5,eta_sq"
-    assert len(lines) == mesh.num_triangles + 1
-    first = [float(v) for v in lines[1].split(",")[1:]]
-    assert abs(sum(first[:5]) - first[5]) < 1e-12 * max(first[5], 1.0)

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 import stokeseig.mesh as mm
-from helpers import field_l2_norm
+from helpers import eval_at, field_l2_norm
 from stokeseig.assembly import J, skew_free_part
-from stokeseig.errors import IOFailureError, KindMismatchError, MeshError
+from stokeseig.errors import KindMismatchError, MeshError
 from stokeseig.fields import (DiscreteField, element_integrals,
                               pressure_from_stress, theta_postprocess,
                               vorticity_from_stress)
 from stokeseig.mesh import build_square_mesh, patches
 from stokeseig.quadrature import quadrature
 from stokeseig.spaces import DofMap, SpaceDescriptor, interpolate_ned, l2_project_velocity
-from stokeseig.vtkio import export_vtk, read_vtk
+from stokeseig.vtkio import export_vtk
 
 
 def _stress_of(mesh, tau, ell=1, k=0):
@@ -94,11 +94,8 @@ def test_invalid_triangle_id_rejected(tri):
     sigma = _stress_of(mesh, lambda q: np.array([[1.0, 2.0], [3.0, 4.0]]), ell=2, k=1)
     centroid = np.full((1, 2), 1.0 / 3.0)
     # valid ids select rows of the all-triangle evaluation
-    assert np.allclose(sigma.eval_at(7, mesh.vertices[mesh.tri_vertices[7]].mean(axis=0)),
-                       sigma.values_at(centroid)[7], atol=1e-12)
+    assert np.array_equal(sigma.values_at(centroid, [0, 7]), sigma.values_at(centroid)[[0, 7]])
     assert np.array_equal(sigma.curl_at(centroid, [0, 7]), sigma.curl_at(centroid)[[0, 7]])
-    with pytest.raises(MeshError):
-        sigma.eval_at(tri, mesh.vertices[mesh.tri_vertices[0]].mean(axis=0))
     methods = (sigma.values_at, sigma.curl_at, sigma.jacobian_at,
                pressure_from_stress(sigma).values_at)
     for tris in ([tri], np.array([tri]), [0, tri]):
@@ -189,7 +186,7 @@ def test_jacobians_match_central_differences(ell, k):
             x = origin[t] + ref @ B[t].T
             for d in range(2):
                 step = h * np.eye(2)[d]
-                fd = (field.eval_at(t, x + step) - field.eval_at(t, x - step)) / (2 * h)
+                fd = (eval_at(field, t, x + step) - eval_at(field, t, x - step)) / (2 * h)
                 assert np.abs(jac[t, ..., d] - fd).max() < 1e-8 * scale
 
 
@@ -211,29 +208,17 @@ def test_vtk_export_and_roundtrip(tmp_path):
     theta = theta_postprocess(u, patches(mesh))
     path = tmp_path / "fields.vtk"
     export_vtk([u, p, w, theta], path)
-    data = read_vtk(path)
-    assert data["points"].shape == (4, 2)
-    assert data["cells"].shape == (2, 3)
-    assert np.array_equal(data["points"], mesh.vertices)
-    assert np.array_equal(data["cells"], mesh.tri_vertices)
+    lines = path.read_text().splitlines()
+
+    def section(header, n, skip=1):     # the n rows of numbers below a header line
+        return np.loadtxt(lines[lines.index(header) + skip:][:n], ndmin=2)
+
+    assert np.array_equal(section("POINTS 4 double", 4)[:, :2], mesh.vertices)
+    assert np.array_equal(section("CELLS 2 8", 2)[:, 1:], mesh.tri_vertices)
     rule_pt = np.array([[1 / 3, 1 / 3]])
-    assert np.allclose(data["cell_data"]["pressure"], p.values_at(rule_pt)[:, 0])
-    assert np.allclose(data["cell_data"]["velocity"], u.values_at(rule_pt)[:, 0, :])
-    assert np.allclose(data["point_data"]["velocity_recovered"], theta.nodal_values)
-
-
-@pytest.mark.parametrize("edit", [
-    lambda text: "\n".join(text.splitlines()[:7]).encode(),        # POINTS 4, two points
-    lambda text: text.replace("POINTS 4", "POINTS two").encode(),   # a non-numeric count
-    lambda text: b"\xff\xfe" + text.encode(),                       # not UTF-8
-], ids=["truncated-points", "non-numeric-count", "not-utf8"])
-def test_read_vtk_rejects_malformed_input(tmp_path, edit):
-    mesh = build_square_mesh(1, mm.UNIT_SQUARE)
-    path = tmp_path / "fields.vtk"
-    export_vtk([DiscreteField.velocity(mesh, 0, np.arange(4.0))], path)
-    path.write_bytes(edit(path.read_text()))
-    with pytest.raises(IOFailureError):
-        read_vtk(path)
+    assert np.allclose(section("SCALARS pressure double 1", 2, 2)[:, 0], p.values_at(rule_pt)[:, 0])
+    assert np.allclose(section("VECTORS velocity double", 2)[:, :2], u.values_at(rule_pt)[:, 0, :])
+    assert np.allclose(section("VECTORS velocity_recovered double", 4)[:, :2], theta.nodal_values)
 
 
 def test_vtk_empty_field_list_rejected(tmp_path):

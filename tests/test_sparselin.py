@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import stokeseig.mesh as mm
-from helpers import block_pencil, dense_gauss_solve, perturb_a_blocks, square_pencil
+from helpers import block_pencil, dense_gauss_solve, forms_ab, perturb_a_blocks, square_pencil
 from stokeseig import eigsolve, sparselin
 from stokeseig.assembly import THETA0, assemble_forms, build_pencil, upper_positions
 from stokeseig.eigsolve import EigConfig, solve_eig
@@ -352,7 +352,7 @@ def test_forms_and_pencil_are_canonical_csr(ell, k, bc):
         mesh = mm.tag_bottom_fixed(mesh)
     forms = assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k), bc))
     pencil = build_pencil(forms)
-    for mat in (forms.A, forms.B, forms.M, pencil.K.sp, pencil.N):
+    for mat in (forms.M, pencil.K.sp, pencil.N):
         assert sp.isspmatrix_csr(mat)
         assert mat.has_canonical_format
 
@@ -427,7 +427,8 @@ def test_no_a_or_b_block_alive_while_superlu_and_lanczos_run(monkeypatch, bc):
     # element_blocks() releases A's and B's blocks once it has gathered the
     # triangles' Q, C and D, and Rayleigh-Ritz makes them anew: when SuperLU
     # is called and when the Lanczos run ends, the live numpy bytes are those
-    # of the forms' M and j, the layout, what the solves keep and, at SuperLU,
+    # of the forms' M and j, the layout, K's theta-free row bounds (which its
+    # views at other shifts read), what the solves keep and, at SuperLU,
     # the matrix it factorizes or, after Lanczos, its output.  The bound is
     # that sum and 4 bytes a row, less than either block takes.
     if bc == MIXED_BOTTOM_FIXED:
@@ -467,7 +468,8 @@ def test_no_a_or_b_block_alive_while_superlu_and_lanczos_run(monkeypatch, bc):
     (op, fact, inverse), = ops
     lay, slack = pencil.layout, 4 * pencil.K.shape[0]
     kept = [forms.M_T, forms.j, forms.M.indices, forms.M.indptr, lay.index, lay.keep,
-            fact._E, fact._order, fact._perm, fact._Qinv, fact._C, fact._cols]
+            fact._E, fact._order, fact._perm, fact._Qinv, fact._C, fact._cols,
+            *pencil.K.bounds[:2]]
     kept += [] if lay.kernel is None else [lay.kernel[0]]
     at_splu = sum(a.nbytes for a in kept) + seen["csc"] + slack
     kept += [op.L, op._product, inverse._D, inverse._PT.data, inverse._PT.indices,
@@ -502,8 +504,9 @@ def test_restrict_allocates_what_it_keeps_and_chunks(bc):
 @pytest.mark.parametrize("bc", [ALL_DIRICHLET, MIXED_BOTTOM_FIXED, "corner_bisected_45"])
 @pytest.mark.parametrize("ell,k", SCHEMES)
 def test_reads_of_the_view_equal_those_of_the_full_matrix(ell, k, bc):
-    # at theta0, at 0 (the dump's K) and at positive shifts, on the squares
-    # and on the L-shape with its corner bisected 45 times
+    # at theta0, at 0 (the dump's K), at positive shifts and at +-1e6, where
+    # a velocity row sets both reads, on the squares and on the L-shape with
+    # its corner bisected 45 times; a view of a view reads as the view itself
     if bc == "corner_bisected_45":
         mesh = _corner_bisected(45)
         pencil = build_pencil(assemble_forms(mesh, DofMap(mesh, SpaceDescriptor(ell, k))))
@@ -511,17 +514,23 @@ def test_reads_of_the_view_equal_those_of_the_full_matrix(ell, k, bc):
         pencil = square_pencil(ell, k, bc, N=4)
     # amax reads A's largest diagonal entry: A is a Gram matrix, so its
     # active part has its largest |entry| on its diagonal
-    keep = pencil.layout.keep
-    A = pencil.forms.A[keep][:, keep]
+    keep, velocity = pencil.layout.keep, np.r_[pencil.layout.velocity]
+    A = forms_ab(pencil.forms)[0][keep][:, keep]
     assert abs(A).max() == A.diagonal().max()
     rng = np.random.default_rng(3)
-    for theta in (THETA0, 0.0, 5.0, 400.0):
-        K = pencil.K.at(theta)
+    for theta in (THETA0, 0.0, 5.0, 400.0, 1e6, -1e6):
+        K, chained = pencil.K.at(theta), pencil.K.at(5.0).at(theta)
         full = K.sp
         assert sp.isspmatrix_csr(full) and full.has_canonical_format and full.shape == K.shape
         assert (full != full.T).nnz == 0
-        assert K.norm_inf() == float(abs(full).sum(axis=1).max())
-        assert K.element_blocks().amax == abs(full).max()
+        assert K.norm_inf() == float(abs(full).sum(axis=1).max()) == chained.norm_inf()
+        blocks, again = K.element_blocks(), chained.element_blocks()
+        assert blocks.amax == abs(full).max() == again.amax
+        for a in ("groups", "rest", "Q", "C", "D"):
+            assert getattr(blocks, a).tobytes() == getattr(again, a).tobytes()
+        if abs(theta) == 1e6:
+            assert np.argmax(abs(full).sum(axis=1)) in velocity
+            assert abs(full).argmax() // full.shape[1] in velocity
         # products: A sigma + B^T u sums each row in another order than K x,
         # so the two differ by at most the rounding bound of a sum of m terms, twice
         for x in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 3))):
