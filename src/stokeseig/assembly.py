@@ -267,7 +267,7 @@ class Pencil:
 
 
 def _quad_degree(dofmap):
-    return min(10, 2 * max(dofmap.ned.degree, dofmap.pk.degree) + 2)
+    return 2 * max(dofmap.ned.degree, dofmap.pk.degree) + 2
 
 
 def _unknowns(dofmap, layout):
@@ -330,20 +330,23 @@ def _rows(forms, layout, theta, rows):
     at[rows] = np.arange(len(rows))
     t, loc = np.nonzero(at[U] >= 0)
     pos = _element_layout(forms.dofmap.ned.dim, forms.dofmap.pk.dim)
-    vals = np.empty((len(t), len(pos)))
+    # each of the pin's (row, column)s in ``rows`` takes one more row of
+    # vals and cols, 1.0 in its first slot: nothing is copied to append it
+    ends = np.array([lay.pin, lay.size - 1][:2 * lay.n_c], dtype=int)
+    ends = np.stack([ends, ends[::-1]])[:, at[ends] >= 0]
+    n = len(t)
+    vals = np.empty((n + ends.shape[1], len(pos)))
+    cols = np.empty(vals.shape, dtype=U.dtype)
+    vals[n:], cols[n:] = 0.0, -1
+    vals[n:, 0], cols[n:, 0] = 1.0, ends[1]
     tri, inv = np.unique(t, return_inverse=True)      # t ascends, and so does inv
     for c, packed in _element_matrices(forms, theta, tri):
         k = slice(*np.searchsorted(inv, [c.start, c.stop]))
         vals[k] = packed[inv[k, None] - c.start, pos[loc[k]]]
-    cols = U[t]
+    np.take(U, t, axis=0, out=cols[:n])
     keep = (cols >= 0) & (vals != 0.0)
-    i = np.broadcast_to(at[U[t, loc]][:, None], keep.shape)[keep]
-    j, data = cols[keep], vals[keep]
-    ends = np.array([lay.pin, lay.size - 1][:2 * lay.n_c], dtype=int)   # the pin's entries
-    on = at[ends] >= 0
-    i, j = np.append(i, at[ends][on]), np.append(j, ends[::-1][on])
-    data = np.append(data, np.ones(on.sum()))
-    csr = sp.csr_matrix((data, (i, j)), shape=(len(rows), lay.size))
+    i = np.broadcast_to(np.append(at[U[t, loc]], at[ends[0]])[:, None], keep.shape)[keep]
+    csr = sp.csr_matrix((vals[keep], (i, cols[keep])), shape=(len(rows), lay.size))
     csr.eliminate_zeros()
     return csr
 

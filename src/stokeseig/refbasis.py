@@ -9,7 +9,9 @@ Edge functionals are tangential moments against Legendre polynomials on the
 edge (parametrized from the first listed local vertex); interior functionals
 are moments against P_{k-1}^2 (first kind) or the Raviart-Thomas space of
 order m-2 (second kind).  These choices make the elements commute with the
-element-wise L2 projection of the scalar curl.
+element-wise L2 projection of the scalar curl.  All of them are stated once,
+as one set of reference points and one weight array: a field's dofs are one
+contraction of its values there.
 
 Vector bases are stored in Bernstein-Bezier coordinates: a component of
 degree d is ``sum c[a1, a2] B_a`` with
@@ -34,6 +36,7 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import legval
+from scipy.linalg import block_diag
 
 from .errors import ConfigurationError, is_int
 from .quadrature import gauss_legendre, quadrature
@@ -116,51 +119,28 @@ def _interior_moment_fields(family, order):
     return fields
 
 
-class _Moment:
-    """A degree-of-freedom functional: a weighted sum of field values at fixed points.
+def _functionals(family, order, deg):
+    """The dofs, and their functionals as one point set and one weight array
+    W of shape (points, 2, dim): dof d of a field v is sum_{q,c} v(x_q)_c W[q, c, d].
 
-    Called with ``fn(points)`` of shape (..., n, 2), it returns shape (...).
-    """
-
-    def apply_poly(self, comps):
-        """Value on a vector polynomial given by Bernstein coefficients (2, d+1, d+1).
-
-        Exact up to rounding: the rule integrates the moment's polynomial
-        integrand exactly.
-        """
-        comps = np.asarray(comps)
-        return self(lambda points: _evaluate(_bernstein_table, comps, points).T)
-
-
-class _EdgeMoment(_Moment):
-    """Tangential moment on one local edge against a Legendre weight."""
-
-    def __init__(self, edge, moment):
-        a, b = (_REF_VERTS[v] for v in _EDGE_VERTS[edge])
-        self.direction = b - a
-        s, w = gauss_legendre(_GAUSS_N)
-        coeff = np.zeros(moment + 1)
-        coeff[moment] = 1.0
-        self.weights = w / 2.0 * legval(s, coeff)
-        self.points = a + np.outer((s + 1.0) / 2.0, self.direction)
-
-    def __call__(self, fn):
-        vals = np.asarray(fn(self.points))
-        return np.vecdot(vals @ self.direction, self.weights)
-
-
-class _InteriorMoment(_Moment):
-    """Moment against a fixed polynomial vector field over the triangle."""
-
-    def __init__(self, field, quad_degree):
-        rule = quadrature(quad_degree)
-        self.points = rule.points
-        q = _evaluate(_monomial_table, field, self.points).T
-        self.weighted = rule.weights[:, None] * q
-
-    def __call__(self, fn):
-        vals = np.asarray(fn(self.points))
-        return (vals * self.weighted).sum(axis=(-2, -1))
+    Edge e's block weighs the tangent b - a with the Legendre polynomials on
+    the edge's Gauss points, parametrized from its first vertex a; the
+    interior block is the quadrature weights times the moment fields."""
+    s, w = gauss_legendre(_GAUSS_N)
+    legendre = w[:, None] / 2.0 * legval(s, np.eye(order + 1)).T      # (point, m)
+    points, blocks = [], []
+    for a, b in _REF_VERTS[list(_EDGE_VERTS)]:
+        points.append(a + np.outer((s + 1.0) / 2.0, b - a))
+        blocks.append(legendre[:, None] * (b - a)[:, None])
+    dofs = [("edge", e, m) for e in range(3) for m in range(order + 1)]
+    fields = _interior_moment_fields(family, order)
+    if fields:
+        rule = quadrature(2 * deg + 2)
+        points.append(rule.points)
+        blocks.append((rule.weights * _evaluate(_monomial_table, np.array(fields), rule.points)).T)
+        dofs += [("interior", i) for i in range(len(fields))]
+    weights = block_diag(*(blk.reshape(-1, blk.shape[-1]) for blk in blocks))
+    return dofs, np.concatenate(points), weights.reshape(-1, 2, len(dofs))
 
 
 class ReferenceBasis:
@@ -170,15 +150,17 @@ class ReferenceBasis:
     for vector families and monomial coefficients, shape (dim, d+1, d+1), for
     scalar P_k; ``degree`` is d, the polynomial degree.  ``eval`` returns
     (dim, n, 2) for vector families and (dim, n) for scalars; ``eval_curl`` the
-    scalar curl d1 v2 - d2 v1 of every vector basis function.
+    scalar curl d1 v2 - d2 v1 of every vector basis function.  A vector
+    basis's functionals are the reference ``points`` and one weight array
+    ``weights`` (points, 2, dim), which :meth:`dof_values` contracts with a
+    field's values there.
     """
 
-    def __init__(self, family, order, coeffs, dofs, functionals=None):
-        self.family = family
+    def __init__(self, order, coeffs, dofs, points=None, weights=None):
         self.order = order
         self.coeffs = coeffs
         self.dofs = dofs
-        self.functionals = functionals
+        self.points, self.weights = points, weights
         self.vector = coeffs.ndim == 4
         self.dim = coeffs.shape[0]
         self.degree = coeffs.shape[-1] - 1
@@ -207,22 +189,10 @@ class ReferenceBasis:
     def dof_values(self, fn):
         """Apply every degree-of-freedom functional to a callable field.
 
-        ``fn(points)`` returns shape (..., n, 2) for the n reference points; the
-        result has shape (..., dim), one row of dof values per leading index.
+        ``fn(points)`` returns shape (..., n, 2) at the n reference ``points``;
+        the result has shape (..., dim), one row of dof values per leading index.
         """
-        return np.stack([func(fn) for func in self.functionals], axis=-1)
-
-
-def _build_functionals(family, order, deg):
-    n_edge = order + 1
-    dofs = [("edge", e, m) for e in range(3) for m in range(n_edge)]
-    functionals = [_EdgeMoment(e, m) for e in range(3) for m in range(n_edge)]
-    fields = _interior_moment_fields(family, order)
-    qdeg = 2 * deg + 2
-    for i, field in enumerate(fields):
-        dofs.append(("interior", i))
-        functionals.append(_InteriorMoment(field, qdeg))
-    return dofs, functionals
+        return np.einsum("...qc,qcd->...d", fn(self.points), self.weights)
 
 
 def _generators(family, order, exps):
@@ -270,21 +240,21 @@ def ned_basis(family, order):
     deg = order + 1 if family == NED1 else order
     exps = _monomial_exponents(deg)
     gens = _generators(family, order, exps)
-    dofs, functionals = _build_functionals(family, order, deg)
+    dofs, points, weights = _functionals(family, order, deg)
     if len(dofs) != gens.shape[1]:
         raise ConfigurationError(
             f"{family} order {order}: {gens.shape[1]} generators vs {len(dofs)} functionals")
 
-    # one Bernstein polynomial per (component, index); the moment matrix of
-    # the generators is solved once for the dual basis
-    units = np.zeros((2 * len(exps), 2, deg + 1, deg + 1))
-    for comp in range(2):
-        for col, (i, j) in enumerate(exps):
-            units[comp * len(exps) + col, comp, i, j] = 1.0
-    moments = np.array([[func.apply_poly(u) for u in units] for func in functionals])
+    # the moment matrix of the unit Bernstein polynomials B_a e_c, columns
+    # (c, a), from one table of them at the points; solved once on the
+    # generators for the dual basis
+    i, j = np.array(exps).T
+    table = _bernstein_table(deg, points)[i, j]
+    moments = np.einsum("aq,qcd->dca", table, weights).reshape(len(dofs), -1)
     dual = gens @ np.linalg.solve(moments @ gens, np.eye(len(dofs)))
-    coeffs = np.einsum("ga,gcij->acij", dual, units)
-    return ReferenceBasis(family, order, coeffs, dofs, functionals)
+    coeffs = np.zeros((len(dofs), 2, deg + 1, deg + 1))
+    coeffs[..., i, j] = dual.T.reshape(len(dofs), 2, -1)
+    return ReferenceBasis(order, coeffs, dofs, points, weights)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -297,7 +267,7 @@ def pk_basis(order):
     for d, (i, j) in enumerate(exps):
         coeffs[d, i, j] = 1.0
     dofs = [("interior", i) for i in range(len(exps))]
-    return ReferenceBasis("pk", order, coeffs, dofs)
+    return ReferenceBasis(order, coeffs, dofs)
 
 
 @lru_cache(maxsize=None)

@@ -88,28 +88,18 @@ class DofMap:
         self.n_sigma = 2 * self.n_vec
         self.n_u = 2 * nt * self.pk.dim
 
-        # local vector dof -> global vector dof, plus orientation signs
-        gmap = np.empty((nt, self.ned.dim), dtype=np.int64)
-        signs = np.ones((nt, self.ned.dim))
-        flipped = mesh.tri_local_edge_flipped()
-        col = 0
-        for e_loc in range(3):
-            eids = mesh.tri_edges[:, e_loc]
-            for m in range(per_edge):
-                gmap[:, col] = eids * per_edge + m
-                if m % 2 == 0:
-                    signs[flipped[:, e_loc], col] = -1.0
-                col += 1
-        base = ne * per_edge
-        for i in range(n_int):
-            gmap[:, col] = base + np.arange(nt) * n_int + i
-            col += 1
+        # local vector dof -> global vector dof, plus orientation signs: edge
+        # dofs (local edge, moment) in order, then the interior ones
+        m = np.arange(per_edge)
+        gmap = np.hstack([(mesh.tri_edges[:, :, None] * per_edge + m).reshape(nt, -1),
+                          ne * per_edge + np.arange(nt)[:, None] * n_int + np.arange(n_int)])
+        flip = np.where(mesh.tri_local_edge_flipped()[:, :, None] & (m % 2 == 0), -1.0, 1.0)
         self.vec_gmap = gmap
-        self.vec_signs = signs
+        self.vec_signs = np.hstack([flip.reshape(nt, -1), np.ones((nt, n_int))])
         # global stress dof of (triangle, tensor row, local dof)
         self.stress_gmap = np.stack([gmap, self.n_vec + gmap], axis=1)
 
-        vdofs = (neumann[:, None] * per_edge + np.arange(per_edge)).ravel()
+        vdofs = (neumann[:, None] * per_edge + m).ravel()
         self.constrained = np.sort(np.concatenate([vdofs, self.n_vec + vdofs]))
 
     @property
@@ -135,21 +125,16 @@ def interpolate_ned(mesh, descriptor, tau):
     ``tau(x)`` must return a 2x2 array; each row is interpolated into the
     vector stress space.  Fields whose rows lie in the local space are
     reproduced exactly.  ``tau`` is called once per physical point of the
-    functionals' quadratures.
+    functionals, all of them evaluated together.
     """
     dofmap = DofMap(mesh, descriptor)
     B, origin, _ = mesh.affine_maps
-    pulled = {}
 
     def rows(ref_pts):
-        # covariant pull-back B^T tau_r of both rows, shape (nt, 2, n, 2); the
-        # functionals of one edge share their points, as do the interior ones
-        key = ref_pts.tobytes()
-        if key not in pulled:
-            phys = ref_pts @ np.swapaxes(B, 1, 2) + origin[:, None]
-            vals = np.array([tau(p) for p in phys.reshape(-1, 2)], dtype=float)
-            pulled[key] = np.swapaxes(vals.reshape(phys.shape + (2,)), 1, 2) @ B[:, None]
-        return pulled[key]
+        # covariant pull-back B^T tau_r of both rows, shape (nt, 2, n, 2)
+        phys = ref_pts @ np.swapaxes(B, 1, 2) + origin[:, None]
+        vals = np.array([tau(p) for p in phys.reshape(-1, 2)], dtype=float)
+        return np.swapaxes(vals.reshape(phys.shape + (2,)), 1, 2) @ B[:, None]
 
     return dofmap.interpolate(rows)
 
@@ -157,7 +142,7 @@ def interpolate_ned(mesh, descriptor, tau):
 def l2_project_velocity(mesh, k, v):
     """Element-wise L2 projection of an analytic vector field onto P_k^2."""
     pk = pk_basis(k)
-    rule = quadrature(min(10, 2 * k + 6))
+    rule = quadrature(2 * k + 6)
     B, origin, _ = mesh.affine_maps
     phys = rule.points @ np.swapaxes(B, 1, 2) + origin[:, None]       # (nt, q, 2)
     vals = np.array([v(p) for p in phys.reshape(-1, 2)], dtype=float).reshape(phys.shape)

@@ -81,8 +81,8 @@ class ElementBlocks:
 
 class Factorization:
     """Reusable factors of the :class:`ElementBlocks` F: LU factors of
-    P S P^T, S the Schur complement of :func:`condense`, P a permutation
-    (``perm``); ``condition`` is the estimate ``factorize`` judged.
+    P S P^T, S the Schur complement of :func:`condense`, P a permutation;
+    ``condition`` is the estimate ``factorize`` judged.
 
     It keeps the groups' unknowns E, the unknown of F behind each factorized
     row, Q^-1, each triangle's coupling C_T = F[group, rest] and its rest
@@ -94,10 +94,9 @@ class Factorization:
     is empty and it is the solve with S = F.
     """
 
-    def __init__(self, lu, perm, E, order, Qinv, C, cols):
+    def __init__(self, lu, E, order, Qinv, C, cols):
         self._lu = lu
         self.condition = None       # set by factorize
-        self._perm = perm
         self._E, self._order, self._Qinv, self._C, self._cols = E, order, Qinv, C, cols
 
     def solve(self, b, out=None):
@@ -389,7 +388,7 @@ def factorize(A):
     # P S P^T: gather the columns, relabel and sort the rows; only this copy
     # of S stays alive during splu
     csc = S[:, perm]
-    del S
+    del S, perm
     for k in range(0, csc.nnz, _CHUNK):
         csc.indices[k:k + _CHUNK] = at[csc.indices[k:k + _CHUNK]]
     csc.has_sorted_indices = False
@@ -402,7 +401,7 @@ def factorize(A):
     del csc
     # int32 while SuperLU runs; intp for the solves' take and bincount, which
     # would convert int32 indices on every call
-    fact = Factorization(lu, perm, E, order, Qinv, C, cols.astype(np.intp))
+    fact = Factorization(lu, E, order, Qinv, C, cols.astype(np.intp))
     # F's own inverse: S^-1 alone grows with the mesh grading
     with np.errstate(over="ignore", invalid="ignore"):
         fact.condition = _inverse_norm1(fact.solve, n) * amax

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from stokeseig import sparselin
 from stokeseig.assembly import (THETA0, J, PencilLayout, PencilMatrix, assemble_forms,
                                 build_pencil, export_matrix, skew_free_part)
 from stokeseig.eigsolve import EigConfig, eigen_residuals, solve_eig
-from stokeseig.errors import AssemblyError, KindMismatchError
+from stokeseig.errors import AssemblyError, ConfigurationError, KindMismatchError
 from stokeseig.fields import DiscreteField, pressure_from_stress, vorticity_from_stress
 from stokeseig.mesh import build_square_mesh
 from stokeseig.quadrature import quadrature
@@ -232,7 +233,7 @@ def test_preorder_cuts_lu_fill(monkeypatch, bc):
 
     monkeypatch.setattr(sparselin.spla, "splu", splu)
     fact = factorize(square_pencil(2, 1, bc, N=30).K)
-    back = np.argsort(fact._perm)
+    back = np.argsort(fact._order)      # R ascends, so R[perm] sorts as perm does
     dofmap_order = real_splu(seen["csc"][back][:, back].tocsc(), **seen["kw"])
     assert _fill(fact._lu) <= 0.92 * _fill(dofmap_order)
 
@@ -270,6 +271,17 @@ def test_viscosity_must_be_positive(mu):
     sigma = DiscreteField.stress(mesh, desc, np.ones(dm.n_sigma), dofmap=dm)
     with pytest.raises(KindMismatchError):
         vorticity_from_stress(sigma, pressure_from_stress(sigma), mu)
+
+
+def test_a_quadrature_beyond_the_rules_raises():
+    # a stress basis of degree 5 asks for a rule of degree 12, above the
+    # largest there is: assembly refuses instead of under-integrating
+    mesh = build_square_mesh(1, mm.UNIT_SQUARE)
+    dm = DofMap(mesh, SpaceDescriptor(1, 0))
+    dm.ned = copy.copy(dm.ned)
+    dm.ned.degree = 5
+    with pytest.raises(ConfigurationError, match="degree 12"):
+        assemble_forms(mesh, dm)
 
 
 @pytest.mark.parametrize("ell,k", SCHEMES)

@@ -1,5 +1,9 @@
+from math import factorial
+
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre
+from numpy.polynomial.legendre import leggauss
 
 from stokeseig.errors import ConfigurationError
 from stokeseig.quadrature import quadrature
@@ -66,6 +70,37 @@ def test_dof_values_batch_matches_single_fields(family, order):
 
     single = [basis.dof_values(lambda points, f=f: fields(points)[f]) for f in range(3)]
     assert np.array_equal(basis.dof_values(fields), np.stack(single))
+
+
+@pytest.mark.parametrize("family,order", sorted(DIMS))
+def test_dof_values_are_the_moment_integrals(family, order):
+    # the functionals' values, not only their duality, against an independent
+    # oracle: numpy's Gauss rule for the tangential Legendre moments on each
+    # edge from its first vertex, exact monomial integrals for the P0^2
+    # interior moments of (NED1, 1)
+    basis = ned_basis(family, order)
+    i, j = np.array([(i, j) for i in range(basis.degree + 1)
+                     for j in range(basis.degree + 1 - i)]).T
+    coef = np.random.default_rng(5).standard_normal((3, 2, i.size))
+
+    def fields(points):
+        # three random vector polynomials of the basis degree, shape (3, n, 2)
+        return np.einsum("fct,nt->fnc", coef, points[:, :1] ** i * points[:, 1:] ** j)
+
+    dofs = basis.dof_values(fields)
+    s, w = leggauss(basis.degree + order + 1)
+    t, w = (s + 1.0) / 2.0, w / 2.0
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for e in range(3):
+        a, b = verts[e], verts[(e + 1) % 3]
+        tangential = fields(a + np.outer(t, b - a)) @ (b - a)
+        for m in range(order + 1):
+            want = tangential @ (w * Legendre.basis(m)(2.0 * t - 1.0))
+            assert np.abs(dofs[:, basis.dofs.index(("edge", e, m))] - want).max() < 1e-13
+    if (family, order) == (NED1, 1):
+        area = [factorial(p) * factorial(q) / factorial(p + q + 2) for p, q in zip(i, j)]
+        interior = [basis.dofs.index(("interior", c)) for c in range(2)]
+        assert np.abs(dofs[:, interior] - coef @ area).max() < 1e-13
 
 
 @pytest.mark.parametrize("family,order", sorted(DIMS))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stokeseig.mesh as mm
-from helpers import eval_at, l2_field_error, single_triangle_mesh
+from helpers import eval_at, l2_field_error, refined_lshape, single_triangle_mesh
 from stokeseig.assembly import assemble_forms, build_pencil
 from stokeseig.eigsolve import EigConfig, solve_eig
 from stokeseig.errors import ConfigurationError
@@ -48,6 +48,30 @@ def test_counts_two_triangle_square():
     # second kind order 2: 3 dofs per edge, 3 interior per vector copy
     assert dm2.n_vec == 3 * mesh.num_edges + 3 * mesh.num_triangles
     assert dm2.n_sigma == 2 * dm2.n_vec
+
+
+@pytest.mark.parametrize("ell,k", ALL_SCHEMES)
+def test_dof_map_matches_the_per_edge_loop(ell, k):
+    # the reference loop: moment m of local edge e is global dof
+    # edge * per_edge + m, negated for even m on a flipped edge; then each
+    # triangle's interior dofs
+    mesh = refined_lshape()
+    dm = DofMap(mesh, SpaceDescriptor(ell, k))
+    nt, per_edge, n_int = mesh.num_triangles, dm.ned.num_edge_dofs // 3, dm.interior_dofs_per_tri
+    flipped = mesh.tri_local_edge_flipped()
+    gmap, signs = np.empty((nt, dm.ned.dim), dtype=np.int64), np.ones((nt, dm.ned.dim))
+    col = 0
+    for e in range(3):
+        for m in range(per_edge):
+            gmap[:, col] = mesh.tri_edges[:, e] * per_edge + m
+            if m % 2 == 0:
+                signs[flipped[:, e], col] = -1.0
+            col += 1
+    for i in range(n_int):
+        gmap[:, col + i] = mesh.num_edges * per_edge + np.arange(nt) * n_int + i
+    assert flipped.any() and not flipped.all()
+    assert dm.vec_gmap.dtype == gmap.dtype and np.array_equal(dm.vec_gmap, gmap)
+    assert np.array_equal(dm.vec_signs, signs)
 
 
 def test_mixed_bc_requires_tags():

@@ -83,7 +83,7 @@ def test_preordered_solve_round_trip():
     dense = dense[q][:, q]
     A = sp.csr_matrix(dense)
     fact = factorize(A)
-    assert not np.array_equal(fact._perm, np.arange(n + m))
+    assert not np.array_equal(fact._order, np.arange(n + m))
     for b in (rng.standard_normal(n + m), rng.standard_normal((n + m, 3))):
         x = fact.solve(b)
         want = np.linalg.solve(dense, b)
@@ -468,7 +468,7 @@ def test_no_a_or_b_block_alive_while_superlu_and_lanczos_run(monkeypatch, bc):
     (op, fact, inverse), = ops
     lay, slack = pencil.layout, 4 * pencil.K.shape[0]
     kept = [forms.M_T, forms.j, forms.M.indices, forms.M.indptr, lay.index, lay.keep,
-            fact._E, fact._order, fact._perm, fact._Qinv, fact._C, fact._cols,
+            fact._E, fact._order, fact._Qinv, fact._C, fact._cols,
             *pencil.K.bounds[:2]]
     kept += [] if lay.kernel is None else [lay.kernel[0]]
     at_splu = sum(a.nbytes for a in kept) + seen["csc"] + slack
